@@ -160,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, models=True):
         p.add_argument("--out", help="write the report/output to this file")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded for reproducibility")
         if models:
             p.add_argument("--close", action="store_true", help="take downward closures of offending guards instead of rejecting them")
 

@@ -1,23 +1,27 @@
 """Greatest-bisimulation computation on lattice transition systems.
 
-The engine iterates a transfer operator on condition-valued relation
-matrices, starting from the all-top relation and descending to the
-greatest fixpoint.  The operator is evaluated through residuated matrix
-multiplication; on Boolean (discrete) condition sets it degenerates to
-complement-and-multiply.  Matrix entries are opaque lattice elements
-handled through an ops object, so the same iteration runs on explicit
+The engine iterates the paper's transfer operator on condition-valued
+relation matrices, starting from the all-top relation and descending to the
+greatest fixpoint.  One kernel, ``_transfer``, evaluates the operator
+directly over per-action successor lists: each move's guard is residuated
+against the join of the matching moves on the other side, plus an escape
+term that is bottom unless action precedence excuses the move (the
+deactivating variant G; with bottom escapes it is the plain operator F).
+On a discrete condition order the residuum is complement-join, which
+``apply_F_boolean_ops`` passes in place of the lattice residuum.  Entries
+are opaque lattice elements handled through an ops object providing
+meet/join/residuum/leq/top/bottom, so the same iteration runs on explicit
 bitsets and on ROBDD handles.
 
-Each iteration may in principle compute its matrix entries in parallel
-from the immutable previous matrix; whether that is safe is advertised by
-``ops.parallel_entries`` (true for the pure bitset backend, false for the
-single-writer BDD manager).  The iteration here is sequential.
+The residuated matrix products ``std_mul``/``otimes_mul`` are the paper's
+algebra on dense matrices; the engine's own iteration does not use them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,6 +36,7 @@ from .errors import (
     PrecedenceMismatch,
     PreconditionViolation,
     SafeguardExceeded,
+    UnknownState,
 )
 from .features import FeatureUniverse
 from .models import Cts, Fts, Lats, cts_to_lats, fts_to_cts, fts_to_lats, lats_to_cts
@@ -45,18 +50,13 @@ class ExplicitOps:
     """Bitset lattice over a condition poset."""
 
     kind = "explicit"
-    parallel_entries = True  # pure functions of immutable masks
+    meet = staticmethod(operator.and_)
+    join = staticmethod(operator.or_)
 
     def __init__(self, poset: ConditionPoset):
         self.poset = poset
         self.top = poset.full_mask
         self.bottom = 0
-
-    def meet(self, a, b):
-        return a & b
-
-    def join(self, a, b):
-        return a | b
 
     def leq(self, a, b):
         return a & ~b == 0
@@ -64,77 +64,11 @@ class ExplicitOps:
     def residuum(self, a, b):
         return self.poset.residuum_bits(a, b)
 
-    def complement(self, a):
-        return self.top ^ a
-
-    def std_mul(self, U, V):
-        Vt = list(zip(*V)) if V else []
-        out = []
-        for row in U:
-            orow = []
-            for col in Vt:
-                acc = 0
-                for u, v in zip(row, col):
-                    acc |= u & v
-                orow.append(acc)
-            out.append(orow)
-        return out
-
-    def otimes_mul(self, U, V):
-        up = self.poset.up
-        full = self.top
-        Vt = list(zip(*V)) if V else []
-        out = []
-        for row in U:
-            orow = []
-            for col in Vt:
-                acc = full
-                for l, m in zip(row, col):
-                    viol = l & ~m
-                    if viol:
-                        bad = 0
-                        while viol:
-                            low = viol & -viol
-                            bad |= up[low.bit_length() - 1]
-                            viol ^= low
-                        acc &= ~bad
-                        if not acc:
-                            break
-                orow.append(acc)
-            out.append(orow)
-        return out
-
-
-class BooleanOps(ExplicitOps):
-    """The Boolean algebra of all condition subsets (discrete residuum)."""
-
-    kind = "boolean"
-
-    def residuum(self, a, b):
-        return (self.top ^ a) | b
-
-    def otimes_mul(self, U, V):
-        full = self.top
-        Vt = list(zip(*V)) if V else []
-        out = []
-        for row in U:
-            orow = []
-            for col in Vt:
-                acc = full
-                for l, m in zip(row, col):
-                    acc &= (full ^ l) | m
-                    if not acc:
-                        break
-                orow.append(acc)
-            out.append(orow)
-        return out
-
 
 class BddOps:
     """ROBDD lattice of downward-closed sets within a feature diagram."""
 
     kind = "bdd"
-    parallel_entries = False  # apply mutates the shared manager
 
     def __init__(self, manager: BddManager, diagram: int):
         self.manager = manager
@@ -147,41 +81,6 @@ class BddOps:
 
     def residuum(self, a, b):
         return self.manager.residuum(a, b, self.diagram)
-
-    # guard matrices are sparse; zero operands short-circuit exactly
-    # (0 meet v = 0, residuum(0, v) = top, and entries below top = diagram)
-
-    def std_mul(self, U, V):
-        meet, join = self.manager.conj, self.manager.disj
-        Vt = list(zip(*V)) if V else []
-        out = []
-        for row in U:
-            orow = []
-            for col in Vt:
-                acc = 0
-                for u, v in zip(row, col):
-                    if u and v:
-                        acc = join(acc, meet(u, v))
-                orow.append(acc)
-            out.append(orow)
-        return out
-
-    def otimes_mul(self, U, V):
-        residuum, meet = self.residuum, self.manager.conj
-        Vt = list(zip(*V)) if V else []
-        out = []
-        for row in U:
-            orow = []
-            for col in Vt:
-                acc = self.top
-                for u, v in zip(row, col):
-                    if u:
-                        acc = meet(acc, residuum(u, v))
-                        if not acc:
-                            break
-                orow.append(acc)
-            out.append(orow)
-        return out
 
 
 # --- matrix helpers ------------------------------------------------------------------
@@ -202,9 +101,6 @@ def _check_inner(U, V):
 def std_mul_ops(ops, U, V):
     """(U.V)(x,z) = join over y of U(x,y) meet V(y,z); empty inner gives bottom."""
     _check_inner(U, V)
-    fast = getattr(ops, "std_mul", None)
-    if fast is not None:
-        return fast(U, V)
     meet, join, bottom = ops.meet, ops.join, ops.bottom
     Vt = transpose(V)
     out = []
@@ -222,9 +118,6 @@ def std_mul_ops(ops, U, V):
 def otimes_mul_ops(ops, U, V):
     """(U (x) V)(x,z) = meet over y of U(x,y) -> V(y,z); empty inner gives top."""
     _check_inner(U, V)
-    fast = getattr(ops, "otimes_mul", None)
-    if fast is not None:
-        return fast(U, V)
     meet, residuum, top = ops.meet, ops.residuum, ops.top
     Vt = transpose(V)
     out = []
@@ -237,11 +130,6 @@ def otimes_mul_ops(ops, U, V):
             orow.append(acc)
         out.append(orow)
     return out
-
-
-def meet_mats(ops, A, B):
-    meet = ops.meet
-    return [[meet(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mats_leq(ops, A, B) -> bool:
@@ -310,6 +198,14 @@ def relation_report(states_x, states_y, names_of_pair) -> dict:
     return {"pairs": pairs}
 
 
+def _state_indices(ix: dict, iy: dict, x: str, y: str) -> tuple[int, int]:
+    if x not in ix:
+        raise UnknownState("unknown left state %r" % (x,))
+    if y not in iy:
+        raise UnknownState("unknown right state %r" % (y,))
+    return ix[x], iy[y]
+
+
 def report_bytes(report: dict) -> bytes:
     return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
 
@@ -360,14 +256,18 @@ class ConditionalRelation:
     def bits_at(self, xi: int, yi: int) -> int:
         return self.rows[xi][yi]
 
+    def _bits(self, x: str, y: str) -> int:
+        xi, yi = _state_indices(self._ix, self._iy, x, y)
+        return self.rows[xi][yi]
+
     def entry(self, x: str, y: str) -> LatticeElement:
-        return LatticeElement(self.poset, self.rows[self._ix[x]][self._iy[y]])
+        return LatticeElement(self.poset, self._bits(x, y))
 
     def holds(self, x: str, y: str, cond: str) -> bool:
-        return bool(self.rows[self._ix[x]][self._iy[y]] & (1 << self.poset.element_index(cond)))
+        return bool(self._bits(x, y) & (1 << self.poset.element_index(cond)))
 
     def conditions(self, x: str, y: str) -> tuple[str, ...]:
-        return tuple(sorted(self.poset.names_of_bits(self.rows[self._ix[x]][self._iy[y]])))
+        return tuple(sorted(self.poset.names_of_bits(self._bits(x, y))))
 
     def leq(self, other: "ConditionalRelation") -> bool:
         return all(
@@ -404,16 +304,24 @@ class ConditionalRelation:
 
 @dataclass
 class Problem:
+    """Both systems' moves with guards in the backend's lattice, per action.
+
+    ``succ_x[a][i]`` lists the ``(target index, guard)`` moves of left state
+    i under a, and ``esc_x[a][i]`` is the join of the guards on strictly
+    higher actions at i (bottom when precedence is off); ``succ_y`` and
+    ``esc_y`` are the same for the right system.
+    """
+
     ops: object
     alphabet: tuple[str, ...]
     states_x: tuple[str, ...]
     states_y: tuple[str, ...]
-    amats: dict
-    bmats: dict
+    succ_x: dict
+    succ_y: dict
+    esc_x: dict
+    esc_y: dict
     cond_count: int
     entry_names: Callable[[object], tuple[str, ...]]
-    precedence: frozenset
-    precedence_on: bool
     left: object
     right: object
     poset: ConditionPoset | None = None
@@ -421,15 +329,37 @@ class Problem:
     discrete: bool = False
 
 
-def _guard_matrices(lats: Lats) -> dict:
-    n = len(lats.states)
-    pos = {s: i for i, s in enumerate(lats.states)}
-    mats = {}
-    for a in lats.alphabet:
-        mats[a] = [[0] * n for _ in range(n)]
-    for (x, a, y), bits in lats.alpha.items():
-        mats[a][pos[x]][pos[y]] = bits
-    return mats
+def _move_lists(ops, model, guards, higher):
+    """Successor and escape lists of one system from its ``((x, a, y), guard)``
+    items; ``higher`` holds the (higher, lower) precedence pairs in force."""
+    pos = {s: i for i, s in enumerate(model.states)}
+    succ = {a: [[] for _ in model.states] for a in model.alphabet}
+    for (x, a, y), g in guards:
+        if g != ops.bottom:
+            succ[a][pos[x]].append((pos[y], g))
+    esc = {a: [ops.bottom] * len(model.states) for a in model.alphabet}
+    for hi, lo in higher:
+        for i, moves in enumerate(succ[hi]):
+            for _, g in moves:
+                esc[lo][i] = ops.join(esc[lo][i], g)
+    return succ, esc
+
+
+def _problem(ops, mx, my, guards_x, guards_y, precedence: bool, **fields) -> Problem:
+    higher = mx.precedence if precedence else ()
+    succ_x, esc_x = _move_lists(ops, mx, guards_x, higher)
+    succ_y, esc_y = _move_lists(ops, my, guards_y, higher)
+    return Problem(
+        ops=ops,
+        alphabet=tuple(mx.alphabet),
+        states_x=mx.states,
+        states_y=my.states,
+        succ_x=succ_x,
+        succ_y=succ_y,
+        esc_x=esc_x,
+        esc_y=esc_y,
+        **fields,
+    )
 
 
 def _check_common(left, right, precedence):
@@ -497,17 +427,11 @@ def build_problem(
                 raise ModelMismatch("feature diagrams carve out different configurations")
             return _explicit_problem(l1, l2, precedence, left, right)
         manager = BddManager(left.universe, var_order)
-        d1 = manager.from_expr(left.diagram)
-        d2 = manager.from_expr(right.diagram)
-        if d1 != d2:
+        diagram = manager.from_expr(left.diagram)
+        if manager.from_expr(right.diagram) != diagram:
             raise ModelMismatch("feature diagrams carve out different configurations")
-        diagram = d1
-        ops = BddOps(manager, diagram)
 
-        def guard_handles(model: Fts):
-            n = len(model.states)
-            pos = {s: i for i, s in enumerate(model.states)}
-            mats = {a: [[0] * n for _ in range(n)] for a in model.alphabet}
+        def guards(model: Fts):
             for (x, a, y), expr in model.trans.items():
                 g = manager.conj(manager.from_expr(expr), diagram)
                 if not manager.is_downward_closed_within(g, diagram):
@@ -518,11 +442,7 @@ def build_problem(
                             "guard of (%s, %s, %s) is not downward-closed under the upgrade order"
                             % (x, a, y)
                         )
-                mats[a][pos[x]][pos[y]] = g
-            return mats
-
-        amats = guard_handles(left)
-        bmats = guard_handles(right)
+                yield (x, a, y), g
 
         def entry_names(handle):
             return tuple(
@@ -530,17 +450,15 @@ def build_problem(
                 for i in iter_bits(manager.sat_minterms(handle))
             )
 
-        return Problem(
-            ops=ops,
-            alphabet=tuple(left.alphabet),
-            states_x=left.states,
-            states_y=right.states,
-            amats=amats,
-            bmats=bmats,
+        return _problem(
+            BddOps(manager, diagram),
+            left,
+            right,
+            guards(left),
+            guards(right),
+            precedence,
             cond_count=manager.sat_count(diagram),
             entry_names=entry_names,
-            precedence=left.precedence,
-            precedence_on=precedence,
             left=left,
             right=right,
             manager=manager,
@@ -556,38 +474,28 @@ def build_problem(
         universe = FeatureUniverse(poset.elements, frozenset(poset.elements))
         manager = BddManager(universe, var_order)
         minterms, diagram, index_to_name = _poset_feature_encoding(poset, manager)
-        ops = BddOps(manager, diagram)
 
-        def guard_handle(bits):
-            handle = 0
-            for i in iter_bits(bits):
-                handle = manager.disj(handle, minterms[i])
-            return handle
-
-        def handle_matrices(lats):
-            n = len(lats.states)
-            pos = {s: i for i, s in enumerate(lats.states)}
-            mats = {a: [[0] * n for _ in range(n)] for a in lats.alphabet}
-            for (x, a, y), bits in lats.alpha.items():
-                mats[a][pos[x]][pos[y]] = guard_handle(bits)
-            return mats
+        def guards(lats: Lats):
+            for key, bits in lats.alpha.items():
+                handle = 0
+                for i in iter_bits(bits):
+                    handle = manager.disj(handle, minterms[i])
+                yield key, handle
 
         def entry_names(handle):
             return tuple(
                 index_to_name[i] for i in iter_bits(manager.sat_minterms(handle))
             )
 
-        return Problem(
-            ops=ops,
-            alphabet=tuple(left.alphabet),
-            states_x=left.states,
-            states_y=right.states,
-            amats=handle_matrices(left),
-            bmats=handle_matrices(right),
+        return _problem(
+            BddOps(manager, diagram),
+            left,
+            right,
+            guards(left),
+            guards(right),
+            precedence,
             cond_count=len(poset),
             entry_names=entry_names,
-            precedence=left.precedence,
-            precedence_on=precedence,
             left=left,
             right=right,
             manager=manager,
@@ -600,22 +508,15 @@ def build_problem(
 
 def _explicit_problem(l1: Lats, l2: Lats, precedence: bool, left, right) -> Problem:
     poset = l1.poset
-    ops = ExplicitOps(poset)
-
-    def entry_names(bits):
-        return poset.names_of_bits(bits)
-
-    return Problem(
-        ops=ops,
-        alphabet=tuple(l1.alphabet),
-        states_x=l1.states,
-        states_y=l2.states,
-        amats=_guard_matrices(l1),
-        bmats=_guard_matrices(l2),
+    return _problem(
+        ExplicitOps(poset),
+        l1,
+        l2,
+        l1.alpha.items(),
+        l2.alpha.items(),
+        precedence,
         cond_count=len(poset),
-        entry_names=entry_names,
-        precedence=l1.precedence,
-        precedence_on=precedence,
+        entry_names=poset.names_of_bits,
         left=left,
         right=right,
         poset=poset,
@@ -623,140 +524,58 @@ def _explicit_problem(l1: Lats, l2: Lats, precedence: bool, left, right) -> Prob
     )
 
 
-# --- transfer operators ------------------------------------------------------------------
+# --- transfer operator -------------------------------------------------------------------
 
 
-def apply_F_matrix_ops(problem: Problem, R):
-    """F through residuated matrix products (the engine default)."""
+def _transfer(problem: Problem, R, residuum):
+    """One application of the transfer operator to the relation matrix R.
+
+    Entry (x, y) is the meet, over every move x -a,g-> x' of x, of
+    ``residuum(g, esc | join of h & R(x', y') over the moves y -a,h-> y')``,
+    where esc is x's escape under a, and symmetrically over the moves of y.
+    The escape join must stay inside the residuum: it excuses an unmatched
+    move exactly under the conditions where a higher action is enabled.
+    A deadlocked pair keeps top; an entry is final once it reaches bottom.
+    """
     ops = problem.ops
-    acc = top_matrix(ops, len(problem.states_x), len(problem.states_y))
-    for a in problem.alphabet:
-        alpha_a = problem.amats[a]
-        beta_a = problem.bmats[a]
-        t1 = otimes_mul_ops(ops, alpha_a, std_mul_ops(ops, R, transpose(beta_a)))
-        t2 = transpose(otimes_mul_ops(ops, beta_a, transpose(std_mul_ops(ops, alpha_a, R))))
-        acc = meet_mats(ops, acc, meet_mats(ops, t1, t2))
-    return acc
+    meet, join, top, bottom = ops.meet, ops.join, ops.top, ops.bottom
+    Rt = transpose(R)
+    per_action = [
+        (problem.succ_x[a], problem.succ_y[a], problem.esc_x[a], problem.esc_y[a])
+        for a in problem.alphabet
+    ]
+
+    def entry(xi, yi):
+        acc = top
+        for succ_x, succ_y, esc_x, esc_y in per_action:
+            xs, ys = succ_x[xi], succ_y[yi]
+            for moves, replies, esc, rel in ((xs, ys, esc_x[xi], R), (ys, xs, esc_y[yi], Rt)):
+                for t, g in moves:
+                    row = rel[t]
+                    sup = esc
+                    for u, h in replies:
+                        sup = join(sup, meet(h, row[u]))
+                    acc = meet(acc, residuum(g, sup))
+                    if acc == bottom:
+                        return bottom
+        return acc
+
+    ny = len(problem.states_y)
+    return [[entry(xi, yi) for yi in range(ny)] for xi in range(len(problem.states_x))]
+
+
+def apply_G_ops(problem: Problem, R):
+    """The transfer operator G.  Without precedence every escape is bottom
+    and G is the plain operator F."""
+    return _transfer(problem, R, problem.ops.residuum)
 
 
 def apply_F_boolean_ops(problem: Problem, R):
-    """Boolean shortcut for discrete condition sets: residuum collapses to
-    complement-join, so only standard products and negations remain."""
-    ops = problem.ops
-    neg = ops.complement
-
-    def neg_mat(M):
-        return [[neg(e) for e in row] for row in M]
-
-    acc = top_matrix(ops, len(problem.states_x), len(problem.states_y))
-    for a in problem.alphabet:
-        alpha_a = problem.amats[a]
-        beta_a = problem.bmats[a]
-        beta_t = transpose(beta_a)
-        t1 = neg_mat(std_mul_ops(ops, alpha_a, neg_mat(std_mul_ops(ops, R, beta_t))))
-        t2 = neg_mat(std_mul_ops(ops, neg_mat(std_mul_ops(ops, alpha_a, R)), beta_t))
-        acc = meet_mats(ops, acc, meet_mats(ops, t1, t2))
-    return acc
-
-
-def apply_F_direct_ops(problem: Problem, R):
-    """Literal evaluation of both transfer directions; the oracle for the
-    matrix form."""
-    ops = problem.ops
-    meet, join, residuum = ops.meet, ops.join, ops.residuum
-    top, bottom = ops.top, ops.bottom
-    nx, ny = len(problem.states_x), len(problem.states_y)
-    out = []
-    for xi in range(nx):
-        row = []
-        for yi in range(ny):
-            acc = top
-            for a in problem.alphabet:
-                alpha_a = problem.amats[a]
-                beta_a = problem.bmats[a]
-                for x2 in range(nx):
-                    g = alpha_a[xi][x2]
-                    if g == bottom:
-                        continue
-                    sup = bottom
-                    for y2 in range(ny):
-                        sup = join(sup, meet(beta_a[yi][y2], R[x2][y2]))
-                    acc = meet(acc, residuum(g, sup))
-                for y2 in range(ny):
-                    g = beta_a[yi][y2]
-                    if g == bottom:
-                        continue
-                    sup = bottom
-                    for x2 in range(nx):
-                        sup = join(sup, meet(alpha_a[xi][x2], R[x2][y2]))
-                    acc = meet(acc, residuum(g, sup))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _escape_terms(problem: Problem):
-    """Per (state, action): the join of all guards on strictly higher actions."""
-    ops = problem.ops
-    join, bottom = ops.join, ops.bottom
-    higher: dict[str, set] = {}
-    for hi, lo in problem.precedence:
-        higher.setdefault(lo, set()).add(hi)
-
-    def build(mats, n):
-        esc = {}
-        for a in problem.alphabet:
-            for i in range(n):
-                acc = bottom
-                for a2 in higher.get(a, ()):
-                    for g in mats[a2][i]:
-                        acc = join(acc, g)
-                esc[(i, a)] = acc
-        return esc
-
-    return (
-        build(problem.amats, len(problem.states_x)),
-        build(problem.bmats, len(problem.states_y)),
-    )
-
-
-def apply_G_ops(problem: Problem, R, esc_a, esc_b):
-    """The deactivating variant: an unmatched move is excused exactly when a
-    strictly higher-priority action is enabled at its source, and the
-    escape join must live inside the residuum."""
-    ops = problem.ops
-    meet, join, residuum = ops.meet, ops.join, ops.residuum
-    top, bottom = ops.top, ops.bottom
-    nx, ny = len(problem.states_x), len(problem.states_y)
-    out = []
-    for xi in range(nx):
-        row = []
-        for yi in range(ny):
-            acc = top
-            for a in problem.alphabet:
-                alpha_a = problem.amats[a]
-                beta_a = problem.bmats[a]
-                esc1 = esc_a[(xi, a)]
-                esc2 = esc_b[(yi, a)]
-                for x2 in range(nx):
-                    g = alpha_a[xi][x2]
-                    if g == bottom:
-                        continue
-                    sup = esc1
-                    for y2 in range(ny):
-                        sup = join(sup, meet(beta_a[yi][y2], R[x2][y2]))
-                    acc = meet(acc, residuum(g, sup))
-                for y2 in range(ny):
-                    g = beta_a[yi][y2]
-                    if g == bottom:
-                        continue
-                    sup = esc2
-                    for x2 in range(nx):
-                        sup = join(sup, meet(alpha_a[xi][x2], R[x2][y2]))
-                    acc = meet(acc, residuum(g, sup))
-            row.append(acc)
-        out.append(row)
-    return out
+    """The transfer operator with the Boolean residuum ``not g or s`` on
+    explicit bitsets: equal to G on a discrete order, and the Boolean image
+    that ``boolean_vs_lattice`` approximates on any other."""
+    top = problem.ops.top
+    return _transfer(problem, R, lambda g, s: (top ^ g) | s)
 
 
 # --- fixpoint ---------------------------------------------------------------------------
@@ -821,11 +640,15 @@ class BisimResult:
         )
 
     def conditions(self, x: str, y: str) -> tuple[str, ...]:
-        entry = self.matrix[self._ix[x]][self._iy[y]]
-        return tuple(sorted(self.problem.entry_names(entry)))
+        xi, yi = _state_indices(self._ix, self._iy, x, y)
+        return tuple(sorted(self.problem.entry_names(self.matrix[xi][yi])))
 
     def holds(self, x: str, y: str, cond: str) -> bool:
-        return cond in self.conditions(x, y)
+        poset = self.problem.poset
+        if poset is None:
+            return cond in self.conditions(x, y)
+        xi, yi = _state_indices(self._ix, self._iy, x, y)
+        return bool(self.matrix[xi][yi] & (1 << poset.element_index(cond)))
 
     def report(self) -> dict:
         return relation_report(self.problem.states_x, self.problem.states_y, self.conditions)
@@ -851,14 +674,8 @@ def greatest_bisimulation(
     problem = build_problem(
         left, right, backend=backend, precedence=precedence, var_order=var_order, close=close
     )
-    use_g = problem.precedence_on and problem.precedence
-    if use_g:
-        esc_a, esc_b = _escape_terms(problem)
-        step = lambda R: apply_G_ops(problem, R, esc_a, esc_b)
-    elif problem.discrete:
-        step = lambda R: apply_F_boolean_ops(problem, R)
-    else:
-        step = lambda R: apply_F_matrix_ops(problem, R)
+    # on a discrete order the residuum is complement-join, so both operators agree
+    step = apply_F_boolean_ops if problem.discrete else apply_G_ops
 
     nx, ny = len(problem.states_x), len(problem.states_y)
     bound = nx * ny * problem.cond_count + 1
@@ -866,7 +683,7 @@ def greatest_bisimulation(
     trace = [R] if keep_trace else None
     iterations = 0
     while True:
-        nxt = step(R)
+        nxt = step(problem, R)
         if nxt == R:
             break
         iterations += 1
@@ -896,12 +713,7 @@ def is_bisimulation(R: ConditionalRelation, l1, l2, precedence: bool = False) ->
     """Post-fixpoint test: R is a bisimulation iff R is below its own image."""
     problem = build_problem(l1, l2, backend="explicit", precedence=precedence)
     rows = _relation_matrix_for(R, problem)
-    if problem.precedence_on and problem.precedence:
-        esc_a, esc_b = _escape_terms(problem)
-        image = apply_G_ops(problem, rows, esc_a, esc_b)
-    else:
-        image = apply_F_direct_ops(problem, rows)
-    return mats_leq(problem.ops, rows, image)
+    return mats_leq(problem.ops, rows, apply_G_ops(problem, rows))
 
 
 @dataclass(frozen=True)
@@ -917,45 +729,25 @@ def check_transfer(R: ConditionalRelation, l1, l2) -> list[TransferViolation]:
     """Enumerate failures of the irreducible-indexed transfer properties."""
     problem = build_problem(l1, l2, backend="explicit")
     rows = _relation_matrix_for(R, problem)
-    poset = problem.poset
-    nx, ny = len(problem.states_x), len(problem.states_y)
+    cols = transpose(rows)
     violations = []
-    for xi in range(nx):
-        for yi in range(ny):
-            bits = rows[xi][yi]
-            for ci in iter_bits(bits):
+    for xi, x in enumerate(problem.states_x):
+        for yi, y in enumerate(problem.states_y):
+            for ci in iter_bits(rows[xi][yi]):
                 bit = 1 << ci
                 for a in problem.alphabet:
-                    alpha_a = problem.amats[a]
-                    beta_a = problem.bmats[a]
-                    for x2 in range(nx):
-                        if alpha_a[xi][x2] & bit and not any(
-                            beta_a[yi][y2] & bit and rows[x2][y2] & bit for y2 in range(ny)
+                    xs, ys = problem.succ_x[a][xi], problem.succ_y[a][yi]
+                    for moves, replies, rel, direction in (
+                        (xs, ys, rows, "left-to-right"),
+                        (ys, xs, cols, "right-to-left"),
+                    ):
+                        if any(
+                            g & bit and not any(h & bit and rel[t][u] & bit for u, h in replies)
+                            for t, g in moves
                         ):
                             violations.append(
-                                TransferViolation(
-                                    problem.states_x[xi],
-                                    problem.states_y[yi],
-                                    a,
-                                    poset.elements[ci],
-                                    "left-to-right",
-                                )
+                                TransferViolation(x, y, a, problem.poset.elements[ci], direction)
                             )
-                            break
-                    for y2 in range(ny):
-                        if beta_a[yi][y2] & bit and not any(
-                            alpha_a[xi][x2] & bit and rows[x2][y2] & bit for x2 in range(nx)
-                        ):
-                            violations.append(
-                                TransferViolation(
-                                    problem.states_x[xi],
-                                    problem.states_y[yi],
-                                    a,
-                                    poset.elements[ci],
-                                    "right-to-left",
-                                )
-                            )
-                            break
     return violations
 
 
@@ -1069,18 +861,17 @@ def boolean_vs_lattice(R: ConditionalRelation, l1, l2) -> dict:
     problem = build_problem(l1, l2, backend="explicit")
     rows = _relation_matrix_for(R, problem)
     poset = problem.poset
-    bool_problem = Problem(**{**problem.__dict__, "ops": BooleanOps(poset)})
 
-    f_l = apply_F_matrix_ops(problem, rows)
-    f_b = apply_F_matrix_ops(bool_problem, rows)
+    f_l = apply_G_ops(problem, rows)
+    f_b = apply_F_boolean_ops(problem, rows)
     approx_f_b = [[poset.approx_bits(e) for e in row] for row in f_b]
     matches = approx_f_b == f_l
 
     nx, ny = len(problem.states_x), len(problem.states_y)
     lattice_star = greatest_bisimulation(l1, l2).matrix
-    bool_star = top_matrix(bool_problem.ops, nx, ny)
+    bool_star = top_matrix(problem.ops, nx, ny)
     while True:
-        nxt = apply_F_matrix_ops(bool_problem, bool_star)
+        nxt = apply_F_boolean_ops(problem, bool_star)
         if nxt == bool_star:
             break
         bool_star = nxt
@@ -1111,7 +902,11 @@ def fitting_check(l: Lats, R: ConditionalRelation) -> bool:
     problem = build_problem(l, l, backend="explicit")
     rows = _relation_matrix_for(R, problem)
     ops = problem.ops
-    alpha = problem.amats[l.alphabet[0]]
+    n = len(l.states)
+    alpha = [[0] * n for _ in range(n)]
+    for xi, moves in enumerate(problem.succ_x[l.alphabet[0]]):
+        for t, g in moves:
+            alpha[xi][t] = g
     rt = transpose(rows)
     return mats_leq(ops, std_mul_ops(ops, rows, alpha), std_mul_ops(ops, alpha, rows)) and mats_leq(
         ops, std_mul_ops(ops, rt, alpha), std_mul_ops(ops, alpha, rt)

@@ -51,6 +51,10 @@ class UnknownCondition(CtsBisimError):
     """A condition name is not part of the model's poset."""
 
 
+class UnknownState(CtsBisimError):
+    """A state name is not a state of the system it is looked up in."""
+
+
 class GuardNotDownwardClosed(ModelError):
     """A guard is not downward-closed and closure was not requested."""
 
@@ -85,3 +89,8 @@ class NotWinnable(CtsBisimError):
 
 class IllegalMove(CtsBisimError):
     """A move is not legal in the current game instance."""
+
+
+class InvariantViolation(CtsBisimError):
+    """A game invariant (descent, transfer, concession, membership or
+    termination) does not hold; indicates an engine bug."""

@@ -21,7 +21,7 @@ from .engine import (
     FixpointTrace,
     greatest_bisimulation,
 )
-from .errors import IllegalMove, NotWinnable
+from .errors import IllegalMove, InvariantViolation, NotWinnable
 from .models import Cts, Fts, Lats, cts_to_lats, fts_to_lats
 from .poset import iter_bits
 
@@ -54,6 +54,11 @@ class Concede:
 CONCEDE = Concede()
 
 _OTHER = {"left": "right", "right": "left"}
+
+
+def _require(holds: bool, what: str) -> None:
+    if not holds:
+        raise InvariantViolation("%s (engine bug)" % what)
 
 
 def _as_lats(model) -> Lats:
@@ -170,7 +175,7 @@ def player1_move(inst: GameInstance, table: SeparationTable) -> Move:
             "no move available from (%s, %s, %s)" % (inst.x, inst.y, inst.condition)
         )
     omega, cond, _rank, action, target, side = best
-    assert omega < current, "attack does not descend (engine bug)"
+    _require(omega < current, "attack does not descend")
     return Move(upgrade=cond, side=side, action=action, target=target)
 
 
@@ -211,7 +216,7 @@ def player2_reply(inst: GameInstance, move: Move, rstar: ConditionalRelation):
             for t in candidates
             if rstar.holds(*_pair_after(inst, move.side, move.target, t), move.upgrade)
         ]
-        assert preserving, "transfer property violated (engine bug)"
+        _require(bool(preserving), "transfer property violated")
         return Move(upgrade=move.upgrade, side=reply_side, action=move.action, target=preserving[0])
     return Move(upgrade=move.upgrade, side=reply_side, action=move.action, target=candidates[0])
 
@@ -253,7 +258,7 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
     separation index; Player 2's wins surface either as a stuck attacker or
     as a repeated instance (both strategies are deterministic, so a repeat
     proves the play is infinite).  Descent and membership preservation are
-    asserted every round.
+    checked every round; a violation raises ``InvariantViolation``.
     """
     if result is None:
         result = greatest_bisimulation(l1, l2)
@@ -280,18 +285,18 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
         lines.append("P1: %s" % (move,))
         reply = player2_reply(inst, move, rstar)
         if reply is CONCEDE:
-            assert m0 != INF, "defender conceded a bisimilar instance (engine bug)"
+            _require(m0 != INF, "defender conceded a bisimilar instance")
             lines.append("P2: concede")
             return PlayResult(1, rounds + 1, "defender cannot answer", lines)
         lines.append("P2: %s %s -> %s" % (reply.side, reply.action, reply.target))
         nxt = _advance(inst, move, reply)
         if m0 == INF:
-            assert rstar.holds(nxt.x, nxt.y, nxt.condition), "membership lost (engine bug)"
+            _require(rstar.holds(nxt.x, nxt.y, nxt.condition), "membership lost")
         else:
-            assert table.m_of(nxt) < m0, "separation index did not descend (engine bug)"
+            _require(table.m_of(nxt) < m0, "separation index did not descend")
         inst = nxt
         rounds += 1
-        assert rounds <= limit + m0 if m0 != INF else rounds <= limit, "self-play did not terminate"
+        _require(rounds <= (limit if m0 == INF else limit + m0), "self-play did not terminate")
 
 
 # --- interactive loop -----------------------------------------------------------------------

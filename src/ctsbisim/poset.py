@@ -142,9 +142,12 @@ class ConditionPoset:
         return acc
 
     def up_closure_bits(self, bits: int) -> int:
+        up = self.up
         acc = 0
-        for i in iter_bits(bits):
-            acc |= self.up[i]
+        while bits:
+            low = bits & -bits
+            acc |= up[low.bit_length() - 1]
+            bits ^= low
         return acc
 
     def approx_bits(self, bits: int) -> int:

@@ -2,10 +2,14 @@
 
 Everything here is deliberately written by enumeration, straight from the
 definitions, and shares no code path with the implementations under test.
+The one exception, ``matrix_transfer``, is the paper's matrix form of the
+transfer operator: it uses the generic residuated matrix products, which
+the engine's own kernel does not call.
 """
 
 from itertools import chain, combinations
 
+from ctsbisim.engine import ExplicitOps, otimes_mul_ops, std_mul_ops, transpose
 from ctsbisim.poset import ConditionPoset, iter_bits
 
 
@@ -29,6 +33,29 @@ def brute_residuum(poset: ConditionPoset, l: int, m: int) -> int:
         if (l & d) & ~m == 0:
             acc |= d
     return acc
+
+
+def dense_guards(lats) -> dict:
+    """Per action, the N x N matrix of guard bitsets (0 where no move)."""
+    pos = {s: i for i, s in enumerate(lats.states)}
+    n = len(lats.states)
+    mats = {a: [[0] * n for _ in range(n)] for a in lats.alphabet}
+    for (x, a, y), bits in lats.alpha.items():
+        mats[a][pos[x]][pos[y]] = bits
+    return mats
+
+
+def matrix_transfer(l1, l2, R):
+    """The transfer operator F through residuated matrix products: the meet
+    over actions a of alpha_a (x) (R . beta_a^T) and (beta_a (x) (alpha_a . R)^T)^T."""
+    ops = ExplicitOps(l1.poset)
+    alpha, beta = dense_guards(l1), dense_guards(l2)
+    out = [[ops.top] * len(l2.states) for _ in l1.states]
+    for a in l1.alphabet:
+        t1 = otimes_mul_ops(ops, alpha[a], std_mul_ops(ops, R, transpose(beta[a])))
+        t2 = transpose(otimes_mul_ops(ops, beta[a], transpose(std_mul_ops(ops, alpha[a], R))))
+        out = [[o & p & q for o, p, q in zip(*rows)] for rows in zip(out, t1, t2)]
+    return out
 
 
 def powerset(items):

@@ -100,6 +100,30 @@ class TestCheck:
         assert code == 1
 
 
+    @pytest.mark.parametrize(
+        "command, pair, unknown",
+        [
+            ("check", "ready,ready,zzz", "'zzz'"),
+            ("check", "ready,nosuch,a", "'nosuch'"),
+            ("oracle", "ready,nosuch,a", "'nosuch'"),
+        ],
+    )
+    def test_unknown_pair_names_exit_2(self, models_dir, tmp_path, capsys, command, pair, unknown):
+        code = run(
+            command,
+            models_dir / "routing_basic.json",
+            models_dir / "routing_modified.json",
+            "--pair",
+            pair,
+            "--out",
+            tmp_path / "r.json",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert unknown in err
+
+
 class TestOracle:
     def test_byte_identical_to_check(self, models_dir, tmp_path):
         check_out = tmp_path / "check.json"

@@ -3,14 +3,10 @@ import random
 import pytest
 
 from ctsbisim.engine import (
-    BooleanOps,
     ConditionalRelation,
     ExplicitOps,
     apply_F_boolean_ops,
-    apply_F_direct_ops,
-    apply_F_matrix_ops,
     apply_G_ops,
-    _escape_terms,
     boolean_vs_lattice,
     brute_force_oracle,
     build_problem,
@@ -19,7 +15,6 @@ from ctsbisim.engine import (
     greatest_bisimulation,
     is_bisimulation,
     mats_leq,
-    meet_mats,
     otimes_mul,
     otimes_mul_ops,
     std_mul,
@@ -38,7 +33,7 @@ from ctsbisim.models import Lats, lats_to_cts
 from ctsbisim.poset import ConditionPoset, LatticeElement, iter_bits
 
 from conftest import make_routing, random_downset_bits, random_lats, random_lats_pair
-from oracles import brute_residuum, classical_bisim_pairs
+from oracles import brute_residuum, classical_bisim_pairs, matrix_transfer
 
 
 def embed(poset, *rows):
@@ -148,7 +143,7 @@ class TestTransferOperators:
             l1, l2 = random_lats_pair(rng, max_states=5, max_conds=4)
             problem = build_problem(l1, l2)
             R = random_relation_bits(rng, l1.poset, len(l1.states), len(l2.states))
-            assert apply_F_matrix_ops(problem, R) == apply_F_direct_ops(problem, R)
+            assert apply_G_ops(problem, R) == matrix_transfer(l1, l2, R)
 
     def test_boolean_simplification_equals_general_on_discrete(self):
         rng = random.Random(101)
@@ -160,7 +155,7 @@ class TestTransferOperators:
             problem = build_problem(l1, l2)
             assert problem.discrete
             R = random_relation_bits(rng, poset, len(states), len(states))
-            assert apply_F_boolean_ops(problem, R) == apply_F_direct_ops(problem, R)
+            assert apply_F_boolean_ops(problem, R) == apply_G_ops(problem, R)
 
     def test_single_condition_recovers_classical_bisimulation(self):
         rng = random.Random(102)
@@ -195,8 +190,8 @@ class TestTransferOperators:
             ]
             assert mats_leq(
                 problem.ops,
-                apply_F_matrix_ops(problem, R1),
-                apply_F_matrix_ops(problem, R2),
+                apply_G_ops(problem, R1),
+                apply_G_ops(problem, R2),
             )
 
 
@@ -206,9 +201,8 @@ class TestPrecedenceOperator:
         for _ in range(30):
             l1, l2 = random_lats_pair(rng, max_states=4, max_conds=3)
             problem = build_problem(l1, l2, precedence=True)
-            esc_a, esc_b = _escape_terms(problem)
             R = random_relation_bits(rng, l1.poset, len(l1.states), len(l2.states))
-            assert apply_G_ops(problem, R, esc_a, esc_b) == apply_F_direct_ops(problem, R)
+            assert apply_G_ops(problem, R) == matrix_transfer(l1, l2, R)
 
     def test_routing_with_precedence_separates_safe_and_unsafe(self, routing_pair):
         basic, _ = routing_pair
@@ -241,33 +235,27 @@ class TestPrecedenceOperator:
         assert res.report() == oracle.report()
 
         problem = build_problem(l1, l2, precedence=True)
-        esc_a, esc_b = _escape_terms(problem)
         ops = problem.ops
 
         def wrong_step(R):
             # join hoisted outside the residuum: provably different
-            nx, ny = len(problem.states_x), len(problem.states_y)
             out = []
-            for xi in range(nx):
+            for xi in range(len(problem.states_x)):
                 row = []
-                for yi in range(ny):
+                for yi in range(len(problem.states_y)):
                     acc = ops.top
                     for a in problem.alphabet:
-                        alpha_a, beta_a = problem.amats[a], problem.bmats[a]
-                        for x2 in range(nx):
-                            if alpha_a[xi][x2] == 0:
-                                continue
+                        xs, ys = problem.succ_x[a][xi], problem.succ_y[a][yi]
+                        for x2, g in xs:
                             sup = 0
-                            for y2 in range(ny):
-                                sup |= beta_a[yi][y2] & R[x2][y2]
-                            acc &= ops.residuum(alpha_a[xi][x2], sup) | esc_a[(xi, a)]
-                        for y2 in range(ny):
-                            if beta_a[yi][y2] == 0:
-                                continue
+                            for y2, h in ys:
+                                sup |= h & R[x2][y2]
+                            acc &= ops.residuum(g, sup) | problem.esc_x[a][xi]
+                        for y2, h in ys:
                             sup = 0
-                            for x2 in range(nx):
-                                sup |= alpha_a[xi][x2] & R[x2][y2]
-                            acc &= ops.residuum(beta_a[yi][y2], sup) | esc_b[(yi, a)]
+                            for x2, g in xs:
+                                sup |= g & R[x2][y2]
+                            acc &= ops.residuum(h, sup) | problem.esc_y[a][yi]
                     row.append(acc)
                 out.append(row)
             return out
@@ -302,7 +290,7 @@ class TestGreatestBisimulation:
         basic, modified = routing_pair
         res = greatest_bisimulation(basic, modified)
         problem = build_problem(basic, modified)
-        assert apply_F_matrix_ops(problem, res.matrix) == res.matrix
+        assert apply_G_ops(problem, res.matrix) == res.matrix
 
     def test_trace_strictly_descends(self, routing_pair):
         basic, modified = routing_pair
@@ -336,7 +324,8 @@ class TestGreatestBisimulation:
 
             def descend(R):
                 while True:
-                    nxt = meet_mats(problem.ops, R, apply_F_matrix_ops(problem, R))
+                    image = apply_G_ops(problem, R)
+                    nxt = [[a & b for a, b in zip(ra, rb)] for ra, rb in zip(R, image)]
                     if nxt == R:
                         return R
                     R = nxt
@@ -345,7 +334,7 @@ class TestGreatestBisimulation:
             r1 = descend(random_relation_bits(rng, poset, len(l1.states), len(l2.states)))
             r2 = descend(random_relation_bits(rng, poset, len(l1.states), len(l2.states)))
             joined = [[a | b for a, b in zip(ra, rb)] for ra, rb in zip(r1, r2)]
-            assert mats_leq(problem.ops, joined, apply_F_matrix_ops(problem, joined))
+            assert mats_leq(problem.ops, joined, apply_G_ops(problem, joined))
 
     def test_alphabet_mismatch(self):
         poset = ConditionPoset(["a"], [])
@@ -581,10 +570,14 @@ class TestBackendAgreement:
     def test_random_poset_models(self):
         rng = random.Random(116)
         for _ in range(25):
-            l1, l2 = random_lats_pair(rng, max_states=4, max_conds=4)
-            explicit = greatest_bisimulation(l1, l2, backend="explicit")
-            symbolic = greatest_bisimulation(l1, l2, backend="bdd")
-            assert explicit.report() == symbolic.report()
+            l1, l2 = random_lats_pair(
+                rng, max_states=4, max_actions=3, max_conds=4, with_precedence=True
+            )
+            for precedence in (False, True):
+                oracle = brute_force_oracle(l1, l2, precedence=precedence).report()
+                for backend in ("explicit", "bdd"):
+                    res = greatest_bisimulation(l1, l2, precedence=precedence, backend=backend)
+                    assert res.report() == oracle
 
     def test_fts_models(self, models_dir):
         from ctsbisim.modelio import load_model

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ctsbisim.engine import greatest_bisimulation
-from ctsbisim.errors import IllegalMove, NotWinnable
+from ctsbisim.errors import IllegalMove, InvariantViolation, NotWinnable
 from ctsbisim.game import (
     CONCEDE,
     GameInstance,
@@ -101,6 +105,47 @@ class TestPlayer1:
                 inst = GameInstance(reply.target, move.target, move.upgrade)
             seen.append(table.m_of(inst))
         assert all(b < a for a, b in zip(seen, seen[1:]))
+
+    def test_tampered_index_breaks_descent(self, routing_game):
+        # every index equal: no attack from (ready, ready, b) can descend
+        _, _, _, table = routing_game
+        table._m = dict.fromkeys(table._m, 1)
+        with pytest.raises(InvariantViolation):
+            player1_move(GameInstance("ready", "ready", "b"), table)
+
+    def test_descent_check_survives_python_O(self, models_dir):
+        script = """
+import sys
+from ctsbisim.engine import greatest_bisimulation
+from ctsbisim.errors import InvariantViolation
+from ctsbisim.game import GameInstance, player1_move, separation_table
+from ctsbisim.modelio import load_model
+
+assert False, "assert statements must be stripped under -O"
+table = separation_table(greatest_bisimulation(load_model(sys.argv[1]), load_model(sys.argv[2])).trace)
+table._m = dict.fromkeys(table._m, 1)
+try:
+    player1_move(GameInstance("ready", "ready", "b"), table)
+except InvariantViolation:
+    sys.exit(3)
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-O",
+                "-c",
+                script,
+                str(models_dir / "routing_basic.json"),
+                str(models_dir / "routing_modified.json"),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
 
 
 class TestPlayer2:

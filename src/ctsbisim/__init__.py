@@ -1,10 +1,9 @@
 """Conditional bisimilarity for conditional, lattice, and featured transition systems."""
 
-from .bdd import Bdd, BddManager, approx_bdd, from_expr, is_downward_closed, residuum_bdd
+from .bdd import Bdd, BddManager, from_expr
 from .engine import (
     BisimResult,
     ConditionalRelation,
-    FixpointTrace,
     boolean_vs_lattice,
     brute_force_oracle,
     check_transfer,
@@ -35,17 +34,12 @@ from .models import (
     fts_to_lats,
     gen_benchmark,
     gen_benchmark_fts,
-    instantiate,
-    instantiate_prec,
     lats_to_cts,
 )
 from .poset import (
     BoolElement,
     ConditionPoset,
     LatticeElement,
-    approximate,
-    complement_bool,
-    residuum,
     validate_poset,
 )
 

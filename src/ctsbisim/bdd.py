@@ -405,30 +405,3 @@ def from_expr(manager: BddManager, expr: FeatureExpr | str) -> Bdd:
         expr = ft.parse_expr(expr)
     return Bdd(manager, manager.from_expr(expr))
 
-
-def apply_and(b1: Bdd, b2: Bdd) -> Bdd:
-    return b1 & b2
-
-
-def apply_or(b1: Bdd, b2: Bdd) -> Bdd:
-    return b1 | b2
-
-
-def apply_not(b: Bdd) -> Bdd:
-    return ~b
-
-
-def evaluate(b: Bdd, config: Collection[str]) -> bool:
-    return b.evaluate(config)
-
-
-def is_downward_closed(b: Bdd) -> bool:
-    return b.is_downward_closed()
-
-
-def approx_bdd(b: Bdd) -> Bdd:
-    return b.approximate()
-
-
-def residuum_bdd(b1: Bdd, b2: Bdd, d: Bdd) -> Bdd:
-    return b1.residuum(b2, d)

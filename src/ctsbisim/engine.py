@@ -36,6 +36,7 @@ from .errors import (
     PrecedenceMismatch,
     PreconditionViolation,
     SafeguardExceeded,
+    UnknownElement,
     UnknownState,
 )
 from .features import FeatureUniverse
@@ -252,9 +253,6 @@ class ConditionalRelation:
                 row.append(poset.close_down_bits(bits) if close else bits)
             rows.append(row)
         return cls(poset, states_x, states_y, rows, **kw)
-
-    def bits_at(self, xi: int, yi: int) -> int:
-        return self.rows[xi][yi]
 
     def _bits(self, x: str, y: str) -> int:
         xi, yi = _state_indices(self._ix, self._iy, x, y)
@@ -581,30 +579,47 @@ def apply_F_boolean_ops(problem: Problem, R):
 # --- fixpoint ---------------------------------------------------------------------------
 
 
-@dataclass
-class FixpointTrace:
-    """Strictly descending snapshots R_0 (all top) .. R_n (the fixpoint)."""
+def _descend(problem: Problem, step, history: dict | None = None):
+    """Apply ``step`` from the all-top relation until it is stable; returns
+    the fixpoint and the number of rounds that changed the relation.
 
-    poset: ConditionPoset
-    states_x: tuple[str, ...]
-    states_y: tuple[str, ...]
-    matrices: list
-    left: object
-    right: object
-
-    @property
-    def iterations(self) -> int:
-        return len(self.matrices) - 1
-
-    def member(self, i: int, xi: int, yi: int, ci: int) -> bool:
-        return bool(self.matrices[i][xi][yi] & (1 << ci))
+    With ``history``, each entry that round r changes gets ``(r, old
+    value)`` appended under its ``(xi, yi)``.  Descent from top makes the
+    equality test equivalent to the post-fixpoint test; the safeguard bound
+    turns any monotonicity bug into a loud failure instead of divergence.
+    """
+    nx, ny = len(problem.states_x), len(problem.states_y)
+    bound = nx * ny * problem.cond_count + 1
+    R = top_matrix(problem.ops, nx, ny)
+    rounds = 0
+    while True:
+        nxt = step(problem, R)
+        if nxt == R:
+            return R, rounds
+        if history is not None:
+            for xi, (row, new_row) in enumerate(zip(R, nxt)):
+                if row != new_row:
+                    for yi, (old, new) in enumerate(zip(row, new_row)):
+                        if old != new:
+                            history.setdefault((xi, yi), []).append((rounds, old))
+        rounds += 1
+        if rounds >= bound:
+            raise SafeguardExceeded(
+                "fixpoint did not converge within %d iterations; the operator is "
+                "not deflating (engine bug)" % bound
+            )
+        R = nxt
 
 
 class BisimResult:
-    def __init__(self, problem: Problem, matrix, trace_matrices, iterations: int):
+    """The greatest fixpoint of a problem.  ``history`` maps an entry's
+    ``(xi, yi)`` to the ``(round, old value)`` of every round that changed
+    it, in round order (None when it was not recorded)."""
+
+    def __init__(self, problem: Problem, matrix, history: dict | None, iterations: int):
         self.problem = problem
         self.matrix = matrix
-        self._trace_matrices = trace_matrices
+        self.history = history
         self.iterations = iterations
         self._ix = {x: i for i, x in enumerate(problem.states_x)}
         self._iy = {y: i for i, y in enumerate(problem.states_y)}
@@ -626,29 +641,19 @@ class BisimResult:
             right=self.problem.right,
         )
 
-    @property
-    def trace(self) -> FixpointTrace | None:
-        if self.problem.poset is None or self._trace_matrices is None:
-            return None
-        return FixpointTrace(
-            self.problem.poset,
-            self.problem.states_x,
-            self.problem.states_y,
-            self._trace_matrices,
-            self.problem.left,
-            self.problem.right,
-        )
-
     def conditions(self, x: str, y: str) -> tuple[str, ...]:
         xi, yi = _state_indices(self._ix, self._iy, x, y)
         return tuple(sorted(self.problem.entry_names(self.matrix[xi][yi])))
 
     def holds(self, x: str, y: str, cond: str) -> bool:
-        poset = self.problem.poset
-        if poset is None:
-            return cond in self.conditions(x, y)
+        problem = self.problem
+        if problem.poset is None:
+            names = self.conditions(x, y)
+            if cond not in names and cond not in problem.entry_names(problem.ops.top):
+                raise UnknownElement("unknown condition %r" % (cond,))
+            return cond in names
         xi, yi = _state_indices(self._ix, self._iy, x, y)
-        return bool(self.matrix[xi][yi] & (1 << poset.element_index(cond)))
+        return bool(self.matrix[xi][yi] & (1 << problem.poset.element_index(cond)))
 
     def report(self) -> dict:
         return relation_report(self.problem.states_x, self.problem.states_y, self.conditions)
@@ -667,35 +672,18 @@ def greatest_bisimulation(
     keep_trace: bool = True,
 ) -> BisimResult:
     """Iterate the transfer operator from the all-top relation down to the
-    greatest fixpoint.  Descent from top makes the equality test equivalent
-    to the post-fixpoint test; the safeguard bound turns any monotonicity
-    bug into a loud failure instead of divergence.
+    greatest fixpoint.  With ``keep_trace`` the result records, per entry,
+    the rounds that changed it (``BisimResult.history``), from which the
+    game reads its separation indices.
     """
     problem = build_problem(
         left, right, backend=backend, precedence=precedence, var_order=var_order, close=close
     )
     # on a discrete order the residuum is complement-join, so both operators agree
     step = apply_F_boolean_ops if problem.discrete else apply_G_ops
-
-    nx, ny = len(problem.states_x), len(problem.states_y)
-    bound = nx * ny * problem.cond_count + 1
-    R = top_matrix(problem.ops, nx, ny)
-    trace = [R] if keep_trace else None
-    iterations = 0
-    while True:
-        nxt = step(problem, R)
-        if nxt == R:
-            break
-        iterations += 1
-        if iterations >= bound:
-            raise SafeguardExceeded(
-                "fixpoint did not converge within %d iterations; the operator is "
-                "not deflating (engine bug)" % bound
-            )
-        if trace is not None:
-            trace.append(nxt)
-        R = nxt
-    return BisimResult(problem, R, trace, iterations)
+    history = {} if keep_trace else None
+    matrix, iterations = _descend(problem, step, history)
+    return BisimResult(problem, matrix, history, iterations)
 
 
 # --- checks against the definitions ---------------------------------------------------------
@@ -867,18 +855,12 @@ def boolean_vs_lattice(R: ConditionalRelation, l1, l2) -> dict:
     approx_f_b = [[poset.approx_bits(e) for e in row] for row in f_b]
     matches = approx_f_b == f_l
 
-    nx, ny = len(problem.states_x), len(problem.states_y)
-    lattice_star = greatest_bisimulation(l1, l2).matrix
-    bool_star = top_matrix(problem.ops, nx, ny)
-    while True:
-        nxt = apply_F_boolean_ops(problem, bool_star)
-        if nxt == bool_star:
-            break
-        bool_star = nxt
+    lattice_star, _ = _descend(problem, apply_G_ops)
+    bool_star, _ = _descend(problem, apply_F_boolean_ops)
 
     witnesses = []
-    for xi in range(nx):
-        for yi in range(ny):
+    for xi in range(len(problem.states_x)):
+        for yi in range(len(problem.states_y)):
             extra = bool_star[xi][yi] & ~lattice_star[xi][yi]
             for ci in iter_bits(extra):
                 witnesses.append(

@@ -3,10 +3,12 @@
 Player 1 may upgrade the current condition and then move on either board;
 Player 2 must mirror the move on the other board under the same condition.
 Player 2 wins infinite plays and positions where Player 1 is stuck.  The
-fixpoint trace yields separation indices: the last iteration at which a
-condition survives in a pair's entry.  Finite indices drive Player 1's
-attack (every reply strictly decreases the index); membership in the final
-relation drives Player 2's defence (replies keep the condition inside).
+fixpoint run yields separation indices: the last round at which a condition
+survives in a pair's entry, read from the rounds that changed the entry
+(``BisimResult.history``).  Finite indices drive Player 1's attack (every
+reply strictly decreases the index); membership in the final relation
+(an infinite index) drives Player 2's defence (replies keep the condition
+inside).  Both players move on the problem's successor lists.
 """
 
 from __future__ import annotations
@@ -15,14 +17,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .engine import (
-    BisimResult,
-    ConditionalRelation,
-    FixpointTrace,
-    greatest_bisimulation,
-)
-from .errors import IllegalMove, InvariantViolation, NotWinnable
-from .models import Cts, Fts, Lats, cts_to_lats, fts_to_lats
+from .engine import BisimResult, Problem, greatest_bisimulation
+from .errors import IllegalMove, InvariantViolation, NotWinnable, PreconditionViolation
 from .poset import iter_bits
 
 INF = math.inf
@@ -61,27 +57,22 @@ def _require(holds: bool, what: str) -> None:
         raise InvariantViolation("%s (engine bug)" % what)
 
 
-def _as_lats(model) -> Lats:
-    if isinstance(model, Cts):
-        return cts_to_lats(model)
-    if isinstance(model, Fts):
-        return fts_to_lats(model)
-    return model
-
-
 class GameBoard:
     """Move tables for both systems, per state and condition."""
 
-    def __init__(self, left, right):
-        self.left = _as_lats(left)
-        self.right = _as_lats(right)
-        self.poset = self.left.poset
+    def __init__(self, problem: Problem):
+        self.poset = problem.poset
         self._moves: dict[tuple[str, str, str], list[tuple[str, str]]] = {}
-        for side, lats in (("left", self.left), ("right", self.right)):
+        for side, succ, states in (
+            ("left", problem.succ_x, problem.states_x),
+            ("right", problem.succ_y, problem.states_y),
+        ):
             per_state: dict[tuple[str, int], list] = {}
-            for (x, a, y), bits in lats.alpha.items():
-                for ci in iter_bits(bits):
-                    per_state.setdefault((x, ci), []).append((a, y))
+            for a, per_source in succ.items():
+                for i, moves in enumerate(per_source):
+                    for j, bits in moves:
+                        for ci in iter_bits(bits):
+                            per_state.setdefault((states[i], ci), []).append((a, states[j]))
             for (x, ci), moves in per_state.items():
                 self._moves[(side, x, self.poset.elements[ci])] = sorted(moves)
 
@@ -98,44 +89,44 @@ class GameBoard:
 
 
 class SeparationTable:
-    """Per (pair, condition): the last fixpoint iteration keeping it alive."""
+    """Per (pair, condition): the last fixpoint round keeping it alive, or
+    INF when it is in the greatest bisimulation."""
 
-    def __init__(self, trace: FixpointTrace):
-        self.trace = trace
-        self.board = GameBoard(trace.left, trace.right)
-        self._ix = {x: i for i, x in enumerate(trace.states_x)}
-        self._iy = {y: i for i, y in enumerate(trace.states_y)}
-        self.poset = trace.poset
-        final = trace.matrices[-1]
-        self._m: dict[tuple[int, int, int], float] = {}
-        for xi in range(len(trace.states_x)):
-            for yi in range(len(trace.states_y)):
-                for ci in range(len(self.poset)):
-                    bit = 1 << ci
-                    if final[xi][yi] & bit:
-                        self._m[(xi, yi, ci)] = INF
-                    else:
-                        last = 0
-                        for i in range(len(trace.matrices) - 1, -1, -1):
-                            if trace.matrices[i][xi][yi] & bit:
-                                last = i
-                                break
-                        self._m[(xi, yi, ci)] = last
+    def __init__(self, result: BisimResult):
+        problem = result.problem
+        if problem.poset is None or result.history is None:
+            raise PreconditionViolation(
+                "the game needs an explicit-backend result computed with keep_trace=True"
+            )
+        self.result = result
+        self.poset = problem.poset
+        self.board = GameBoard(problem)
+        self._ix = {x: i for i, x in enumerate(problem.states_x)}
+        self._iy = {y: i for i, y in enumerate(problem.states_y)}
 
     def m(self, x: str, y: str, cond: str) -> float:
         if x not in self._ix:
             raise IllegalMove("unknown left state %r" % (x,))
         if y not in self._iy:
             raise IllegalMove("unknown right state %r" % (y,))
-        ci = self.poset.element_index(cond)
-        return self._m[(self._ix[x], self._iy[y], ci)]
+        xi, yi = self._ix[x], self._iy[y]
+        bit = 1 << self.poset.element_index(cond)
+        if self.result.matrix[xi][yi] & bit:
+            return INF
+        # entries only shrink from top, so the entry changed at least once
+        # and the last recorded value holding the bit is the last round it
+        # survived
+        return max(rnd for rnd, old in self.result.history[(xi, yi)] if old & bit)
 
     def m_of(self, inst: GameInstance) -> float:
         return self.m(inst.x, inst.y, inst.condition)
 
+    def holds(self, x: str, y: str, cond: str) -> bool:
+        return self.m(x, y, cond) == INF
 
-def separation_table(trace: FixpointTrace) -> SeparationTable:
-    return SeparationTable(trace)
+
+def separation_table(result: BisimResult) -> SeparationTable:
+    return SeparationTable(result)
 
 
 def _pair_after(inst: GameInstance, side: str, target: str, reply_target: str):
@@ -196,12 +187,12 @@ def _validate_attack(inst: GameInstance, move: Move, board: GameBoard) -> None:
         )
 
 
-def player2_reply(inst: GameInstance, move: Move, rstar: ConditionalRelation):
+def player2_reply(inst: GameInstance, move: Move, table: SeparationTable):
     """Defence from the greatest bisimulation: while the pair's entry still
     contains the played condition, answer with a move that keeps it inside
     (the transfer property guarantees one); otherwise answer arbitrarily or
     concede when no same-action move exists."""
-    board = GameBoard(rstar.left, rstar.right)
+    board = table.board
     _validate_attack(inst, move, board)
     reply_side = _OTHER[move.side]
     state = board.state_of(inst, reply_side)
@@ -210,11 +201,11 @@ def player2_reply(inst: GameInstance, move: Move, rstar: ConditionalRelation):
     ]
     if not candidates:
         return CONCEDE
-    if rstar.holds(inst.x, inst.y, move.upgrade):
+    if table.holds(inst.x, inst.y, move.upgrade):
         preserving = [
             t
             for t in candidates
-            if rstar.holds(*_pair_after(inst, move.side, move.target, t), move.upgrade)
+            if table.holds(*_pair_after(inst, move.side, move.target, t), move.upgrade)
         ]
         _require(bool(preserving), "transfer property violated")
         return Move(upgrade=move.upgrade, side=reply_side, action=move.action, target=preserving[0])
@@ -246,10 +237,6 @@ class PlayResult:
     reason: str
     transcript: list[str] = field(default_factory=list)
 
-    @property
-    def player2_wins(self) -> bool:
-        return self.winner == 2
-
 
 def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = None) -> PlayResult:
     """Engine vs engine from (x, y, cond).
@@ -262,14 +249,14 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
     """
     if result is None:
         result = greatest_bisimulation(l1, l2)
-    table = separation_table(result.trace)
-    rstar = result.relation
+    table = separation_table(result)
     inst = GameInstance(x, y, cond)
     table.m_of(inst)  # validates names
     lines = []
     visited = set()
     rounds = 0
-    limit = len(table.trace.states_x) * len(table.trace.states_y) * max(len(table.poset), 1) + 2
+    problem = result.problem
+    limit = len(problem.states_x) * len(problem.states_y) * max(len(table.poset), 1) + 2
     while True:
         if inst in visited:
             return PlayResult(2, rounds, "instance repeated: play is infinite", lines)
@@ -283,7 +270,7 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
         else:
             move = player1_move(inst, table)
         lines.append("P1: %s" % (move,))
-        reply = player2_reply(inst, move, rstar)
+        reply = player2_reply(inst, move, table)
         if reply is CONCEDE:
             _require(m0 != INF, "defender conceded a bisimilar instance")
             lines.append("P2: concede")
@@ -291,7 +278,7 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
         lines.append("P2: %s %s -> %s" % (reply.side, reply.action, reply.target))
         nxt = _advance(inst, move, reply)
         if m0 == INF:
-            _require(rstar.holds(nxt.x, nxt.y, nxt.condition), "membership lost")
+            _require(table.holds(nxt.x, nxt.y, nxt.condition), "membership lost")
         else:
             _require(table.m_of(nxt) < m0, "separation index did not descend")
         inst = nxt
@@ -327,8 +314,7 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
     rejected with a reason and prompted again.
     """
     result = greatest_bisimulation(l1, l2)
-    table = separation_table(result.trace)
-    rstar = result.relation
+    table = separation_table(result)
     board = table.board
     transcript: list[str] = []
 
@@ -438,7 +424,7 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
                     list_replies(inst, move)
                     continue
                 if line == "hint":
-                    emit("hint: %s" % player2_reply(inst, move, rstar))
+                    emit("hint: %s" % player2_reply(inst, move, table))
                     continue
                 if not line:
                     continue
@@ -463,7 +449,7 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
                     continue
                 reply = candidate
         else:
-            reply = player2_reply(inst, move, rstar)
+            reply = player2_reply(inst, move, table)
             if reply is CONCEDE:
                 emit("Player 2 concedes: Player 1 wins")
                 return "\n".join(transcript) + "\n"

@@ -211,6 +211,3 @@ def convert_model(model: Model, to_kind: str, close: bool = False) -> Model:
         return lats_to_cts(fts_to_lats(model, close=close))
     raise ModelError("conversion %s -> %s is not defined" % (kind, to_kind))
 
-
-def dump_model(model: Model, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")

@@ -327,14 +327,6 @@ def fts_to_cts(f: Fts, close: bool = False) -> Cts:
     return lats_to_cts(fts_to_lats(f, close=close))
 
 
-def instantiate(c: Cts, cond: str) -> Lts:
-    return c.instantiate(cond)
-
-
-def instantiate_prec(c: Cts, cond: str) -> Lts:
-    return c.instantiate_prec(cond)
-
-
 # --- benchmark family ---------------------------------------------------------------
 
 

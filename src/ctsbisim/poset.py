@@ -279,9 +279,6 @@ class BoolElement:
         """Largest downward-closed subset (the lattice approximation)."""
         return LatticeElement(self.poset, self.poset.approx_bits(self.bits))
 
-    def close_down(self) -> "LatticeElement":
-        return LatticeElement(self.poset, self.poset.close_down_bits(self.bits))
-
     def __repr__(self) -> str:
         return "%s({%s})" % (type(self).__name__, ", ".join(self.members()))
 
@@ -306,14 +303,3 @@ class LatticeElement(BoolElement):
     def is_irreducible(self) -> bool:
         return self.bits != 0 and any(self.bits == d for d in self.poset.down)
 
-
-def complement_bool(b: BoolElement) -> BoolElement:
-    return b.complement()
-
-
-def approximate(b: BoolElement) -> LatticeElement:
-    return b.approximate()
-
-
-def residuum(l: LatticeElement, m: LatticeElement) -> LatticeElement:
-    return l.residuum(m)

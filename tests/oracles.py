@@ -58,6 +58,26 @@ def matrix_transfer(l1, l2, R):
     return out
 
 
+def separation_rounds(l1, l2) -> dict:
+    """Per (x, y, condition): the last round of the descent from top, with
+    every matrix stored, whose relation still holds the condition, or inf
+    when the fixpoint holds it."""
+    top = [[l1.poset.full_mask] * len(l2.states) for _ in l1.states]
+    matrices = [top]
+    while True:
+        nxt = matrix_transfer(l1, l2, matrices[-1])
+        if nxt == matrices[-1]:
+            break
+        matrices.append(nxt)
+    rounds = {}
+    for xi, x in enumerate(l1.states):
+        for yi, y in enumerate(l2.states):
+            for ci, c in enumerate(l1.poset.elements):
+                alive = [i for i, R in enumerate(matrices) if R[xi][yi] >> ci & 1]
+                rounds[(x, y, c)] = float("inf") if alive[-1] == len(matrices) - 1 else alive[-1]
+    return rounds
+
+
 def powerset(items):
     items = list(items)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))

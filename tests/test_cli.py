@@ -5,6 +5,9 @@ import pytest
 from ctsbisim.cli import main
 
 
+BDD = ("--backend", "bdd")
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -100,23 +103,44 @@ class TestCheck:
         assert code == 1
 
 
+    # the ids of the explicit cases predate the model and option columns
     @pytest.mark.parametrize(
-        "command, pair, unknown",
+        "command, pair, unknown, stem, options",
         [
-            ("check", "ready,ready,zzz", "'zzz'"),
-            ("check", "ready,nosuch,a", "'nosuch'"),
-            ("oracle", "ready,nosuch,a", "'nosuch'"),
+            pytest.param(
+                "check", "ready,ready,zzz", "'zzz'", "routing", (),
+                id="check-ready,ready,zzz-'zzz'",
+            ),
+            pytest.param(
+                "check", "ready,nosuch,a", "'nosuch'", "routing", (),
+                id="check-ready,nosuch,a-'nosuch'",
+            ),
+            pytest.param(
+                "oracle", "ready,nosuch,a", "'nosuch'", "routing", (),
+                id="oracle-ready,nosuch,a-'nosuch'",
+            ),
+            pytest.param(
+                "check", "ready,ready,zzz", "'zzz'", "routing", BDD,
+                id="bdd-ready,ready,zzz-'zzz'",
+            ),
+            pytest.param(
+                "check", "ready,ready,zzz", "'zzz'", "routing_fts", BDD,
+                id="bdd-fts-ready,ready,zzz-'zzz'",
+            ),
         ],
     )
-    def test_unknown_pair_names_exit_2(self, models_dir, tmp_path, capsys, command, pair, unknown):
+    def test_unknown_pair_names_exit_2(
+        self, models_dir, tmp_path, capsys, command, pair, unknown, stem, options
+    ):
         code = run(
             command,
-            models_dir / "routing_basic.json",
-            models_dir / "routing_modified.json",
+            models_dir / (stem + "_basic.json"),
+            models_dir / (stem + "_modified.json"),
             "--pair",
             pair,
             "--out",
             tmp_path / "r.json",
+            *options,
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -199,22 +223,25 @@ class TestApprox:
 
 class TestGame:
     def test_self_play_transcripts(self, models_dir, tmp_path):
-        out = tmp_path / "game.txt"
-        assert (
-            run(
-                "game",
-                models_dir / "routing_basic.json",
-                models_dir / "routing_modified.json",
-                "--start",
-                "ready,ready,b",
-                "--self-play",
-                "--out",
-                out,
+        # the CTS pair and the raw FTS pair, where "{}" lacks the encryption
+        # upgrade as "b" does
+        for stem, cond in (("routing", "b"), ("routing_fts", "{}")):
+            out = tmp_path / (stem + ".txt")
+            assert (
+                run(
+                    "game",
+                    models_dir / (stem + "_basic.json"),
+                    models_dir / (stem + "_modified.json"),
+                    "--start",
+                    "ready,ready," + cond,
+                    "--self-play",
+                    "--out",
+                    out,
+                )
+                == 0
             )
-            == 0
-        )
-        text = out.read_text()
-        assert "winner: Player 1" in text
+            text = out.read_text()
+            assert "winner: Player 1" in text
 
     def test_bad_start_pair_exits_2(self, models_dir, capsys):
         assert (

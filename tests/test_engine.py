@@ -131,11 +131,13 @@ class TestTransferOperators:
         basic, modified = routing_pair
         res = greatest_bisimulation(basic, modified)
         assert res.conditions("ready", "ready") == ("a",)
-        # the first application does not yet separate the initial states
-        trace = res.trace
-        bi = basic.poset.element_index("b")
-        assert trace.member(1, 0, 0, bi)
-        assert not trace.member(res.iterations, 0, 0, bi)
+        # the first application does not yet separate the initial states:
+        # the entry's value after it is the old value of its first change
+        # at round 1 or later
+        b = 1 << basic.poset.element_index("b")
+        after_first = next(old for rnd, old in res.history[(0, 0)] if rnd >= 1)
+        assert after_first & b
+        assert not res.matrix[0][0] & b
 
     def test_matrix_equals_direct_on_random_instances(self):
         rng = random.Random(100)
@@ -295,11 +297,18 @@ class TestGreatestBisimulation:
     def test_trace_strictly_descends(self, routing_pair):
         basic, modified = routing_pair
         res = greatest_bisimulation(basic, modified)
-        mats = res.trace.matrices
         ops = build_problem(basic, modified).ops
-        for earlier, later in zip(mats, mats[1:]):
-            assert mats_leq(ops, later, earlier)
-            assert earlier != later
+        changing_rounds = set()
+        for (xi, yi), records in res.history.items():
+            rounds = [rnd for rnd, _ in records]
+            values = [old for _, old in records] + [res.matrix[xi][yi]]
+            assert values[0] == ops.top
+            assert rounds == sorted(set(rounds))
+            for earlier, later in zip(values, values[1:]):
+                assert ops.leq(later, earlier)
+                assert earlier != later
+            changing_rounds.update(rounds)
+        assert changing_rounds == set(range(res.iterations))
 
     def test_self_comparison_diagonal_is_top(self):
         rng = random.Random(105)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ctsbisim.engine import greatest_bisimulation
-from ctsbisim.errors import IllegalMove, InvariantViolation, NotWinnable
+from ctsbisim.errors import IllegalMove, InvariantViolation, NotWinnable, PreconditionViolation
 from ctsbisim.game import (
     CONCEDE,
     GameInstance,
@@ -19,18 +19,19 @@ from ctsbisim.game import (
     self_play,
     separation_table,
 )
+from ctsbisim.modelio import load_model
 from ctsbisim.models import Lats
 from ctsbisim.poset import ConditionPoset
 
 from conftest import make_routing, random_lats_pair
-from oracles import exhaustive_p1_wins
+from oracles import exhaustive_p1_wins, separation_rounds
 
 
 @pytest.fixture
 def routing_game(routing_pair):
     basic, modified = routing_pair
     result = greatest_bisimulation(basic, modified)
-    return basic, modified, result, separation_table(result.trace)
+    return basic, modified, result, separation_table(result)
 
 
 class TestSeparationTable:
@@ -45,7 +46,7 @@ class TestSeparationTable:
     def test_self_comparison_diagonal_infinite(self, routing_pair):
         basic, _ = routing_pair
         res = greatest_bisimulation(basic, basic)
-        table = separation_table(res.trace)
+        table = separation_table(res)
         for x in basic.states:
             for c in basic.poset.elements:
                 assert table.m(x, x, c) == INF
@@ -54,6 +55,26 @@ class TestSeparationTable:
         _, _, _, table = routing_game
         with pytest.raises(IllegalMove):
             table.m("nope", "ready", "a")
+
+    def test_rounds_equal_the_stored_matrix_scan(self, routing_pair):
+        rng = random.Random(202)
+        pairs = [routing_pair]
+        pairs += [random_lats_pair(rng, max_states=5, max_conds=4) for _ in range(40)]
+        for l1, l2 in pairs:
+            table = separation_table(greatest_bisimulation(l1, l2))
+            expected = separation_rounds(l1, l2)
+            assert {key: table.m(*key) for key in expected} == expected
+
+    @pytest.mark.parametrize(
+        "options", [{"backend": "bdd"}, {"keep_trace": False}], ids=["bdd", "no-history"]
+    )
+    def test_result_without_history_is_rejected(self, routing_pair, options):
+        basic, modified = routing_pair
+        result = greatest_bisimulation(basic, modified, **options)
+        with pytest.raises(PreconditionViolation):
+            separation_table(result)
+        with pytest.raises(PreconditionViolation):
+            self_play(basic, modified, "ready", "ready", "b", result=result)
 
 
 class TestPlayer1:
@@ -84,7 +105,7 @@ class TestPlayer1:
         l1 = Lats(["x", "d"], ["m"], poset, {("x", "m", "d"): ("c1", "c2")})
         l2 = Lats(["y"], ["m"], poset, {})
         res = greatest_bisimulation(l1, l2)
-        table = separation_table(res.trace)
+        table = separation_table(res)
         move = player1_move(GameInstance("x", "y", "c0"), table)
         # both upgrades win immediately; the smaller name is chosen
         assert move.upgrade == "c1"
@@ -92,11 +113,10 @@ class TestPlayer1:
     def test_descent_along_optimal_line(self, routing_game):
         basic, modified, result, table = routing_game
         inst = GameInstance("ready", "ready", "b")
-        rstar = result.relation
         seen = [table.m_of(inst)]
         while True:
             move = player1_move(inst, table)
-            reply = player2_reply(inst, move, rstar)
+            reply = player2_reply(inst, move, table)
             if reply is CONCEDE:
                 break
             if move.side == "left":
@@ -109,7 +129,7 @@ class TestPlayer1:
     def test_tampered_index_breaks_descent(self, routing_game):
         # every index equal: no attack from (ready, ready, b) can descend
         _, _, _, table = routing_game
-        table._m = dict.fromkeys(table._m, 1)
+        table.m = lambda x, y, cond: 1
         with pytest.raises(InvariantViolation):
             player1_move(GameInstance("ready", "ready", "b"), table)
 
@@ -122,8 +142,8 @@ from ctsbisim.game import GameInstance, player1_move, separation_table
 from ctsbisim.modelio import load_model
 
 assert False, "assert statements must be stripped under -O"
-table = separation_table(greatest_bisimulation(load_model(sys.argv[1]), load_model(sys.argv[2])).trace)
-table._m = dict.fromkeys(table._m, 1)
+table = separation_table(greatest_bisimulation(load_model(sys.argv[1]), load_model(sys.argv[2])))
+table.m = lambda x, y, cond: 1
 try:
     player1_move(GameInstance("ready", "ready", "b"), table)
 except InvariantViolation:
@@ -151,33 +171,32 @@ except InvariantViolation:
 class TestPlayer2:
     def test_membership_preserving_reply(self, routing_game):
         basic, modified, result, table = routing_game
-        rstar = result.relation
         inst = GameInstance("ready", "ready", "a")
         move = Move(upgrade="a", side="left", action="receive", target="received")
-        reply = player2_reply(inst, move, rstar)
+        reply = player2_reply(inst, move, table)
         assert reply is not CONCEDE
         assert reply.side == "right" and reply.action == "receive"
-        assert rstar.holds(move.target, reply.target, "a")
+        assert result.holds(move.target, reply.target, "a")
 
     def test_illegal_upgrade_rejected(self, routing_game):
-        _, _, result, table = routing_game
+        _, _, _, table = routing_game
         inst = GameInstance("ready", "ready", "a")
         move = Move(upgrade="b", side="left", action="receive", target="received")
         with pytest.raises(IllegalMove):
-            player2_reply(inst, move, result.relation)
+            player2_reply(inst, move, table)
 
     def test_unknown_transition_rejected(self, routing_game):
-        _, _, result, _ = routing_game
+        _, _, _, table = routing_game
         inst = GameInstance("ready", "ready", "b")
         move = Move(upgrade="b", side="left", action="e", target="ready")
         with pytest.raises(IllegalMove):
-            player2_reply(inst, move, result.relation)
+            player2_reply(inst, move, table)
 
     def test_concede_when_no_reply_exists(self, routing_game):
-        _, _, result, _ = routing_game
+        _, _, _, table = routing_game
         inst = GameInstance("unsafe", "safe", "a")
         move = Move(upgrade="a", side="left", action="e", target="ready")
-        assert player2_reply(inst, move, result.relation) is CONCEDE
+        assert player2_reply(inst, move, table) is CONCEDE
 
 
 class TestSelfPlay:
@@ -214,6 +233,20 @@ class TestSelfPlay:
                     for c in l1.poset.elements:
                         play = self_play(l1, l2, x, y, c, result=result)
                         assert (play.winner == 2) == result.holds(x, y, c)
+
+    def test_verdict_matches_fixpoint_on_raw_fts(self, models_dir):
+        # the game moves on the problem's successor lists, so a raw FTS pair
+        # is played without converting it first
+        l1, l2 = (
+            load_model(models_dir / name)
+            for name in ("routing_fts_basic.json", "routing_fts_modified.json")
+        )
+        result = greatest_bisimulation(l1, l2)
+        for x in l1.states:
+            for y in l2.states:
+                for c in result.problem.poset.elements:
+                    play = self_play(l1, l2, x, y, c, result=result)
+                    assert (play.winner == 2) == result.holds(x, y, c)
 
 
 class TestExhaustiveSolver:

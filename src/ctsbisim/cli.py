@@ -15,7 +15,6 @@ from .errors import CtsBisimError, ModelError
 from .features import FeatureUniverse
 from .game import GameInstance, interactive_play, self_play
 from .modelio import convert_model, load_model, model_to_dict
-from .models import Cts, Fts, Lats, fts_to_cts, lats_to_cts
 
 
 def _write_output(text: str, out: str | None) -> None:

@@ -40,7 +40,7 @@ from .errors import (
     UnknownState,
 )
 from .features import FeatureUniverse
-from .models import Cts, Fts, Lats, cts_to_lats, fts_to_cts, fts_to_lats, lats_to_cts
+from .models import Fts, Lats, fts_to_lats
 from .poset import ConditionPoset, LatticeElement, iter_bits
 
 
@@ -218,7 +218,7 @@ def report_checksum(report: dict) -> str:
 class ConditionalRelation:
     """A matrix of downward-closed condition sets indexed by state pairs."""
 
-    def __init__(self, poset, states_x, states_y, rows, left=None, right=None):
+    def __init__(self, poset, states_x, states_y, rows):
         self.poset = poset
         self.states_x = tuple(states_x)
         self.states_y = tuple(states_y)
@@ -234,17 +234,15 @@ class ConditionalRelation:
         self.rows = [list(r) for r in rows]
         self._ix = {x: i for i, x in enumerate(self.states_x)}
         self._iy = {y: i for i, y in enumerate(self.states_y)}
-        self.left = left
-        self.right = right
 
     @classmethod
-    def top(cls, poset, states_x, states_y, **kw):
+    def top(cls, poset, states_x, states_y):
         full = poset.full_mask
         rows = [[full] * len(tuple(states_y)) for _ in tuple(states_x)]
-        return cls(poset, states_x, states_y, rows, **kw)
+        return cls(poset, states_x, states_y, rows)
 
     @classmethod
-    def from_mapping(cls, poset, states_x, states_y, mapping, close=False, **kw):
+    def from_mapping(cls, poset, states_x, states_y, mapping, close=False):
         rows = []
         for x in states_x:
             row = []
@@ -252,14 +250,11 @@ class ConditionalRelation:
                 bits = poset.bits_of_names(mapping.get((x, y), ()))
                 row.append(poset.close_down_bits(bits) if close else bits)
             rows.append(row)
-        return cls(poset, states_x, states_y, rows, **kw)
+        return cls(poset, states_x, states_y, rows)
 
     def _bits(self, x: str, y: str) -> int:
         xi, yi = _state_indices(self._ix, self._iy, x, y)
         return self.rows[xi][yi]
-
-    def entry(self, x: str, y: str) -> LatticeElement:
-        return LatticeElement(self.poset, self._bits(x, y))
 
     def holds(self, x: str, y: str, cond: str) -> bool:
         return bool(self._bits(x, y) & (1 << self.poset.element_index(cond)))
@@ -267,34 +262,8 @@ class ConditionalRelation:
     def conditions(self, x: str, y: str) -> tuple[str, ...]:
         return tuple(sorted(self.poset.names_of_bits(self._bits(x, y))))
 
-    def leq(self, other: "ConditionalRelation") -> bool:
-        return all(
-            a & ~b == 0 for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
-
-    def join(self, other: "ConditionalRelation") -> "ConditionalRelation":
-        rows = [[a | b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        return ConditionalRelation(self.poset, self.states_x, self.states_y, rows)
-
-    def meet(self, other: "ConditionalRelation") -> "ConditionalRelation":
-        rows = [[a & b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        return ConditionalRelation(self.poset, self.states_x, self.states_y, rows)
-
     def report(self) -> dict:
         return relation_report(self.states_x, self.states_y, self.conditions)
-
-    def checksum(self) -> str:
-        return report_checksum(self.report())
-
-    def __eq__(self, other):
-        if not isinstance(other, ConditionalRelation):
-            return NotImplemented
-        return (
-            self.poset == other.poset
-            and self.states_x == other.states_x
-            and self.states_y == other.states_y
-            and self.rows == other.rows
-        )
 
 
 # --- problem preparation ---------------------------------------------------------------
@@ -320,8 +289,6 @@ class Problem:
     esc_y: dict
     cond_count: int
     entry_names: Callable[[object], tuple[str, ...]]
-    left: object
-    right: object
     poset: ConditionPoset | None = None
     manager: BddManager | None = None
     discrete: bool = False
@@ -409,11 +376,6 @@ def build_problem(
 ) -> Problem:
     if backend not in ("explicit", "bdd"):
         raise ModelMismatch("unknown backend %r" % (backend,))
-    if isinstance(left, Cts):
-        left = cts_to_lats(left)
-    if isinstance(right, Cts):
-        right = cts_to_lats(right)
-
     if isinstance(left, Fts) and isinstance(right, Fts):
         if left.universe != right.universe:
             raise ModelMismatch("feature universes differ")
@@ -423,7 +385,7 @@ def build_problem(
             l2 = fts_to_lats(right, close=close)
             if l1.poset != l2.poset:
                 raise ModelMismatch("feature diagrams carve out different configurations")
-            return _explicit_problem(l1, l2, precedence, left, right)
+            return _explicit_problem(l1, l2, precedence)
         manager = BddManager(left.universe, var_order)
         diagram = manager.from_expr(left.diagram)
         if manager.from_expr(right.diagram) != diagram:
@@ -457,8 +419,6 @@ def build_problem(
             precedence,
             cond_count=manager.sat_count(diagram),
             entry_names=entry_names,
-            left=left,
-            right=right,
             manager=manager,
         )
 
@@ -467,7 +427,7 @@ def build_problem(
             raise ModelMismatch("condition posets differ")
         _check_common(left, right, precedence)
         if backend == "explicit":
-            return _explicit_problem(left, right, precedence, left, right)
+            return _explicit_problem(left, right, precedence)
         poset = left.poset
         universe = FeatureUniverse(poset.elements, frozenset(poset.elements))
         manager = BddManager(universe, var_order)
@@ -494,8 +454,6 @@ def build_problem(
             precedence,
             cond_count=len(poset),
             entry_names=entry_names,
-            left=left,
-            right=right,
             manager=manager,
         )
 
@@ -504,7 +462,7 @@ def build_problem(
     )
 
 
-def _explicit_problem(l1: Lats, l2: Lats, precedence: bool, left, right) -> Problem:
+def _explicit_problem(l1: Lats, l2: Lats, precedence: bool) -> Problem:
     poset = l1.poset
     return _problem(
         ExplicitOps(poset),
@@ -515,8 +473,6 @@ def _explicit_problem(l1: Lats, l2: Lats, precedence: bool, left, right) -> Prob
         precedence,
         cond_count=len(poset),
         entry_names=poset.names_of_bits,
-        left=left,
-        right=right,
         poset=poset,
         discrete=poset.is_discrete,
     )
@@ -637,8 +593,6 @@ class BisimResult:
             self.problem.states_x,
             self.problem.states_y,
             self.matrix,
-            left=self.problem.left,
-            right=self.problem.right,
         )
 
     def conditions(self, x: str, y: str) -> tuple[str, ...]:
@@ -782,13 +736,9 @@ def brute_force_oracle(c1, c2, precedence: bool = False, cap: int = 250_000) -> 
     at an upgrade can invalidate its matches at larger conditions.
     """
     if isinstance(c1, Fts):
-        c1 = fts_to_cts(c1)
+        c1 = fts_to_lats(c1)
     if isinstance(c2, Fts):
-        c2 = fts_to_cts(c2)
-    if isinstance(c1, Lats):
-        c1 = lats_to_cts(c1)
-    if isinstance(c2, Lats):
-        c2 = lats_to_cts(c2)
+        c2 = fts_to_lats(c2)
     if c1.poset != c2.poset:
         raise ModelMismatch("condition posets differ")
     if set(c1.alphabet) != set(c2.alphabet):
@@ -835,7 +785,7 @@ def brute_force_oracle(c1, c2, precedence: bool = False, cap: int = 250_000) -> 
                     bits |= 1 << i
             row.append(bits)
         rows.append(row)
-    return ConditionalRelation(poset, c1.states, c2.states, rows, left=c1, right=c2)
+    return ConditionalRelation(poset, c1.states, c2.states, rows)
 
 
 # --- cross-check operators -------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """JSON reading and writing for the three model kinds.
 
-One format with a ``kind`` selector.  For conditional systems the guard
+One format with a ``kind`` selector.  Conditional and lattice systems are
+both stored as their guards and share one reader and one writer; they
+differ only in how a guard is written.  For conditional systems the guard
 lists name the maximal enabling conditions and the loader closes them
 downward (figures usually omit transitions implied by monotonicity); for
 lattice systems the guard is the exact downward-closed set and violations
-are rejected unless closure is requested.
+are rejected unless closure is requested.  A malformed file raises only
+``ModelError``, naming the offending field.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 from pathlib import Path
 
 from . import features as ft
-from .errors import ModelError
+from .errors import CycleError, ModelError, UnknownElement, UnknownFeature
 from .features import FeatureUniverse
 from .models import Cts, Fts, Lats, cts_to_lats, fts_to_lats, lats_to_cts
 from .poset import ConditionPoset, iter_bits
@@ -21,8 +24,12 @@ from .poset import ConditionPoset, iter_bits
 Model = Cts | Lats | Fts
 
 
-def _get(mapping, key, expected, where):
+def _get(mapping, key, expected, where, default=None):
+    if not isinstance(mapping, dict):
+        raise ModelError("%s: expected an object, got %s" % (where, type(mapping).__name__))
     if key not in mapping:
+        if default is not None:
+            return default
         raise ModelError("%s.%s: missing field" % (where, key))
     value = mapping[key]
     if expected is not None and not isinstance(value, expected):
@@ -32,39 +39,55 @@ def _get(mapping, key, expected, where):
     return value
 
 
-def _pairs(raw, where):
+def _names(mapping, key, where, default=None) -> list[str]:
+    """A list of distinct non-empty strings."""
+    names = _get(mapping, key, list, where, default)
+    for i, name in enumerate(names):
+        if not (isinstance(name, str) and name):
+            raise ModelError("%s.%s[%d]: expected a non-empty string, got %r" % (where, key, i, name))
+    if len(set(names)) != len(names):
+        raise ModelError("%s.%s: duplicate names %r" % (where, key, names))
+    return names
+
+
+def _pairs(mapping, key, where) -> list[tuple[str, str]]:
     pairs = []
-    for i, pair in enumerate(raw):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ModelError("%s[%d]: expected a two-element list" % (where, i))
+    for i, pair in enumerate(_get(mapping, key, list, where, [])):
+        if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(n, str) for n in pair)):
+            raise ModelError("%s.%s[%d]: expected a list of two names" % (where, key, i))
         pairs.append((pair[0], pair[1]))
     return pairs
 
 
-def load_poset(raw, where="poset") -> ConditionPoset:
-    elements = _get(raw, "elements", list, where)
-    leq = _pairs(raw.get("leq", []), where + ".leq")
-    return ConditionPoset(elements, leq)
+def load_poset(raw, where="model.poset") -> ConditionPoset:
+    elements = _names(raw, "elements", where)
+    leq = _pairs(raw, "leq", where)
+    try:
+        return ConditionPoset(elements, leq)
+    except (CycleError, UnknownElement) as exc:
+        raise ModelError("%s.leq: %s" % (where, exc)) from exc
 
 
 def model_from_dict(raw: dict, close: bool = False) -> Model:
     kind = _get(raw, "kind", str, "model")
     if kind not in ("cts", "lats", "fts"):
         raise ModelError("model.kind: expected cts, lats, or fts, got %r" % (kind,))
-    states = _get(raw, "states", list, "model")
-    alphabet = _get(raw, "alphabet", list, "model")
-    precedence = _pairs(raw.get("precedence", []), "precedence")
+    states = _names(raw, "states", "model")
+    alphabet = _names(raw, "alphabet", "model")
+    precedence = _pairs(raw, "precedence", "model")
     transitions = _get(raw, "transitions", list, "model")
 
     if kind == "fts":
-        universe = FeatureUniverse(
-            _get(raw, "features", list, "model"), raw.get("upgrade", [])
-        )
-        where = "diagram"
         try:
-            diagram = ft.parse_expr(raw.get("diagram", "true"))
+            universe = FeatureUniverse(
+                _names(raw, "features", "model"), _names(raw, "upgrade", "model", [])
+            )
+        except UnknownFeature as exc:
+            raise ModelError("model.upgrade: %s" % exc) from exc
+        try:
+            diagram = ft.parse_expr(_get(raw, "diagram", str, "model", "true"))
         except Exception as exc:
-            raise ModelError("%s: %s" % (where, exc)) from exc
+            raise ModelError("model.diagram: %s" % exc) from exc
         trans = {}
         for i, t in enumerate(transitions):
             where = "transitions[%d]" % i
@@ -99,12 +122,9 @@ def model_from_dict(raw: dict, close: bool = False) -> Model:
         guards[(x, a, y)] = guards.get((x, a, y), 0) | bits
 
     try:
-        if kind == "cts":
-            # guards list maximal conditions; monotonicity supplies the rest
-            closed = {key: poset.close_down_bits(bits) for key, bits in guards.items()}
-            lats = Lats(states, alphabet, poset, closed, precedence=precedence)
-            return lats_to_cts(lats)
-        return Lats(states, alphabet, poset, guards, precedence=precedence, close=close)
+        # CTS guards list maximal conditions; monotonicity supplies the rest
+        lats = Lats(states, alphabet, poset, guards, precedence=precedence, close=close or kind == "cts")
+        return lats_to_cts(lats) if kind == "cts" else lats
     except ModelError:
         raise
     except Exception as exc:
@@ -153,34 +173,22 @@ def model_to_dict(model: Model) -> dict:
                 for (x, a, y), expr in sorted(model.trans.items())
             ],
         }
-    if isinstance(model, Cts):
-        lats = cts_to_lats(model)
-        poset = lats.poset
-        return {
-            "kind": "cts",
-            "states": list(lats.states),
-            "alphabet": list(lats.alphabet),
-            "precedence": sorted([list(p) for p in lats.precedence]),
-            "poset": poset_to_dict(poset),
-            "transitions": [
-                {
-                    "from": x,
-                    "action": a,
-                    "to": y,
-                    "guard": list(poset.names_of_bits(_maximal_bits(poset, bits))),
-                }
-                for (x, a, y), bits in sorted(lats.alpha.items())
-            ],
-        }
     poset = model.poset
+    # a CTS file lists each guard's maximal conditions; the loader closes them
+    cts = isinstance(model, Cts)
     return {
-        "kind": "lats",
+        "kind": "cts" if cts else "lats",
         "states": list(model.states),
         "alphabet": list(model.alphabet),
         "precedence": sorted([list(p) for p in model.precedence]),
         "poset": poset_to_dict(poset),
         "transitions": [
-            {"from": x, "action": a, "to": y, "guard": list(poset.names_of_bits(bits))}
+            {
+                "from": x,
+                "action": a,
+                "to": y,
+                "guard": list(poset.names_of_bits(_maximal_bits(poset, bits) if cts else bits)),
+            }
             for (x, a, y), bits in sorted(model.alpha.items())
         ],
     }

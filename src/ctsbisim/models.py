@@ -1,15 +1,18 @@
 """Transition-system models: conditional, lattice, and featured variants.
 
-All three classes are immutable after validation and convert into each
-other along the duality between monotone condition maps and
-downward-closed guard sets.  Featured systems additionally carry a feature
-universe; their admissible configurations, ordered by upgrades, become the
-condition poset of the derived lattice system.
+All three classes are immutable after validation.  A monotone
+per-condition transition function is the same thing as a map from
+transitions to downward-closed guard sets, so a conditional system is a
+lattice system that is built from, and presented as, its successor sets:
+``Cts`` subclasses ``Lats`` and both store only the guards.  Featured
+systems carry a feature universe instead; their admissible
+configurations, ordered by upgrades, become the condition poset of the
+derived lattice system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import features as ft
@@ -18,7 +21,7 @@ from .errors import (
     ModelError,
     UnknownCondition,
 )
-from .features import FeatureExpr, FeatureUniverse, upgrade_leq
+from .features import FeatureExpr, FeatureUniverse
 from .poset import ConditionPoset, LatticeElement, iter_bits
 
 
@@ -65,96 +68,6 @@ class Lts:
         return self.moves.get((x, a), frozenset())
 
 
-class Cts:
-    """Conditional transition system: per-condition successor sets.
-
-    The transition function must be monotone, i.e. upgrading (moving to a
-    smaller condition) can only add successors.  Equivalently, the guard
-    set of every (source, action, target) triple is downward-closed; that
-    is what validation checks.
-    """
-
-    def __init__(self, states, alphabet, poset: ConditionPoset, trans, precedence=()):
-        self.states = _check_names("states", states)
-        self.alphabet = _check_names("alphabet", alphabet)
-        self.poset = poset
-        self.precedence = close_precedence(precedence, self.alphabet)
-        state_set = set(self.states)
-        normalized: dict[tuple[str, str, str], frozenset] = {}
-        for (x, a, cond), targets in trans.items():
-            if x not in state_set:
-                raise ModelError("unknown source state %r" % (x,))
-            if a not in self.alphabet:
-                raise ModelError("unknown action %r" % (a,))
-            if cond not in poset.index:
-                raise UnknownCondition("unknown condition %r" % (cond,))
-            targets = frozenset(targets)
-            stray = targets - state_set
-            if stray:
-                raise ModelError("unknown target states %s" % sorted(stray))
-            if targets:
-                normalized[(x, a, cond)] = targets
-        self.trans = normalized
-        self._guards = self._guard_bits()
-        for (x, a, y), bits in self._guards.items():
-            if not poset.is_down_closed_bits(bits):
-                raise ModelError(
-                    "transition function is not monotone: guard of (%s, %s, %s) is {%s}"
-                    % (x, a, y, ", ".join(poset.names_of_bits(bits)))
-                )
-
-    def _guard_bits(self) -> dict[tuple[str, str, str], int]:
-        guards: dict[tuple[str, str, str], int] = {}
-        for (x, a, cond), targets in self.trans.items():
-            bit = 1 << self.poset.index[cond]
-            for y in targets:
-                guards[(x, a, y)] = guards.get((x, a, y), 0) | bit
-        return guards
-
-    def successors(self, x: str, a: str, cond: str) -> frozenset:
-        if cond not in self.poset.index:
-            raise UnknownCondition("unknown condition %r" % (cond,))
-        return self.trans.get((x, a, cond), frozenset())
-
-    def instantiate(self, cond: str) -> Lts:
-        """The labelled transition system active under one condition."""
-        if cond not in self.poset.index:
-            raise UnknownCondition("unknown condition %r" % (cond,))
-        moves = {
-            (x, a): targets
-            for (x, a, c), targets in self.trans.items()
-            if c == cond
-        }
-        return Lts(self.states, self.alphabet, moves)
-
-    def instantiate_prec(self, cond: str) -> Lts:
-        """Instantiation with action precedence: a transition survives only
-        if no higher-priority action is enabled at the same source."""
-        plain = self.instantiate(cond)
-        if not self.precedence:
-            return plain
-        higher = {}
-        for hi, lo in self.precedence:
-            higher.setdefault(lo, set()).add(hi)
-        moves = {}
-        for (x, a), targets in plain.moves.items():
-            blocked = any(plain.successors(x, hi) for hi in higher.get(a, ()))
-            if not blocked:
-                moves[(x, a)] = targets
-        return Lts(self.states, self.alphabet, moves)
-
-    def __eq__(self, other):
-        if not isinstance(other, Cts):
-            return NotImplemented
-        return (
-            self.states == other.states
-            and self.alphabet == other.alphabet
-            and self.poset == other.poset
-            and self.trans == other.trans
-            and self.precedence == other.precedence
-        )
-
-
 class Lats:
     """Lattice transition system: guards are downward-closed condition sets."""
 
@@ -195,8 +108,36 @@ class Lats:
     def guard(self, x: str, a: str, y: str) -> LatticeElement:
         return LatticeElement(self.poset, self.guard_bits(x, a, y))
 
+    def instantiate(self, cond: str) -> Lts:
+        """The labelled transition system active under one condition."""
+        if cond not in self.poset.index:
+            raise UnknownCondition("unknown condition %r" % (cond,))
+        bit = 1 << self.poset.index[cond]
+        moves: dict[tuple[str, str], set] = {}
+        for (x, a, y), bits in self.alpha.items():
+            if bits & bit:
+                moves.setdefault((x, a), set()).add(y)
+        return Lts(self.states, self.alphabet, {key: frozenset(ys) for key, ys in moves.items()})
+
+    def instantiate_prec(self, cond: str) -> Lts:
+        """Instantiation with action precedence: a transition survives only
+        if no higher-priority action is enabled at the same source."""
+        plain = self.instantiate(cond)
+        if not self.precedence:
+            return plain
+        higher = {}
+        for hi, lo in self.precedence:
+            higher.setdefault(lo, set()).add(hi)
+        moves = {}
+        for (x, a), targets in plain.moves.items():
+            blocked = any(plain.successors(x, hi) for hi in higher.get(a, ()))
+            if not blocked:
+                moves[(x, a)] = targets
+        return Lts(self.states, self.alphabet, moves)
+
     def __eq__(self, other):
-        if not isinstance(other, Lats):
+        # kind-exact: a conditional system never equals its lattice rendition
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.states == other.states
@@ -205,6 +146,47 @@ class Lats:
             and self.alpha == other.alpha
             and self.precedence == other.precedence
         )
+
+
+class Cts(Lats):
+    """Conditional transition system: per-condition successor sets.
+
+    The transition function must be monotone, i.e. upgrading (moving to a
+    smaller condition) can only add successors.  Equivalently, the guard
+    of every (source, action, target) triple, the set of conditions enabling
+    it, is downward-closed; so a CTS is stored as its guards, like a LaTS,
+    and differs from one only in how it is built and presented.
+    """
+
+    def __init__(self, states, alphabet, poset: ConditionPoset, trans, precedence=()):
+        guards: dict[tuple[str, str, str], int] = {}
+        for (x, a, cond), targets in trans.items():
+            if cond not in poset.index:
+                raise UnknownCondition("unknown condition %r" % (cond,))
+            for y in targets:
+                guards[(x, a, y)] = guards.get((x, a, y), 0) | 1 << poset.index[cond]
+        for (x, a, y), bits in guards.items():
+            if not poset.is_down_closed_bits(bits):
+                raise ModelError(
+                    "transition function is not monotone: guard of (%s, %s, %s) is {%s}"
+                    % (x, a, y, ", ".join(poset.names_of_bits(bits)))
+                )
+        super().__init__(states, alphabet, poset, guards, precedence)
+        # an empty successor set adds no guard, so only its key can be wrong
+        if any(x not in self.states or a not in self.alphabet for x, a, _ in trans):
+            raise ModelError("successor sets keyed by unknown states or actions")
+
+    @property
+    def trans(self) -> dict[tuple[str, str, str], frozenset]:
+        """The non-empty successor sets, keyed by (source, action, condition)."""
+        return {
+            (x, a, cond): targets
+            for cond in self.poset.elements
+            for (x, a), targets in self.instantiate(cond).moves.items()
+        }
+
+    def successors(self, x: str, a: str, cond: str) -> frozenset:
+        return self.instantiate(cond).successors(x, a)
 
 
 @dataclass(frozen=True)
@@ -244,18 +226,23 @@ class Fts:
 # --- conversions -----------------------------------------------------------------
 
 
+def _recast(model: Lats, cls):
+    # the same guards under the other kind; models are immutable, so they share
+    out = cls.__new__(cls)
+    vars(out).update(vars(model))
+    return out
+
+
 def cts_to_lats(c: Cts) -> Lats:
     """Guard of (x, a, y) is the set of conditions enabling it; monotonicity
     of the transition function makes every guard downward-closed."""
-    return Lats(c.states, c.alphabet, c.poset, dict(c._guards), precedence=c.precedence)
+    return _recast(c, Lats)
 
 
 def lats_to_cts(l: Lats) -> Cts:
-    trans: dict[tuple[str, str, str], set] = {}
-    for (x, a, y), bits in l.alpha.items():
-        for i in iter_bits(bits):
-            trans.setdefault((x, a, l.poset.elements[i]), set()).add(y)
-    return Cts(l.states, l.alphabet, l.poset, trans, precedence=l.precedence)
+    """Downward-closed guards make the per-condition transition function
+    monotone, so the guards carry over unchanged."""
+    return _recast(l, Cts)
 
 
 def config_poset(configs: list[ft.Config], universe: FeatureUniverse) -> ConditionPoset:
@@ -321,10 +308,6 @@ def fts_to_lats(f: Fts, close: bool = False) -> Lats:
                 )
         alpha[(x, a, y)] = bits
     return Lats(f.states, f.alphabet, poset, alpha, precedence=f.precedence)
-
-
-def fts_to_cts(f: Fts, close: bool = False) -> Cts:
-    return lats_to_cts(fts_to_lats(f, close=close))
 
 
 # --- benchmark family ---------------------------------------------------------------

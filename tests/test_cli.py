@@ -62,6 +62,16 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "model.transitions: missing field" in err
 
+    def test_non_object_transition_exits_2(self, models_dir, tmp_path, capsys):
+        raw = json.loads((models_dir / "routing_basic.json").read_text())
+        raw["transitions"][0] = 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code = run("check", bad, bad)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "transitions[0]: expected an object" in err
+
     def test_unreadable_file_exits_2(self, tmp_path):
         assert run("check", tmp_path / "missing.json", tmp_path / "missing.json") == 2
 

@@ -614,3 +614,18 @@ class TestBackendAgreement:
             for y in modified.states:
                 expected = {rename[c] for c in poset_res.conditions(x, y)}
                 assert set(fts_res.conditions(x, y)) == expected
+
+
+class TestCtsIsLats:
+    def test_cts_rendition_gives_the_same_reports(self):
+        rng = random.Random(404)
+        for _ in range(25):
+            l1, l2 = random_lats_pair(rng, max_states=4, max_conds=4, with_precedence=True)
+            c1, c2 = lats_to_cts(l1), lats_to_cts(l2)
+            for precedence in (False, True):
+                for backend in ("explicit", "bdd"):
+                    want = greatest_bisimulation(l1, l2, precedence=precedence, backend=backend)
+                    got = greatest_bisimulation(c1, c2, precedence=precedence, backend=backend)
+                    assert got.report() == want.report()
+                want = brute_force_oracle(l1, l2, precedence=precedence)
+                assert brute_force_oracle(c1, c2, precedence=precedence).report() == want.report()

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -49,6 +50,12 @@ class TestCts:
         )
         assert c.successors("x", "act", "a") == {"y"}
 
+    @pytest.mark.parametrize("key", [("zz", "act", "a"), ("x", "zz", "a")])
+    def test_empty_successor_set_under_unknown_key_rejected(self, key):
+        poset = ConditionPoset(["a"], [])
+        with pytest.raises(ModelError):
+            Cts(["x"], ["act"], poset, {key: set()})
+
     def test_unknown_condition(self):
         poset = ConditionPoset(["a"], [])
         c = Cts(["x"], ["act"], poset, {})
@@ -71,6 +78,15 @@ class TestConversions:
         for _ in range(50):
             l1, _ = random_lats_pair(rng, max_states=6, max_conds=5)
             assert cts_to_lats(lats_to_cts(l1)) == l1
+
+    def test_cts_and_lats_with_equal_guards_are_unequal(self, routing_pair):
+        basic, _ = routing_pair
+        cts = lats_to_cts(basic)
+        assert isinstance(cts, Lats) and cts.alpha == basic.alpha
+        assert cts != basic and basic != cts
+        assert cts_to_lats(cts) == basic
+        rebuilt = Cts(cts.states, cts.alphabet, cts.poset, cts.trans, precedence=cts.precedence)
+        assert rebuilt == cts and rebuilt != basic
 
     def test_empty_transition_map(self):
         poset = ConditionPoset(["a"], [])
@@ -306,3 +322,87 @@ class TestConvert:
         c = load_model(models_dir / "routing_basic.json")
         with pytest.raises(ModelError, match="not defined"):
             convert_model(c, "fts")
+
+
+BUNDLED = ("routing_basic", "routing_modified", "routing_fts_basic", "routing_fts_modified")
+MUTANT_VALUES = (0, 2.5, -1, "", "zz", None, True, [], [1], [["a"]], {}, {"kind": 1})
+
+
+def _raw(models_dir, stem):
+    return json.loads((models_dir / (stem + ".json")).read_text())
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutate(rng, raw):
+    """One random edit somewhere in the JSON tree: replace a value, drop a
+    key or element, duplicate a list element, or graft another subtree."""
+    paths = [p for p in _paths(raw) if p]
+    path = rng.choice(paths)
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    key, op = path[-1], rng.randrange(4)
+    if op == 0:
+        parent[key] = copy.deepcopy(rng.choice(MUTANT_VALUES))
+    elif op == 1:
+        del parent[key]
+    elif op == 2 and isinstance(parent[key], list) and parent[key]:
+        parent[key].append(copy.deepcopy(rng.choice(parent[key])))
+    else:
+        graft = raw
+        for k in rng.choice(paths):
+            graft = graft[k]
+        parent[key] = copy.deepcopy(graft)
+
+
+class TestMalformedModels:
+    @pytest.mark.parametrize(
+        "stem, path, value, match",
+        [
+            ("routing_basic", ("transitions", 0), 1, r"transitions\[0\]: expected an object"),
+            ("routing_basic", ("poset", "leq"), 5, r"model\.poset\.leq: expected list"),
+            ("routing_fts_basic", ("upgrade",), 5, r"model\.upgrade: expected list"),
+            ("routing_basic", ("precedence",), 5, r"model\.precedence: expected list"),
+            ("routing_basic", ("states", 0), ["ready"], r"model\.states\[0\]"),
+            ("routing_basic", ("poset", "elements", 0), ["a"], r"model\.poset\.elements\[0\]"),
+            ("routing_basic", ("poset", "leq", 0, 0), ["a"], r"model\.poset\.leq\[0\]"),
+            ("routing_basic", ("precedence", 0, 1), ["u"], r"model\.precedence\[0\]"),
+            ("routing_fts_basic", ("features", 0), ["enc"], r"model\.features\[0\]"),
+            ("routing_basic", ("poset", "elements"), ["a", "a"], r"model\.poset\.elements: duplicate"),
+            ("routing_basic", ("poset", "leq", 0, 1), "zz", r"model\.poset\.leq: unknown element"),
+            ("routing_fts_basic", ("features",), ["enc", "enc"], r"model\.features: duplicate"),
+            ("routing_fts_basic", ("upgrade",), ["zz"], r"model\.upgrade: upgrade features not declared"),
+            ("routing_basic", ("poset", "elements", 0), 1, r"model\.poset\.elements\[0\]"),
+            ("routing_fts_basic", ("features", 0), 1, r"model\.features\[0\]"),
+        ],
+    )
+    def test_malformed_field_is_named(self, models_dir, stem, path, value, match):
+        raw = _raw(models_dir, stem)
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ModelError, match=match):
+            model_from_dict(raw)
+
+    def test_mutated_bundled_models_raise_only_model_error(self, models_dir):
+        rng = random.Random(2024)
+        sources = [_raw(models_dir, stem) for stem in BUNDLED]
+        sources.append(model_to_dict(convert_model(model_from_dict(sources[0]), "lats")))
+        rejected = 0
+        for _ in range(600):
+            raw = copy.deepcopy(rng.choice(sources))
+            for _ in range(rng.randint(1, 3)):
+                _mutate(rng, raw)
+            for close in (False, True):
+                try:
+                    model_from_dict(raw, close=close)
+                except ModelError:
+                    rejected += 1
+        assert rejected > 600

@@ -8,13 +8,11 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from . import features as ft
 from .bdd import BddManager
 from .engine import brute_force_oracle, greatest_bisimulation, report_bytes
 from .errors import CtsBisimError, ModelError
-from .features import FeatureUniverse
 from .game import GameInstance, interactive_play, self_play
-from .modelio import convert_model, load_model, model_to_dict
+from .modelio import convert_model, load_approx_input, load_model, model_to_dict
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -84,17 +82,9 @@ def cmd_convert(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    path = Path(args.input)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelError("%s: %s" % (path, exc)) from exc
-    for key in ("features", "upgrade", "expr"):
-        if key not in raw:
-            raise ModelError("%s: missing field %r" % (path, key))
-    universe = FeatureUniverse(raw["features"], raw["upgrade"])
+    universe, expr = load_approx_input(args.input)
     manager = BddManager(universe, _var_order(args.var_order))
-    b = manager.from_expr(ft.parse_expr(raw["expr"]))
+    b = manager.from_expr(expr)
     approx = manager.approx(b)
     report = {
         "input": {

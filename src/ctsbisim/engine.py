@@ -13,6 +13,13 @@ are opaque lattice elements handled through an ops object providing
 meet/join/residuum/leq/top/bottom, so the same iteration runs on explicit
 bitsets and on ROBDD handles.
 
+The descent is a worklist over entries: an entry reads only the entries of
+its same-action successor pairs, so after the first round ``_descend``
+re-evaluates just the entries with a move into an entry the previous round
+changed, found through predecessor lists.  Rounds stay synchronous, so the
+fixpoint, the round count and the per-entry history are those of applying
+the operator to the whole matrix every round.
+
 The residuated matrix products ``std_mul``/``otimes_mul`` are the paper's
 algebra on dense matrices; the engine's own iteration does not use them.
 """
@@ -481,7 +488,7 @@ def _explicit_problem(l1: Lats, l2: Lats, precedence: bool) -> Problem:
 # --- transfer operator -------------------------------------------------------------------
 
 
-def _transfer(problem: Problem, R, residuum):
+def _transfer(problem: Problem, R, residuum, stale: dict | None = None):
     """One application of the transfer operator to the relation matrix R.
 
     Entry (x, y) is the meet, over every move x -a,g-> x' of x, of
@@ -490,6 +497,11 @@ def _transfer(problem: Problem, R, residuum):
     The escape join must stay inside the residuum: it excuses an unmatched
     move exactly under the conditions where a higher action is enabled.
     A deadlocked pair keeps top; an entry is final once it reaches bottom.
+
+    With ``stale`` (row -> columns) only those entries are evaluated, and
+    only where R is not bottom yet; every other entry is copied from R.
+    That is the whole image only inside a descent from top, where an entry
+    none of whose successor pairs changed keeps its value.
     """
     ops = problem.ops
     meet, join, top, bottom = ops.meet, ops.join, ops.top, ops.bottom
@@ -514,50 +526,78 @@ def _transfer(problem: Problem, R, residuum):
                         return bottom
         return acc
 
-    ny = len(problem.states_y)
-    return [[entry(xi, yi) for yi in range(ny)] for xi in range(len(problem.states_x))]
+    if stale is None:
+        ny = len(problem.states_y)
+        return [[entry(xi, yi) for yi in range(ny)] for xi in range(len(problem.states_x))]
+    out = [list(row) for row in R]
+    for xi, cols in stale.items():
+        row = out[xi]
+        for yi in cols:
+            if row[yi] != bottom:
+                row[yi] = entry(xi, yi)
+    return out
 
 
-def apply_G_ops(problem: Problem, R):
+def apply_G_ops(problem: Problem, R, stale: dict | None = None):
     """The transfer operator G.  Without precedence every escape is bottom
     and G is the plain operator F."""
-    return _transfer(problem, R, problem.ops.residuum)
+    return _transfer(problem, R, problem.ops.residuum, stale)
 
 
-def apply_F_boolean_ops(problem: Problem, R):
+def apply_F_boolean_ops(problem: Problem, R, stale: dict | None = None):
     """The transfer operator with the Boolean residuum ``not g or s`` on
     explicit bitsets: equal to G on a discrete order, and the Boolean image
     that ``boolean_vs_lattice`` approximates on any other."""
     top = problem.ops.top
-    return _transfer(problem, R, lambda g, s: (top ^ g) | s)
+    return _transfer(problem, R, lambda g, s: (top ^ g) | s, stale)
 
 
 # --- fixpoint ---------------------------------------------------------------------------
+
+
+def _predecessors(succ: dict) -> dict:
+    """Per action, the sources of the moves into each state."""
+    preds = {}
+    for a, lists in succ.items():
+        preds[a] = [[] for _ in lists]
+        for i, moves in enumerate(lists):
+            for t, _ in moves:
+                preds[a][t].append(i)
+    return preds
 
 
 def _descend(problem: Problem, step, history: dict | None = None):
     """Apply ``step`` from the all-top relation until it is stable; returns
     the fixpoint and the number of rounds that changed the relation.
 
-    With ``history``, each entry that round r changes gets ``(r, old
-    value)`` appended under its ``(xi, yi)``.  Descent from top makes the
-    equality test equivalent to the post-fixpoint test; the safeguard bound
-    turns any monotonicity bug into a loud failure instead of divergence.
+    Each round passes ``step`` the stale entries (row -> columns), and
+    only those are compared: every entry in the first round, afterwards
+    the pairs (x, y) with moves x -a-> x' and y -a-> y' into an entry
+    (x', y') that the previous round changed.  With ``history``, each
+    entry that round r changes gets ``(r, old value)`` appended under its
+    ``(xi, yi)``.  Descent from top makes "no entry changed" equivalent to
+    the post-fixpoint test; the safeguard bound turns any monotonicity bug
+    into a loud failure instead of divergence.
     """
     nx, ny = len(problem.states_x), len(problem.states_y)
     bound = nx * ny * problem.cond_count + 1
+    pred_x, pred_y = _predecessors(problem.succ_x), _predecessors(problem.succ_y)
+    preds = [(pred_x[a], pred_y[a]) for a in problem.alphabet]
     R = top_matrix(problem.ops, nx, ny)
+    stale = {xi: range(ny) for xi in range(nx)}
     rounds = 0
     while True:
-        nxt = step(problem, R)
-        if nxt == R:
+        nxt = step(problem, R, stale)
+        changed = []
+        for xi, cols in stale.items():
+            row, new_row = R[xi], nxt[xi]
+            for yi in cols:
+                if row[yi] != new_row[yi]:
+                    changed.append((xi, yi))
+                    if history is not None:
+                        history.setdefault((xi, yi), []).append((rounds, row[yi]))
+        if not changed:
             return R, rounds
-        if history is not None:
-            for xi, (row, new_row) in enumerate(zip(R, nxt)):
-                if row != new_row:
-                    for yi, (old, new) in enumerate(zip(row, new_row)):
-                        if old != new:
-                            history.setdefault((xi, yi), []).append((rounds, old))
         rounds += 1
         if rounds >= bound:
             raise SafeguardExceeded(
@@ -565,6 +605,16 @@ def _descend(problem: Problem, step, history: dict | None = None):
                 "not deflating (engine bug)" % bound
             )
         R = nxt
+        stale = {}
+        for xi, yi in changed:
+            for px, py in preds:
+                cols = py[yi]
+                if cols:
+                    for x in px[xi]:
+                        stale.setdefault(x, []).extend(cols)
+        # sorted lists rather than sets that live through the next round:
+        # large sets leave the C heap fragmented and the peak RSS higher
+        stale = {x: sorted(set(cols)) for x, cols in stale.items()}
 
 
 class BisimResult:

@@ -59,6 +59,23 @@ def _pairs(mapping, key, where) -> list[tuple[str, str]]:
     return pairs
 
 
+def _universe(raw, where, upgrade_default=None) -> FeatureUniverse:
+    features = _names(raw, "features", where)
+    upgrade = _names(raw, "upgrade", where, upgrade_default)
+    try:
+        return FeatureUniverse(features, upgrade)
+    except UnknownFeature as exc:
+        raise ModelError("%s.upgrade: %s" % (where, exc)) from exc
+
+
+def _expr(raw, key, where, default=None) -> ft.FeatureExpr:
+    text = _get(raw, key, str, where, default)
+    try:
+        return ft.parse_expr(text)
+    except Exception as exc:
+        raise ModelError("%s.%s: %s" % (where, key, exc)) from exc
+
+
 def load_poset(raw, where="model.poset") -> ConditionPoset:
     elements = _names(raw, "elements", where)
     leq = _pairs(raw, "leq", where)
@@ -78,27 +95,15 @@ def model_from_dict(raw: dict, close: bool = False) -> Model:
     transitions = _get(raw, "transitions", list, "model")
 
     if kind == "fts":
-        try:
-            universe = FeatureUniverse(
-                _names(raw, "features", "model"), _names(raw, "upgrade", "model", [])
-            )
-        except UnknownFeature as exc:
-            raise ModelError("model.upgrade: %s" % exc) from exc
-        try:
-            diagram = ft.parse_expr(_get(raw, "diagram", str, "model", "true"))
-        except Exception as exc:
-            raise ModelError("model.diagram: %s" % exc) from exc
+        universe = _universe(raw, "model", [])
+        diagram = _expr(raw, "diagram", "model", "true")
         trans = {}
         for i, t in enumerate(transitions):
             where = "transitions[%d]" % i
             x = _get(t, "from", str, where)
             a = _get(t, "action", str, where)
             y = _get(t, "to", str, where)
-            guard_text = _get(t, "guard", str, where)
-            try:
-                expr = ft.parse_expr(guard_text)
-            except Exception as exc:
-                raise ModelError("%s.guard: %s" % (where, exc)) from exc
+            expr = _expr(t, "guard", where)
             if (x, a, y) in trans:
                 raise ModelError("%s: duplicate transition (%s, %s, %s)" % (where, x, a, y))
             trans[(x, a, y)] = expr
@@ -131,7 +136,8 @@ def model_from_dict(raw: dict, close: bool = False) -> Model:
         raise ModelError("model: %s" % exc) from exc
 
 
-def load_model(path: str | Path, close: bool = False) -> Model:
+def _load(path: str | Path, read):
+    """Read a JSON file with ``read``; every error names the file."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -141,12 +147,30 @@ def load_model(path: str | Path, close: bool = False) -> Model:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError("%s: invalid JSON: %s" % (path, exc)) from exc
-    if not isinstance(raw, dict):
-        raise ModelError("%s: model must be a JSON object" % (path,))
     try:
-        return model_from_dict(raw, close=close)
+        return read(raw)
     except ModelError as exc:
         raise ModelError("%s: %s" % (path, exc)) from exc
+
+
+def load_model(path: str | Path, close: bool = False) -> Model:
+    return _load(path, lambda raw: model_from_dict(raw, close=close))
+
+
+def approx_input_from_dict(raw) -> tuple[FeatureUniverse, ft.FeatureExpr]:
+    """The input of ``ctsbisim approx``: an object with ``features``,
+    ``upgrade`` and a feature expression ``expr`` over them."""
+    universe = _universe(raw, "input")
+    expr = _expr(raw, "expr", "input")
+    try:
+        ft.check_atoms(expr, universe)
+    except UnknownFeature as exc:
+        raise ModelError("input.expr: %s" % exc) from exc
+    return universe, expr
+
+
+def load_approx_input(path: str | Path) -> tuple[FeatureUniverse, ft.FeatureExpr]:
+    return _load(path, approx_input_from_dict)
 
 
 def _maximal_bits(poset: ConditionPoset, bits: int) -> int:

@@ -230,6 +230,23 @@ class TestApprox:
         assert run("approx", bad) == 2
         assert "upgrade" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw, field",
+        [
+            ({"features": 5, "upgrade": [], "expr": "x"}, "input.features"),
+            ({"features": ["a"], "upgrade": [], "expr": 5}, "input.expr"),
+            (5, "input: expected an object"),
+        ],
+        ids=["features-not-a-list", "expr-not-a-string", "not-an-object"],
+    )
+    def test_malformed_input_exits_2(self, tmp_path, capsys, raw, field):
+        bad = tmp_path / "approx.json"
+        bad.write_text(json.dumps(raw))
+        assert run("approx", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert field in err
+
 
 class TestGame:
     def test_self_play_transcripts(self, models_dir, tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ctsbisim import engine
 from ctsbisim.engine import (
     ConditionalRelation,
     ExplicitOps,
@@ -32,7 +33,14 @@ from ctsbisim.errors import (
 from ctsbisim.models import Lats, lats_to_cts
 from ctsbisim.poset import ConditionPoset, LatticeElement, iter_bits
 
-from conftest import make_routing, random_downset_bits, random_lats, random_lats_pair
+from conftest import (
+    make_routing,
+    random_downset_bits,
+    random_lats,
+    random_lats_pair,
+    random_poset,
+    random_precedence,
+)
 from oracles import brute_residuum, classical_bisim_pairs, matrix_transfer
 
 
@@ -629,3 +637,101 @@ class TestCtsIsLats:
                     assert got.report() == want.report()
                 want = brute_force_oracle(l1, l2, precedence=precedence)
                 assert brute_force_oracle(c1, c2, precedence=precedence).report() == want.report()
+
+
+# --- incremental rounds ---------------------------------------------------------------
+
+
+def whole_matrix_descent(problem):
+    """Iterate ``apply_G_ops`` over the whole matrix from top: the fixpoint,
+    the number of rounds that changed it, and per entry the ``(round, old
+    value)`` of every round that changed it."""
+    R = top_matrix(problem.ops, len(problem.states_x), len(problem.states_y))
+    history, rounds = {}, 0
+    while True:
+        nxt = apply_G_ops(problem, R)
+        if nxt == R:
+            return R, rounds, history
+        for xi, (row, new_row) in enumerate(zip(R, nxt)):
+            for yi, (old, new) in enumerate(zip(row, new_row)):
+                if old != new:
+                    history.setdefault((xi, yi), []).append((rounds, old))
+        rounds += 1
+        R = nxt
+
+
+@pytest.fixture
+def evaluated_per_round(monkeypatch):
+    """Patch both step functions to record, per call, how many entries it
+    evaluates (the stale entries that are not bottom yet, or every entry
+    when no stale set is passed) out of how many there are."""
+    counts = []
+
+    def recording(step):
+        def wrapper(problem, R, *stale):
+            bottom = problem.ops.bottom
+            total = len(problem.states_x) * len(problem.states_y)
+            if stale:
+                done = sum(1 for xi, cols in stale[0].items() for yi in cols if R[xi][yi] != bottom)
+            else:
+                done = total
+            counts.append((done, total))
+            return step(problem, R, *stale)
+
+        return wrapper
+
+    for name in ("apply_G_ops", "apply_F_boolean_ops"):
+        monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
+    return counts
+
+
+def chain_pair(n):
+    """Two cyclic a-chains of n states over a four-element antichain; the
+    tail's b self-loop is enabled under every condition on the left and
+    under c0 only on the right, so the separation walks back one state per
+    round."""
+    poset = ConditionPoset(["c0", "c1", "c2", "c3"], [])
+    states = tuple("s%d" % i for i in range(n))
+    sides = []
+    for tail_guard in (poset.full_mask, poset.bits_of_names(["c0"])):
+        alpha = {(states[i], "a", states[(i + 1) % n]): poset.full_mask for i in range(n)}
+        alpha[(states[-1], "b", states[-1])] = tail_guard
+        sides.append(Lats(states, ("a", "b"), poset, alpha))
+    return sides
+
+
+class TestIncrementalRounds:
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    @pytest.mark.parametrize("precedence", [False, True], ids=["plain", "precedence"])
+    def test_equals_whole_matrix_descent(self, backend, precedence, evaluated_per_round):
+        rng = random.Random(506)
+        for _ in range(15):
+            poset = random_poset(rng, 4)
+            alphabet = ("act0", "act1", "act2")[: rng.randint(1, 3)]
+            order = random_precedence(rng, alphabet)
+            density = rng.choice((0.1, 0.2, 0.3))
+            sizes = rng.randint(6, 12), rng.randint(6, 12)
+            l1, l2 = (
+                random_lats(rng, poset, tuple("%s%d" % (side, i) for i in range(n)), alphabet, order, density)
+                for side, n in zip("xy", sizes)
+            )
+            res = greatest_bisimulation(l1, l2, precedence=precedence, backend=backend)
+            matrix, iterations, history = whole_matrix_descent(res.problem)
+            assert res.matrix == matrix
+            assert res.iterations == iterations
+            assert res.history == history
+        # the family exercises stale sets that are proper, non-empty subsets
+        assert any(0 < done < total for done, total in evaluated_per_round)
+
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_rounds_after_the_first_evaluate_at_most_2n_entries(self, backend, evaluated_per_round):
+        n = 24
+        left, right = chain_pair(n)
+        res = greatest_bisimulation(left, right, backend=backend)
+        assert res.iterations >= n
+        done = [d for d, _ in evaluated_per_round]
+        assert len(done) == res.iterations + 1
+        assert done[0] == n * n
+        assert max(done[1:]) <= 2 * n
+        matrix, iterations, history = whole_matrix_descent(res.problem)
+        assert (res.matrix, res.iterations, res.history) == (matrix, iterations, history)

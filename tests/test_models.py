@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ctsbisim import features as ft
 from ctsbisim.errors import (
@@ -12,6 +14,7 @@ from ctsbisim.errors import (
 )
 from ctsbisim.features import FeatureUniverse, parse_expr
 from ctsbisim.modelio import (
+    approx_input_from_dict,
     convert_model,
     load_model,
     model_from_dict,
@@ -406,3 +409,78 @@ class TestMalformedModels:
                 except ModelError:
                     rejected += 1
         assert rejected > 600
+
+
+# --- Hypothesis fuzz of the loaders ---------------------------------------------------
+
+# Keys and names of the file formats, so that generated objects reach past
+# the first field checks; arbitrary text and numbers cover everything else.
+FIELDS = st.sampled_from(
+    ["kind", "states", "alphabet", "precedence", "transitions", "poset", "elements", "leq",
+     "from", "action", "to", "guard", "features", "upgrade", "diagram", "expr"]
+)
+WORDS = st.sampled_from(["cts", "lats", "fts", "s0", "s1", "a", "b", "f", "g", "true", "f & !g", "f |", ""])
+SCALARS = st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False) | st.text(max_size=4)
+JSON = st.recursive(
+    SCALARS | WORDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(FIELDS | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def mostly(strategy):
+    """``strategy``, or one time in four an arbitrary JSON value."""
+    return st.integers(0, 3).flatmap(lambda i: strategy if i else JSON)
+
+
+NAMES = mostly(st.lists(WORDS, max_size=3, unique=True))
+TRANSITIONS = mostly(
+    st.lists(
+        mostly(st.fixed_dictionaries({"from": WORDS, "action": WORDS, "to": WORDS, "guard": NAMES | WORDS})),
+        max_size=4,
+    )
+)
+MODELS = mostly(
+    st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["cts", "lats", "fts"]),
+            "states": NAMES,
+            "alphabet": NAMES,
+            "transitions": TRANSITIONS,
+        },
+        optional={
+            "precedence": mostly(st.lists(NAMES, max_size=2)),
+            "poset": mostly(
+                st.fixed_dictionaries({"elements": NAMES}, optional={"leq": mostly(st.lists(NAMES, max_size=3))})
+            ),
+            "features": NAMES,
+            "upgrade": NAMES,
+            "diagram": mostly(WORDS),
+        },
+    )
+)
+APPROX_INPUTS = mostly(
+    st.fixed_dictionaries({}, optional={"features": NAMES, "upgrade": NAMES, "expr": mostly(WORDS)})
+)
+FUZZ = settings(
+    max_examples=250, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestLoaderFuzz:
+    @FUZZ
+    @given(raw=MODELS, close=st.booleans())
+    def test_model_from_dict_raises_only_model_error(self, raw, close):
+        try:
+            model_from_dict(raw, close=close)
+        except ModelError:
+            pass
+
+    @FUZZ
+    @given(raw=APPROX_INPUTS)
+    def test_approx_input_raises_only_model_error(self, raw):
+        try:
+            approx_input_from_dict(raw)
+        except ModelError:
+            pass

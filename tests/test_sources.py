@@ -26,3 +26,11 @@ def test_every_imported_name_is_used(module):
     tree = ast.parse((PACKAGE / module).read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported_names(tree) - used) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_assert_statements(module):
+    # ``python -O`` strips asserts; invariants raise typed errors instead
+    tree = ast.parse((PACKAGE / module).read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []

@@ -23,7 +23,8 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _parse_pair(raw: str) -> tuple[str, str, str]:
-    parts = raw.split(",")
+    # the condition comes last and may hold commas, as in ``{enc,ssl}``
+    parts = raw.split(",", 2)
     if len(parts) != 3:
         raise ModelError("--pair expects 'left-state,right-state,condition', got %r" % raw)
     return parts[0].strip(), parts[1].strip(), parts[2].strip()

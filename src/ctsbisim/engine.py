@@ -20,6 +20,16 @@ changed, found through predecessor lists.  Rounds stay synchronous, so the
 fixpoint, the round count and the per-entry history are those of applying
 the operator to the whole matrix every round.
 
+Work that depends only on a value is done once per distinct value: the
+explicit ops memoize the residuum by its arguments (as ``BddManager`` does
+for handles), a BDD problem decodes each configuration's name once,
+``relation_report`` sorts each distinct entry's names once and
+``report_bytes`` renders each distinct condition list once.  ROBDDs are
+canonical, so equal entries are equal keys on both backends.  Each memo
+lives on a per-problem object or within one call; none outlives a check.
+A BDD ``holds`` evaluates the entry on the condition's one configuration
+instead of enumerating the entry.
+
 The residuated matrix products ``std_mul``/``otimes_mul`` are the paper's
 algebra on dense matrices; the engine's own iteration does not use them.
 """
@@ -27,9 +37,9 @@ algebra on dense matrices; the engine's own iteration does not use them.
 from __future__ import annotations
 
 import hashlib
-import json
 import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 from . import features as ft
@@ -65,12 +75,17 @@ class ExplicitOps:
         self.poset = poset
         self.top = poset.full_mask
         self.bottom = 0
+        self._residuum_memo: dict[tuple[int, int], int] = {}
 
     def leq(self, a, b):
         return a & ~b == 0
 
     def residuum(self, a, b):
-        return self.poset.residuum_bits(a, b)
+        key = (a, b)
+        result = self._residuum_memo.get(key)
+        if result is None:
+            result = self._residuum_memo[key] = self.poset.residuum_bits(a, b)
+        return result
 
 
 class BddOps:
@@ -198,11 +213,22 @@ def otimes_mul(U, V, poset: ConditionPoset | None = None):
 # --- conditional relations -----------------------------------------------------------
 
 
-def relation_report(states_x, states_y, names_of_pair) -> dict:
+def relation_report(states_x, states_y, rows, names_of) -> dict:
+    """The relation report: one ``{"left", "right", "conditions"}`` record per
+    state pair, in row-major order, with the entry's condition names sorted.
+
+    ``names_of`` decodes an entry value to its condition names.  Each
+    distinct value is decoded and sorted once; every pair still gets its
+    own list, so editing one record leaves the others alone.
+    """
+    sorted_names = {}
     pairs = []
-    for x in states_x:
-        for y in states_y:
-            pairs.append({"left": x, "right": y, "conditions": sorted(names_of_pair(x, y))})
+    for x, row in zip(states_x, rows):
+        for y, entry in zip(states_y, row):
+            names = sorted_names.get(entry)
+            if names is None:
+                names = sorted_names[entry] = sorted(names_of(entry))
+            pairs.append({"left": x, "right": y, "conditions": list(names)})
     return {"pairs": pairs}
 
 
@@ -215,7 +241,32 @@ def _state_indices(ix: dict, iy: dict, x: str, y: str) -> tuple[int, int]:
 
 
 def report_bytes(report: dict) -> bytes:
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+    """Render a relation report (see ``relation_report``) as the CLI prints it.
+
+    This writes the one relation-report layout directly and is byte for byte
+    ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``: every string goes
+    through ``json``'s C string encoder, and each distinct ``conditions``
+    list is rendered once.  The layout is the CLI output contract.
+    """
+    rendered = {}
+    parts = []
+    for pair in report["pairs"]:
+        conditions = tuple(pair["conditions"])
+        block = rendered.get(conditions)
+        if block is None:
+            if conditions:
+                items = ",\n        ".join(map(encode_basestring_ascii, conditions))
+                block = "[\n        %s\n      ]" % items
+            else:
+                block = "[]"
+            rendered[conditions] = block
+        parts.append(
+            '    {\n      "conditions": %s,\n      "left": %s,\n      "right": %s\n    }'
+            % (block, encode_basestring_ascii(pair["left"]), encode_basestring_ascii(pair["right"]))
+        )
+    if not parts:
+        return b'{\n  "pairs": []\n}\n'
+    return ('{\n  "pairs": [\n%s\n  ]\n}\n' % ",\n".join(parts)).encode()
 
 
 def report_checksum(report: dict) -> str:
@@ -270,7 +321,7 @@ class ConditionalRelation:
         return tuple(sorted(self.poset.names_of_bits(self._bits(x, y))))
 
     def report(self) -> dict:
-        return relation_report(self.states_x, self.states_y, self.conditions)
+        return relation_report(self.states_x, self.states_y, self.rows, self.poset.names_of_bits)
 
 
 # --- problem preparation ---------------------------------------------------------------
@@ -283,7 +334,10 @@ class Problem:
     ``succ_x[a][i]`` lists the ``(target index, guard)`` moves of left state
     i under a, and ``esc_x[a][i]`` is the join of the guards on strictly
     higher actions at i (bottom when precedence is off); ``succ_y`` and
-    ``esc_y`` are the same for the right system.
+    ``esc_y`` are the same for the right system.  ``entry_names`` decodes an
+    entry to its condition names; on BDD problems ``condition_config`` maps a
+    condition name to the one configuration that encodes it, so a single
+    condition is read off an entry without enumerating the entry.
     """
 
     ops: object
@@ -298,6 +352,7 @@ class Problem:
     entry_names: Callable[[object], tuple[str, ...]]
     poset: ConditionPoset | None = None
     manager: BddManager | None = None
+    condition_config: Callable[[str], ft.Config] | None = None
     discrete: bool = False
 
 
@@ -364,13 +419,20 @@ def _poset_feature_encoding(poset: ConditionPoset, manager: BddManager):
     diagram = 0
     for handle in minterms:
         diagram = manager.disj(diagram, handle)
-    index_to_name = {}
-    for i in range(n):
-        config = frozenset(
-            poset.elements[j] for j in range(n) if not poset.down[i] & (1 << j)
-        )
-        index_to_name[manager.index_of_config(config)] = poset.elements[i]
-    return minterms, diagram, index_to_name
+    configs = [
+        frozenset(poset.elements[j] for j in range(n) if not poset.down[i] & (1 << j))
+        for i in range(n)
+    ]
+    return minterms, diagram, configs
+
+
+def _entry_names(manager: BddManager, name_of_index):
+    """Decode a handle to the names of its satisfying configurations."""
+
+    def entry_names(handle):
+        return tuple(map(name_of_index, iter_bits(manager.sat_minterms(handle))))
+
+    return entry_names
 
 
 def build_problem(
@@ -411,11 +473,28 @@ def build_problem(
                         )
                 yield (x, a, y), g
 
-        def entry_names(handle):
-            return tuple(
-                ft.config_name(manager.config_of_index(i))
-                for i in iter_bits(manager.sat_minterms(handle))
-            )
+        config_names = {}
+
+        def config_name_of_index(i):
+            # each configuration's name is decoded once per problem
+            name = config_names.get(i)
+            if name is None:
+                name = config_names[i] = ft.config_name(manager.config_of_index(i))
+            return name
+
+        features = frozenset(left.universe.features)
+
+        def condition_config(cond: str) -> ft.Config:
+            # the canonical name of an admissible configuration, e.g. ``{enc,ssl}``
+            inner = cond[1:-1]
+            config = frozenset(inner.split(",")) if inner else frozenset()
+            if not (
+                config <= features
+                and ft.config_name(config) == cond
+                and manager.evaluate(diagram, config)
+            ):
+                raise UnknownElement("unknown condition %r" % (cond,))
+            return config
 
         return _problem(
             BddOps(manager, diagram),
@@ -425,8 +504,9 @@ def build_problem(
             guards(right),
             precedence,
             cond_count=manager.sat_count(diagram),
-            entry_names=entry_names,
+            entry_names=_entry_names(manager, config_name_of_index),
             manager=manager,
+            condition_config=condition_config,
         )
 
     if isinstance(left, Lats) and isinstance(right, Lats):
@@ -438,7 +518,10 @@ def build_problem(
         poset = left.poset
         universe = FeatureUniverse(poset.elements, frozenset(poset.elements))
         manager = BddManager(universe, var_order)
-        minterms, diagram, index_to_name = _poset_feature_encoding(poset, manager)
+        minterms, diagram, configs = _poset_feature_encoding(poset, manager)
+        index_to_name = {
+            manager.index_of_config(config): name for config, name in zip(configs, poset.elements)
+        }
 
         def guards(lats: Lats):
             for key, bits in lats.alpha.items():
@@ -446,11 +529,6 @@ def build_problem(
                 for i in iter_bits(bits):
                     handle = manager.disj(handle, minterms[i])
                 yield key, handle
-
-        def entry_names(handle):
-            return tuple(
-                index_to_name[i] for i in iter_bits(manager.sat_minterms(handle))
-            )
 
         return _problem(
             BddOps(manager, diagram),
@@ -460,8 +538,9 @@ def build_problem(
             guards(right),
             precedence,
             cond_count=len(poset),
-            entry_names=entry_names,
+            entry_names=_entry_names(manager, index_to_name.__getitem__),
             manager=manager,
+            condition_config=lambda cond: configs[poset.element_index(cond)],
         )
 
     raise ModelMismatch(
@@ -651,16 +730,15 @@ class BisimResult:
 
     def holds(self, x: str, y: str, cond: str) -> bool:
         problem = self.problem
-        if problem.poset is None:
-            names = self.conditions(x, y)
-            if cond not in names and cond not in problem.entry_names(problem.ops.top):
-                raise UnknownElement("unknown condition %r" % (cond,))
-            return cond in names
         xi, yi = _state_indices(self._ix, self._iy, x, y)
-        return bool(self.matrix[xi][yi] & (1 << problem.poset.element_index(cond)))
+        entry = self.matrix[xi][yi]
+        if problem.poset is None:
+            return problem.manager.evaluate(entry, problem.condition_config(cond))
+        return bool(entry & (1 << problem.poset.element_index(cond)))
 
     def report(self) -> dict:
-        return relation_report(self.problem.states_x, self.problem.states_y, self.conditions)
+        problem = self.problem
+        return relation_report(problem.states_x, problem.states_y, self.matrix, problem.entry_names)
 
     def checksum(self) -> str:
         return report_checksum(self.report())

@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 from pathlib import Path
@@ -42,6 +43,28 @@ def make_routing(check_unsafe_guard=("a", "b"), precedence=(("e", "u"),)) -> Lat
 @pytest.fixture
 def routing_pair():
     return make_routing(), make_routing(check_unsafe_guard=("a",))
+
+
+def two_feature_fts_dicts():
+    """Model files of an FTS pair over two upgrade features whose condition
+    names hold a comma.  The diagram leaves out {f2}; the b move back needs
+    both features on the left and f1 alone on the right, so (s, s) is
+    bisimilar under {f1,f2} only."""
+    left = {
+        "kind": "fts",
+        "states": ["s", "t"],
+        "alphabet": ["a", "b"],
+        "features": ["f1", "f2"],
+        "upgrade": ["f1", "f2"],
+        "diagram": "f1 | !f2",
+        "transitions": [
+            {"from": "s", "action": "a", "to": "t", "guard": "true"},
+            {"from": "t", "action": "b", "to": "s", "guard": "f1 & f2"},
+        ],
+    }
+    right = copy.deepcopy(left)
+    right["transitions"][1]["guard"] = "f1"
+    return left, right
 
 
 # --- seeded random model generators ------------------------------------------------

@@ -1,11 +1,17 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from ctsbisim.cli import main
+from ctsbisim.engine import brute_force_oracle, greatest_bisimulation
+from ctsbisim.modelio import load_model
+
+from conftest import two_feature_fts_dicts
 
 
 BDD = ("--backend", "bdd")
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(*argv):
@@ -156,6 +162,61 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert unknown in err
+
+    # tests/data holds these reports as the json.dumps(indent=2) rendering wrote them
+    @pytest.mark.parametrize("stem, data", [("routing", "cts"), ("routing_fts", "fts")])
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    @pytest.mark.parametrize("precedence", [(), ("--precedence",)], ids=["plain", "precedence"])
+    def test_report_bytes_are_the_recorded_ones(
+        self, models_dir, tmp_path, stem, data, backend, precedence
+    ):
+        # precedence does not change these two pairs' relations
+        out = tmp_path / "r.json"
+        code = run(
+            "check",
+            models_dir / (stem + "_basic.json"),
+            models_dir / (stem + "_modified.json"),
+            "--backend",
+            backend,
+            "--out",
+            out,
+            *precedence,
+        )
+        assert code == 0
+        assert out.read_bytes() == (DATA / ("check_routing_%s.json" % data)).read_bytes()
+
+
+@pytest.fixture
+def two_feature_files(tmp_path):
+    paths = tmp_path / "left.json", tmp_path / "right.json"
+    for path, model in zip(paths, two_feature_fts_dicts()):
+        path.write_text(json.dumps(model))
+    return paths
+
+
+class TestMultiFeatureConditions:
+    """A condition naming two or more features holds commas: ``{f1,f2}``."""
+
+    @pytest.mark.parametrize("cond", ["{f1,f2}", "{f1}"])
+    @pytest.mark.parametrize("command, backend", [("check", "explicit"), ("check", "bdd"), ("oracle", None)])
+    def test_pair_verdict_is_holds(self, two_feature_files, tmp_path, command, backend, cond):
+        left_path, right_path = two_feature_files
+        left, right = load_model(left_path), load_model(right_path)
+        if command == "oracle":
+            result, options = brute_force_oracle(left, right), ()
+        else:
+            result, options = greatest_bisimulation(left, right, backend=backend), ("--backend", backend)
+        expected = result.holds("s", "s", cond)
+        assert expected == (cond == "{f1,f2}")
+        pair = "s,s," + cond
+        code = run(command, left_path, right_path, "--pair", pair, "--out", tmp_path / "r.json", *options)
+        assert code == (0 if expected else 1)
+
+    def test_game_start(self, two_feature_files, tmp_path):
+        out = tmp_path / "game.txt"
+        code = run("game", *two_feature_files, "--start", "s,s,{f1,f2}", "--self-play", "--out", out)
+        assert code == 0
+        assert "winner: Player 2" in out.read_text()
 
 
 class TestOracle:

@@ -1,8 +1,11 @@
+import copy
+import json
 import random
 
 import pytest
 
 from ctsbisim import engine
+from ctsbisim.bdd import BddManager
 from ctsbisim.engine import (
     ConditionalRelation,
     ExplicitOps,
@@ -18,6 +21,7 @@ from ctsbisim.engine import (
     mats_leq,
     otimes_mul,
     otimes_mul_ops,
+    report_bytes,
     std_mul,
     std_mul_ops,
     top_matrix,
@@ -29,8 +33,10 @@ from ctsbisim.errors import (
     ModelMismatch,
     PrecedenceMismatch,
     PreconditionViolation,
+    UnknownElement,
 )
-from ctsbisim.models import Lats, lats_to_cts
+from ctsbisim.modelio import load_model, model_from_dict
+from ctsbisim.models import Lats, gen_benchmark_fts, lats_to_cts
 from ctsbisim.poset import ConditionPoset, LatticeElement, iter_bits
 
 from conftest import (
@@ -40,6 +46,7 @@ from conftest import (
     random_lats_pair,
     random_poset,
     random_precedence,
+    two_feature_fts_dicts,
 )
 from oracles import brute_residuum, classical_bisim_pairs, matrix_transfer
 
@@ -735,3 +742,121 @@ class TestIncrementalRounds:
         assert max(done[1:]) <= 2 * n
         matrix, iterations, history = whole_matrix_descent(res.problem)
         assert (res.matrix, res.iterations, res.history) == (matrix, iterations, history)
+
+
+# --- results: holds, report and its rendering -------------------------------------------
+
+
+def two_feature_pair():
+    return tuple(map(model_from_dict, two_feature_fts_dicts()))
+
+
+def holds_cases(models_dir):
+    """The CTS and FTS routing pairs and the paper's family for n <= 5."""
+    cases = [
+        (load_model(models_dir / (stem + "_basic.json")), load_model(models_dir / (stem + "_modified.json")))
+        for stem in ("routing", "routing_fts")
+    ]
+    return cases + [gen_benchmark_fts(n) for n in range(1, 6)]
+
+
+class TestSymbolicHolds:
+    @pytest.mark.parametrize("precedence", [False, True], ids=["plain", "precedence"])
+    def test_agrees_with_explicit_without_enumerating(self, models_dir, monkeypatch, precedence):
+        def no_enumeration(manager, handle):
+            raise AssertionError("holds enumerated the configurations of an entry")
+
+        for left, right in holds_cases(models_dir) + [two_feature_pair()]:
+            explicit = greatest_bisimulation(left, right, precedence=precedence)
+            symbolic = greatest_bisimulation(left, right, precedence=precedence, backend="bdd")
+            conditions = explicit.problem.poset.elements
+            with monkeypatch.context() as patch:
+                patch.setattr(BddManager, "sat_minterms", no_enumeration)
+                for x in left.states:
+                    for y in right.states:
+                        for cond in conditions:
+                            assert symbolic.holds(x, y, cond) == explicit.holds(x, y, cond)
+
+    @pytest.mark.parametrize(
+        "cond",
+        ["{f2,f1}", "{f2}", "{f3}", "{f1, f2}", "{f1,f1}", "f1", "{", "", "zzz"],
+    )
+    def test_unknown_names_raise(self, cond):
+        # non-canonical, inadmissible, undeclared and malformed names
+        left, right = two_feature_pair()
+        for backend in ("explicit", "bdd"):
+            res = greatest_bisimulation(left, right, backend=backend)
+            with pytest.raises(UnknownElement):
+                res.holds("s", "s", cond)
+
+
+def reference_bytes(report):
+    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
+
+
+class TestReportBytes:
+    """``report_bytes`` writes the relation-report layout itself; the
+    reference is the ``json.dumps`` rendering it must equal byte for byte."""
+
+    @pytest.mark.parametrize("precedence", [False, True], ids=["plain", "precedence"])
+    def test_random_results_and_oracle(self, precedence):
+        rng = random.Random(606)
+        for _ in range(20):
+            l1, l2 = random_lats_pair(rng, max_states=5, max_conds=5, with_precedence=True)
+            reports = [
+                greatest_bisimulation(l1, l2, precedence=precedence, backend=backend).report()
+                for backend in ("explicit", "bdd")
+            ]
+            reports.append(brute_force_oracle(l1, l2, precedence=precedence).report())
+            for report in reports:
+                assert report_bytes(report) == reference_bytes(report)
+
+    def test_no_pairs(self):
+        poset = ConditionPoset(["c"])
+        report = ConditionalRelation(poset, (), (), []).report()
+        assert report == {"pairs": []}
+        assert report_bytes(report) == reference_bytes(report)
+
+    def test_empty_condition_lists(self):
+        poset = ConditionPoset(["c0", "c1"])
+        report = ConditionalRelation(poset, ("x", "y"), ("u",), [[0], [0]]).report()
+        assert all(pair["conditions"] == [] for pair in report["pairs"])
+        assert report_bytes(report) == reference_bytes(report)
+
+    def test_names_that_need_escaping(self):
+        odd = ('say "hi"', "back\\slash", "new\nline", "caf\u00e9", "\u20ac\U0001f600", "\t\x00")
+        poset = ConditionPoset(list(odd[:3]), [(odd[0], odd[2])])
+        model = Lats(
+            odd,
+            ("a",),
+            poset,
+            {(x, "a", y): poset.full_mask for x, y in zip(odd, odd[1:])},
+        )
+        for backend in ("explicit", "bdd"):
+            report = greatest_bisimulation(model, model, backend=backend).report()
+            assert report_bytes(report) == reference_bytes(report)
+        report = {"pairs": [{"left": odd[3], "right": odd[4], "conditions": list(odd)}]}
+        assert report_bytes(report) == reference_bytes(report)
+
+
+class TestReportRecordsAreIndependent:
+    """Each distinct entry value is sorted once per report, but every pair
+    owns its list: editing one record changes no other and no later report."""
+
+    @staticmethod
+    def assert_independent(result):
+        report = result.report()
+        before = copy.deepcopy(report)
+        first = report["pairs"][0]["conditions"]
+        twins = [p for p in report["pairs"][1:] if p["conditions"] == first]
+        assert twins  # the memo is shared by at least two records
+        first.append("edited")
+        assert all(p["conditions"] == before["pairs"][0]["conditions"] for p in twins)
+        assert result.report() == before
+
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_bisim_result(self, routing_pair, backend):
+        self.assert_independent(greatest_bisimulation(*routing_pair, backend=backend))
+
+    def test_conditional_relation(self, routing_pair):
+        self.assert_independent(brute_force_oracle(*routing_pair))

@@ -34,3 +34,102 @@ def test_no_assert_statements(module):
     tree = ast.parse((PACKAGE / module).read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+# --- no cache that outlives a check ----------------------------------------------------
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+CONTAINER_NODES = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+CONTAINER_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict", "Counter", "deque"}
+MUTATING_METHODS = {
+    "append", "extend", "insert", "add", "update", "setdefault",
+    "pop", "popitem", "remove", "discard", "clear",
+}
+
+
+def cache_decorators(tree: ast.Module) -> list[int]:
+    """Lines that use ``functools.lru_cache``/``functools.cache``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in CACHE_DECORATORS for alias in node.names):
+                lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHE_DECORATORS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def module_containers(tree: ast.Module) -> set[str]:
+    """Names a module binds to a dict, set or list at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, CONTAINER_NODES) or (
+            isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name)
+            and value.func.id in CONTAINER_CALLS
+        ):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def mutated_module_containers(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every place a function mutates a module-level container:
+    a subscript store or delete, a mutating method call, or a ``global``
+    rebinding (which an augmented assignment needs too)."""
+    names = module_containers(tree)
+    hits = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Global):
+                hits.extend((name, node.lineno) for name in node.names if name in names)
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+                if isinstance(target, ast.Name) and target.id in names:
+                    hits.append((target.id, node.lineno))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                if node.func.attr in MUTATING_METHODS and isinstance(owner, ast.Name) and owner.id in names:
+                    hits.append((owner.id, node.lineno))
+    return hits
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_cache_outlives_a_call(module):
+    # memos live on per-problem objects (an ops object, a BDD manager, a
+    # closure of one build), so repeated inputs cannot be served from an
+    # earlier check's work
+    tree = ast.parse((PACKAGE / module).read_text())
+    assert cache_decorators(tree) == []
+    assert mutated_module_containers(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("import functools\n@functools.lru_cache\ndef f(x): return x\n", "decorator"),
+        ("from functools import cache\n", "decorator"),
+        ("MEMO = {}\ndef f(x):\n    MEMO[x] = 1\n", "container"),
+        ("SEEN = set()\ndef f(x):\n    SEEN.add(x)\n", "container"),
+        ("ROWS: list = []\ng = lambda x: ROWS.append(x)\n", "container"),
+        ("N = []\ndef f():\n    global N\n    N = [1]\n", "container"),
+        ("NAMES = {'a': 1}\ndef f(x):\n    return NAMES[x]\n", None),
+        ("class C:\n    def __init__(self):\n        self.memo = {}\n    def f(self, x):\n        self.memo[x] = 1\n", None),
+    ],
+)
+def test_cache_check_flags_what_it_should(source, flagged):
+    tree = ast.parse(source)
+    assert bool(cache_decorators(tree)) == (flagged == "decorator")
+    assert bool(mutated_module_containers(tree)) == (flagged == "container")

@@ -8,6 +8,7 @@ configuration *down* in the upgrade order.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterable, Iterator
@@ -156,6 +157,8 @@ def to_text(expr: FeatureExpr) -> str:
 # precedence ! > & > | > ->, with "->" right-associative.
 
 _SYMBOLS = ("->", "(", ")", "!", "&", "|")
+# a name token: a letter, digit or underscore, then those or dots
+_NAME = re.compile(r"\w[\w.]*")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -174,12 +177,10 @@ def _tokenize(text: str) -> list[str]:
             tokens.append(ch)
             i += 1
             continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+        name = _NAME.match(text, i)
+        if name:
+            tokens.append(name.group())
+            i = name.end()
             continue
         raise ExprError("unexpected character %r at position %d in %r" % (ch, i, text))
     return tokens
@@ -250,3 +251,11 @@ def parse_expr(text: str) -> FeatureExpr:
     if parser.peek() is not None:
         raise ExprError("trailing input %r in %r" % (parser.peek(), text))
     return expr
+
+
+def is_atom_name(name: str) -> bool:
+    """True iff a guard can mention ``name``: ``parse_expr(name) == Atom(name)``.
+
+    Configuration names join feature names inside braces, so only such names
+    keep every configuration's name distinct and parseable."""
+    return _NAME.fullmatch(name) is not None and name not in ("true", "false")

@@ -62,6 +62,12 @@ def _pairs(mapping, key, where) -> list[tuple[str, str]]:
 def _universe(raw, where, upgrade_default=None) -> FeatureUniverse:
     features = _names(raw, "features", where)
     upgrade = _names(raw, "upgrade", where, upgrade_default)
+    for key, names in (("features", features), ("upgrade", upgrade)):
+        for i, name in enumerate(names):
+            if not ft.is_atom_name(name):
+                raise ModelError(
+                    "%s.%s[%d]: %r is not a feature name (a guard atom)" % (where, key, i, name)
+                )
     try:
         return FeatureUniverse(features, upgrade)
     except UnknownFeature as exc:

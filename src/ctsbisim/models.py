@@ -8,6 +8,16 @@ lattice system that is built from, and presented as, its successor sets:
 systems carry a feature universe instead; their admissible
 configurations, ordered by upgrades, become the condition poset of the
 derived lattice system.
+
+The explicit build of that system is bit-parallel over the sorted
+admissible configurations: bit i of a mask stands for ``configs[i]``, and
+each feature has the mask of the configurations it is on in.  A guard is
+evaluated once on these masks, and each order row is an AND of n feature
+masks or their complements.  Both are exact because the upgrade order
+compares only the upgrade-feature sets and requires equal static parts:
+C <= C' iff every upgrade feature on in C' is on in C and every static
+feature is on in both or off in both, a conjunction of one test per
+feature.
 """
 
 from __future__ import annotations
@@ -78,6 +88,7 @@ class Lats:
         self.precedence = close_precedence(precedence, self.alphabet)
         state_set = set(self.states)
         guards: dict[tuple[str, str, str], int] = {}
+        closures: dict[int, int] = {}
         for (x, a, y), guard in alpha.items():
             if x not in state_set or y not in state_set:
                 raise ModelError("transition (%r, %r, %r) references unknown states" % (x, a, y))
@@ -91,15 +102,17 @@ class Lats:
                 bits = guard
             else:
                 bits = poset.bits_of_names(guard)
-            if close:
-                bits = poset.close_down_bits(bits)
-            elif not poset.is_down_closed_bits(bits):
+            if not bits:
+                continue
+            closed = closures.get(bits)
+            if closed is None:
+                closed = closures[bits] = poset.close_down_bits(bits)
+            if closed != bits and not close:
                 raise GuardNotDownwardClosed(
                     "guard of (%s, %s, %s) is not downward-closed: {%s}"
                     % (x, a, y, ", ".join(poset.names_of_bits(bits)))
                 )
-            if bits:
-                guards[(x, a, y)] = bits
+            guards[(x, a, y)] = closed
         self.alpha = guards
 
     def guard_bits(self, x: str, a: str, y: str) -> int:
@@ -207,6 +220,9 @@ class Fts:
         object.__setattr__(
             self, "precedence", close_precedence(self.precedence, self.alphabet)
         )
+        for name in self.universe.features:
+            if not ft.is_atom_name(name):
+                raise ModelError("%r is not a feature name (a guard atom)" % (name,))
         state_set = set(self.states)
         ft.check_atoms(self.diagram, self.universe)
         for (x, a, y), expr in self.trans.items():
@@ -245,68 +261,103 @@ def lats_to_cts(l: Lats) -> Cts:
     return _recast(l, Cts)
 
 
+def _feature_masks(configs: list[ft.Config], universe: FeatureUniverse) -> dict[str, int]:
+    """Per feature, the configurations it is on in: bit i for ``configs[i]``."""
+    masks = dict.fromkeys(universe.features, 0)
+    for i, c in enumerate(configs):
+        bit = 1 << i
+        for f in c:
+            masks[f] |= bit
+    return masks
+
+
+def _guard_bits(expr: FeatureExpr, masks: dict[str, int], full: int) -> int:
+    """The configurations satisfying ``expr``, evaluated once on the masks."""
+    if isinstance(expr, ft.Atom):
+        return masks[expr.name]
+    if isinstance(expr, ft.Const):
+        return full if expr.value else 0
+    if isinstance(expr, ft.Not):
+        return full & ~_guard_bits(expr.arg, masks, full)
+    left = _guard_bits(expr.left, masks, full)
+    right = _guard_bits(expr.right, masks, full)
+    if isinstance(expr, ft.And):
+        return left & right
+    if isinstance(expr, ft.Or):
+        return left | right
+    if isinstance(expr, ft.Imp):
+        return (full & ~left) | right
+    raise TypeError("not a feature expression: %r" % (expr,))
+
+
 def config_poset(configs: list[ft.Config], universe: FeatureUniverse) -> ConditionPoset:
     """The upgrade order on a set of configurations, as a condition poset.
 
-    Condition names are the canonical configuration strings.  Order rows
-    are computed directly; the upgrade order is a partial order by
-    construction, so the generic closure validation is skipped.
+    Condition names are the canonical configuration strings.  C <= C' iff
+    C' has no upgrade feature C lacks and the two agree on every static
+    feature, so each order row is an AND of feature masks:
+
+    - ``up[i]`` (the C' with configs[i] <= C') ANDs ``~mask(f)`` for every f
+      off in configs[i] and ``mask(f)`` for every static f on in it;
+    - ``down[i]`` (the C <= configs[i]) ANDs ``mask(f)`` for every f on in
+      configs[i] and ``~mask(f)`` for every static f off in it.
+
+    These rows are the order exactly, whatever the set of configurations;
+    it is a partial order by construction, so no closure is validated.
     """
-    feature_pos = {f: i for i, f in enumerate(universe.features)}
-    umask = sum(1 << feature_pos[f] for f in universe.upgrade)
-    enc = [sum(1 << feature_pos[f] for f in c) for c in configs]
-    n = len(configs)
-    up = [0] * n
-    for i in range(n):
-        ci = enc[i]
-        ci_static = ci & ~umask
-        row = 0
-        for j in range(n):
-            cj = enc[j]
-            # configs[i] <= configs[j]: j's upgrades are on in i, rest equal
-            if cj & umask & ~ci == 0 and cj & ~umask == ci_static:
-                row |= 1 << j
-        up[i] = row
-    names = [ft.config_name(c) for c in configs]
-    return ConditionPoset._from_up_rows(names, up)
+    masks = _feature_masks(configs, universe)
+    full = (1 << len(configs)) - 1
+    columns = [(f, f not in universe.upgrade, masks[f], full & ~masks[f]) for f in universe.features]
+    up, down = [], []
+    for c in configs:
+        up_row = down_row = full
+        for f, static, on, off in columns:
+            if f in c:
+                down_row &= on
+                if static:
+                    up_row &= on
+            else:
+                up_row &= off
+                if static:
+                    down_row &= off
+        up.append(up_row)
+        down.append(down_row)
+    return ConditionPoset._from_rows([ft.config_name(c) for c in configs], up, down)
 
 
 def fts_to_lats(f: Fts, close: bool = False) -> Lats:
     """Conditions are the admissible configurations under the upgrade order;
     the guard of a transition collects the configurations satisfying its
     expression.  Guards must be downward-closed (more upgrades cannot lose
-    a transition) unless ``close`` requests their downward closure."""
+    a transition) unless ``close`` requests their downward closure.
+
+    Each guard is evaluated once on per-feature masks over the admissible
+    configurations (``Atom`` is its mask, ``Not``/``And``/``Or``/``Imp`` are
+    the bitwise complement within them, ``&``, ``|`` and ``~l | r``), and
+    each distinct guard value is tested for downward closure once.
+    """
     configs = f.admissible_configs()
     poset = config_poset(configs, f.universe)
+    masks = _feature_masks(configs, f.universe)
+    full = poset.full_mask
+    closures: dict[int, int] = {}
     alpha: dict[tuple[str, str, str], int] = {}
     for (x, a, y), expr in f.trans.items():
-        bits = 0
-        for i, c in enumerate(configs):
-            if ft.evaluate(expr, c):
-                bits |= 1 << i
+        bits = _guard_bits(expr, masks, full)
         if not bits:
             continue
-        if not poset.is_down_closed_bits(bits):
-            if close:
-                bits = poset.close_down_bits(bits)
-            else:
-                have = bits
-                culprit = next(
-                    (i, j)
-                    for i in iter_bits(have)
-                    for j in iter_bits(poset.down[i] & ~have)
-                )
-                raise GuardNotDownwardClosed(
-                    "guard of (%s, %s, %s) holds at %s but not at the upgrade %s"
-                    % (
-                        x,
-                        a,
-                        y,
-                        ft.config_name(configs[culprit[0]]),
-                        ft.config_name(configs[culprit[1]]),
-                    )
-                )
-        alpha[(x, a, y)] = bits
+        closed = closures.get(bits)
+        if closed is None:
+            closed = closures[bits] = poset.close_down_bits(bits)
+        if closed != bits and not close:
+            i, j = next(
+                (i, j) for i in iter_bits(bits) for j in iter_bits(poset.down[i] & ~bits)
+            )
+            raise GuardNotDownwardClosed(
+                "guard of (%s, %s, %s) holds at %s but not at the upgrade %s"
+                % (x, a, y, poset.elements[i], poset.elements[j])
+            )
+        alpha[(x, a, y)] = closed
     return Lats(f.states, f.alphabet, poset, alpha, precedence=f.precedence)
 
 

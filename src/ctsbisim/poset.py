@@ -74,20 +74,18 @@ class ConditionPoset:
         object.__setattr__(self, "_hash", hash((elements, tuple(up))))
 
     @classmethod
-    def _from_up_rows(cls, elements: Sequence[str], up: Sequence[int]) -> "ConditionPoset":
-        """Trusted constructor for rows already known to be a partial order."""
+    def _from_rows(
+        cls, elements: Sequence[str], up: Sequence[int], down: Sequence[int]
+    ) -> "ConditionPoset":
+        """Trusted constructor for rows already known to be a partial order
+        and its converse."""
         self = object.__new__(cls)
         elements = tuple(elements)
-        n = len(elements)
-        down = [0] * n
-        for i in range(n):
-            for j in iter_bits(up[i]):
-                down[j] |= 1 << i
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", {name: i for i, name in enumerate(elements)})
         object.__setattr__(self, "up", tuple(up))
         object.__setattr__(self, "down", tuple(down))
-        object.__setattr__(self, "full_mask", (1 << n) - 1)
+        object.__setattr__(self, "full_mask", (1 << len(elements)) - 1)
         object.__setattr__(self, "_hash", hash((elements, tuple(up))))
         return self
 
@@ -136,9 +134,12 @@ class ConditionPoset:
 
     def close_down_bits(self, bits: int) -> int:
         """Smallest downward-closed superset."""
+        down = self.down
         acc = 0
-        for i in iter_bits(bits):
-            acc |= self.down[i]
+        while bits:
+            acc |= down[(bits & -bits).bit_length() - 1]
+            # rows are reflexive and transitive: nothing in acc adds more
+            bits &= ~acc
         return acc
 
     def up_closure_bits(self, bits: int) -> int:

@@ -9,7 +9,10 @@ the engine's own kernel does not call.
 
 from itertools import chain, combinations
 
+from ctsbisim import features as ft
 from ctsbisim.engine import ExplicitOps, otimes_mul_ops, std_mul_ops, transpose
+from ctsbisim.errors import GuardNotDownwardClosed
+from ctsbisim.models import Lats
 from ctsbisim.poset import ConditionPoset, iter_bits
 
 
@@ -105,6 +108,42 @@ def brute_close_down(sat: set, all_configs, upgrade) -> set:
         if any(brute_config_leq(c, s, upgrade) for s in sat):
             out.add(frozenset(c))
     return out
+
+
+def per_config_fts_to_lats(f, close=False) -> Lats:
+    """``fts_to_lats`` from the definition, one configuration at a time.
+
+    The conditions are the configurations satisfying the diagram, in
+    canonical order; the order is ``upgrade_leq`` tested on every pair and
+    closed by the validating poset constructor; a guard collects the
+    configurations satisfying its expression.  A guard holding at c but not
+    at some upgrade c' <= c is closed downward on request, otherwise the
+    lowest such c and then the lowest such c' are reported.
+    """
+    universe = f.universe
+    configs = ft.sort_configs(
+        c for c in universe.configurations() if ft.evaluate(f.diagram, c)
+    )
+    names = [ft.config_name(c) for c in configs]
+    below = {
+        i: [j for j, d in enumerate(configs) if ft.upgrade_leq(d, c, universe)]
+        for i, c in enumerate(configs)
+    }
+    poset = ConditionPoset(names, [(names[j], names[i]) for i in below for j in below[i]])
+    alpha = {}
+    for (x, a, y), expr in f.trans.items():
+        sat = {i for i, c in enumerate(configs) if ft.evaluate(expr, c)}
+        missing = [(i, j) for i in sorted(sat) for j in below[i] if j not in sat]
+        if missing and not close:
+            i, j = missing[0]
+            raise GuardNotDownwardClosed(
+                "guard of (%s, %s, %s) holds at %s but not at the upgrade %s"
+                % (x, a, y, names[i], names[j])
+            )
+        sat |= {j for _, j in missing}
+        if sat:
+            alpha[(x, a, y)] = sum(1 << i for i in sat)
+    return Lats(f.states, f.alphabet, poset, alpha, precedence=f.precedence)
 
 
 def classical_bisim_pairs(lts1, lts2, alphabet) -> set:

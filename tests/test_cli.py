@@ -13,6 +13,26 @@ from conftest import two_feature_fts_dicts
 BDD = ("--backend", "bdd")
 DATA = Path(__file__).resolve().parent / "data"
 
+# three features, one of them static (log); the diagram removes {}, {ssl}
+# and {log,ssl}
+THREE_FEATURE_FTS = {
+    "kind": "fts",
+    "states": ["idle", "auth", "send", "log"],
+    "alphabet": ["login", "push", "audit", "done"],
+    "precedence": [["audit", "done"]],
+    "features": ["enc", "log", "ssl"],
+    "upgrade": ["enc", "ssl"],
+    "diagram": "(ssl -> enc) & (log | enc)",
+    "transitions": [
+        {"from": "idle", "action": "login", "to": "auth", "guard": "true"},
+        {"from": "auth", "action": "push", "to": "send", "guard": "enc | !log"},
+        {"from": "auth", "action": "push", "to": "idle", "guard": "ssl"},
+        {"from": "send", "action": "audit", "to": "log", "guard": "log & enc"},
+        {"from": "send", "action": "done", "to": "idle", "guard": "true"},
+        {"from": "log", "action": "done", "to": "idle", "guard": "!log -> ssl"},
+    ],
+}
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -118,6 +138,23 @@ class TestCheck:
         )
         assert code == 1
 
+
+    def test_feature_names_that_collide_as_conditions_exit_2(self, tmp_path, capsys):
+        # {a,b} would name both the configuration of a and b and that of "a,b"
+        model = {
+            "kind": "fts",
+            "states": ["s"],
+            "alphabet": ["act"],
+            "features": ["a", "b", "a,b"],
+            "transitions": [{"from": "s", "action": "act", "to": "s", "guard": "a"}],
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        for backend in ("explicit", "bdd"):
+            assert run("check", path, path, "--backend", backend, "--out", tmp_path / "r.json") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "model.features[2]" in err
 
     # the ids of the explicit cases predate the model and option columns
     @pytest.mark.parametrize(
@@ -270,6 +307,26 @@ class TestConvert:
         }
         assert guards[("unsafe", "e", "ready")] == ["{enc}"]
 
+    # tests/data holds the convert output as the per-configuration build wrote
+    # it; element order and poset rows are part of the output contract
+    @pytest.mark.parametrize("to", ["lats", "cts"])
+    @pytest.mark.parametrize("stem", ["routing_fts", "three_feature"])
+    def test_output_bytes_are_the_recorded_ones(self, models_dir, tmp_path, stem, to):
+        if stem == "routing_fts":
+            path = models_dir / "routing_fts_basic.json"
+        else:
+            path = tmp_path / "three.json"
+            path.write_text(json.dumps(THREE_FEATURE_FTS))
+        out = tmp_path / "out.json"
+        assert run("convert", path, "--to", to, "--out", out) == 0
+        assert out.read_bytes() == (DATA / ("convert_%s_%s.json" % (stem, to))).read_bytes()
+
+    def test_converted_lats_checks_on_bdd(self, models_dir, tmp_path):
+        lats = tmp_path / "lats.json"
+        assert run("convert", models_dir / "routing_fts_basic.json", "--to", "lats", "--out", lats) == 0
+        code = run("check", lats, lats, *BDD, "--pair", "ready,ready,{enc}", "--out", tmp_path / "r.json")
+        assert code == 0
+
     def test_undefined_conversion_exits_2(self, models_dir, capsys):
         assert run("convert", models_dir / "routing_basic.json", "--to", "fts") == 2
         assert "not defined" in capsys.readouterr().err
@@ -297,8 +354,9 @@ class TestApprox:
             ({"features": 5, "upgrade": [], "expr": "x"}, "input.features"),
             ({"features": ["a"], "upgrade": [], "expr": 5}, "input.expr"),
             (5, "input: expected an object"),
+            ({"features": ["a", "a,b"], "upgrade": [], "expr": "a"}, "input.features[1]"),
         ],
-        ids=["features-not-a-list", "expr-not-a-string", "not-an-object"],
+        ids=["features-not-a-list", "expr-not-a-string", "not-an-object", "feature-name-not-an-atom"],
     )
     def test_malformed_input_exits_2(self, tmp_path, capsys, raw, field):
         bad = tmp_path / "approx.json"

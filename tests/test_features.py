@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctsbisim import features as ft
 from ctsbisim.errors import ExprError, UnknownFeature
@@ -12,6 +14,19 @@ class TestParser:
         assert parse_expr("enc") == ft.Atom("enc")
         assert parse_expr("true") == ft.TRUE
         assert parse_expr("false") == ft.FALSE
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["a", "a.b", "_", "f1", "ö2", "true", "false", "x y", "{a}", "a,b", "1.", ".a", "!a", "a->b"])
+        | st.text(alphabet=st.sampled_from("aZ09_.,{} !&|->()\tö"), max_size=5)
+        | st.text(max_size=4)
+    )
+    def test_atom_names_are_what_parses_to_that_atom(self, name):
+        try:
+            parses_to_itself = parse_expr(name) == ft.Atom(name)
+        except ExprError:
+            parses_to_itself = False
+        assert ft.is_atom_name(name) == parses_to_itself
 
     def test_precedence(self):
         # ! binds tighter than &, & tighter than |, | tighter than ->

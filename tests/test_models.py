@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ctsbisim import features as ft
+from ctsbisim import models
 from ctsbisim.errors import (
     GuardNotDownwardClosed,
     ModelError,
@@ -34,6 +35,7 @@ from ctsbisim.models import (
 from ctsbisim.poset import ConditionPoset, iter_bits
 
 from conftest import make_routing, random_lats_pair
+from oracles import per_config_fts_to_lats
 
 
 class TestCts:
@@ -207,11 +209,28 @@ class TestFts:
             fts_to_lats(f)
         assert "{}" in str(err.value) and "{x}" in str(err.value)
 
+    def test_order_skips_configurations_the_diagram_removes(self):
+        # {enc} and {ssl} are inadmissible, yet {enc,ssl} is an upgrade of {}
+        u = FeatureUniverse(("enc", "ssl"), {"enc", "ssl"})
+        diagram = parse_expr("(enc -> ssl) & (ssl -> enc)")
+        f = Fts(u, ("s",), ("act",), {("s", "act", "s"): parse_expr("!enc")}, diagram)
+        with pytest.raises(GuardNotDownwardClosed, match=r"holds at \{\} but not at the upgrade \{enc,ssl\}"):
+            fts_to_lats(f)
+        poset = fts_to_lats(f, close=True).poset
+        assert poset.elements == ("{}", "{enc,ssl}")
+        assert poset.leq("{enc,ssl}", "{}")
+
     def test_violating_guard_closed_on_request(self):
         u = FeatureUniverse(("x",), {"x"})
         f = Fts(u, ("s",), ("act",), {("s", "act", "s"): parse_expr("!x")}, ft.TRUE)
         lats = fts_to_lats(f, close=True)
         assert set(lats.guard("s", "act", "s").members()) == {"{}", "{x}"}
+
+    @pytest.mark.parametrize("name", ["true", "x y", "{a}", "a,b", "!a"])
+    def test_feature_name_must_be_a_guard_atom(self, name):
+        u = FeatureUniverse(("a", name))
+        with pytest.raises(ModelError, match="not a feature name"):
+            Fts(u, ("s",), ("act",), {}, ft.TRUE)
 
     def test_undeclared_atom(self):
         u = FeatureUniverse(("x",))
@@ -242,6 +261,125 @@ class TestBenchmarkFamily:
     def test_size_must_be_positive(self):
         with pytest.raises(ModelError):
             gen_benchmark_fts(0)
+
+
+# --- the bit-parallel FTS build against its per-configuration referee ----------------
+
+FEATURE_NAMES = ("zeta", "b", "a1", "c_2", "m", "d")
+
+
+def random_expr(rng, names, depth):
+    if not names or depth == 0 or rng.random() < 0.3:
+        if not names or rng.random() < 0.1:
+            return ft.Const(rng.random() < 0.5)
+        return ft.Atom(rng.choice(names))
+    kind = rng.choice((ft.Not, ft.And, ft.Or, ft.Imp))
+    if kind is ft.Not:
+        return ft.Not(random_expr(rng, names, depth - 1))
+    return kind(random_expr(rng, names, depth - 1), random_expr(rng, names, depth - 1))
+
+
+def random_monotone_guard(rng, universe, depth=3):
+    """And/Or over positive upgrade atoms and arbitrary static formulas:
+    more upgrades cannot falsify it, so it is downward-closed."""
+    static = [f for f in universe.features if f not in universe.upgrade]
+    if depth == 0 or rng.random() < 0.35:
+        if universe.upgrade and rng.random() < 0.6:
+            return ft.Atom(rng.choice(sorted(universe.upgrade)))
+        return random_expr(rng, static, 2)
+    kind = rng.choice((ft.And, ft.Or))
+    return kind(random_monotone_guard(rng, universe, depth - 1), random_monotone_guard(rng, universe, depth - 1))
+
+
+def random_fts(rng) -> Fts:
+    """1-6 features (unsorted names), each upgrade or static at random; a
+    random, true or unsatisfiable diagram; random or monotone guards."""
+    names = list(FEATURE_NAMES[: rng.randint(1, 6)])
+    rng.shuffle(names)
+    universe = FeatureUniverse(tuple(names), frozenset(f for f in names if rng.random() < 0.6))
+    roll = rng.random()
+    if roll < 0.1:
+        diagram = ft.And(ft.Atom(names[0]), ft.Not(ft.Atom(names[0])))
+    elif roll < 0.3:
+        diagram = ft.TRUE
+    else:
+        diagram = random_expr(rng, names, 3)
+    states = tuple("s%d" % i for i in range(rng.randint(1, 3)))
+    alphabet = ("a", "b")[: rng.randint(1, 2)]
+    trans = {}
+    for x in states:
+        for a in alphabet:
+            for y in states:
+                if rng.random() < 0.5:
+                    monotone = rng.random() < 0.7
+                    trans[(x, a, y)] = (
+                        random_monotone_guard(rng, universe) if monotone else random_expr(rng, names, 3)
+                    )
+    precedence = frozenset({("b", "a")}) if len(alphabet) == 2 and rng.random() < 0.3 else frozenset()
+    return Fts(universe, states, alphabet, trans, diagram, precedence)
+
+
+def build_or_error(build, f, close):
+    try:
+        return build(f, close)
+    except GuardNotDownwardClosed as exc:
+        return exc
+
+
+class TestFtsBuildReferee:
+    def test_equals_per_configuration_build(self):
+        rng = random.Random(1706)
+        outcomes = {"raised": 0, "empty": 0, "ordered": 0}
+        for _ in range(320):
+            f = random_fts(rng)
+            for close in (False, True):
+                expected = build_or_error(per_config_fts_to_lats, f, close)
+                got = build_or_error(fts_to_lats, f, close)
+                if isinstance(expected, GuardNotDownwardClosed):
+                    assert isinstance(got, GuardNotDownwardClosed)
+                    assert str(got) == str(expected)
+                    outcomes["raised"] += 1
+                    continue
+                assert got == expected
+                assert got.poset.down == expected.poset.down
+                if not len(got.poset):
+                    outcomes["empty"] += 1
+                elif not got.poset.is_discrete:
+                    outcomes["ordered"] += 1
+        # the family raises, closes, builds empty and non-discrete posets
+        assert min(outcomes.values()) >= 20
+
+    def test_work_is_one_guard_evaluation_and_one_closure_per_distinct_guard(self, monkeypatch):
+        evaluated = []
+        closures = []
+        in_lats_init = []
+        evaluate = ft.evaluate
+        close_down = ConditionPoset.close_down_bits
+        lats_init = Lats.__init__
+
+        def counting_evaluate(expr, config):
+            evaluated.append(expr)
+            return evaluate(expr, config)
+
+        def counting_close_down(poset, bits):
+            closures.append(bits)
+            return close_down(poset, bits)
+
+        def counting_init(self, *args, **kwargs):
+            before = len(closures)
+            lats_init(self, *args, **kwargs)
+            in_lats_init.append(len(closures) - before)
+
+        monkeypatch.setattr(ft, "evaluate", counting_evaluate)
+        monkeypatch.setattr(ConditionPoset, "close_down_bits", counting_close_down)
+        monkeypatch.setattr(Lats, "__init__", counting_init)
+        lats = models.fts_to_lats(gen_benchmark_fts(8)[1])
+        distinct = len(set(lats.alpha.values()))
+        # the diagram's test per configuration at most, no guard's
+        assert len(evaluated) <= 2**8
+        assert len(in_lats_init) == 1
+        assert in_lats_init[0] <= distinct
+        assert len(closures) - in_lats_init[0] <= distinct
 
 
 class TestModelIo:
@@ -383,6 +521,12 @@ class TestMalformedModels:
             ("routing_fts_basic", ("upgrade",), ["zz"], r"model\.upgrade: upgrade features not declared"),
             ("routing_basic", ("poset", "elements", 0), 1, r"model\.poset\.elements\[0\]"),
             ("routing_fts_basic", ("features", 0), 1, r"model\.features\[0\]"),
+            # a feature name must be a guard atom: configuration names join them
+            ("routing_fts_basic", ("features",), ["enc", "true"], r"model\.features\[1\]: 'true'"),
+            ("routing_fts_basic", ("features",), ["enc", "x y"], r"model\.features\[1\]: 'x y'"),
+            ("routing_fts_basic", ("features",), ["enc", "{a}"], r"model\.features\[1\]: '\{a\}'"),
+            ("routing_fts_basic", ("features",), ["enc", "a,b"], r"model\.features\[1\]: 'a,b'"),
+            ("routing_fts_basic", ("upgrade",), ["{a}"], r"model\.upgrade\[0\]: '\{a\}'"),
         ],
     )
     def test_malformed_field_is_named(self, models_dir, stem, path, value, match):

@@ -55,6 +55,8 @@ class BddManager:
         self._dc_memo: dict[int, bool] = {0: True, 1: True}
         self._residuum_memo: dict[tuple[int, int, int], int] = {}
         self._minterm_memo: dict[tuple[int, int], int] = {}
+        # (handle, diagram) pairs that passed the residuum's argument checks
+        self._residuum_args: set[tuple[int, int]] = set()
 
     def __len__(self) -> int:
         return len(self._level)
@@ -100,15 +102,16 @@ class BddManager:
 
     # --- connectives --------------------------------------------------------
 
+    # The terminals are the two smallest handles, so after ordering the pair
+    # only the smaller one needs the terminal test.
+
     def conj(self, u: int, v: int) -> int:
-        if u == FALSE or v == FALSE:
-            return FALSE
-        if u == TRUE:
-            return v
-        if v == TRUE or u == v:
-            return u
         if u > v:
             u, v = v, u
+        if u <= TRUE:
+            return v if u else FALSE
+        if u == v:
+            return u
         key = (u, v)
         cached = self._and_memo.get(key)
         if cached is not None:
@@ -122,14 +125,12 @@ class BddManager:
         return result
 
     def disj(self, u: int, v: int) -> int:
-        if u == TRUE or v == TRUE:
-            return TRUE
-        if u == FALSE:
-            return v
-        if v == FALSE or u == v:
-            return u
         if u > v:
             u, v = v, u
+        if u <= TRUE:
+            return TRUE if u else v
+        if u == v:
+            return u
         key = (u, v)
         cached = self._or_memo.get(key)
         if cached is not None:
@@ -312,18 +313,24 @@ class BddManager:
     def residuum(self, b1: int, b2: int, d: int) -> int:
         """The residuum b1 -> b2 inside the lattice of d's configurations.
 
-        Both arguments must be downward-closed and imply d.  When d itself
-        is downward-closed the computation drops the ``or not d`` term.
+        Both arguments must be downward-closed and imply d; each handle is
+        checked once per diagram, and a handle that fails is checked again
+        and rejected on every call.  When d itself is downward-closed the
+        computation drops the ``or not d`` term.
         """
         key = (b1, b2, d)
         cached = self._residuum_memo.get(key)
         if cached is not None:
             return cached
+        checked = self._residuum_args
         for name, b in (("b1", b1), ("b2", b2)):
+            if (b, d) in checked:
+                continue
             if not self.leq(b, d):
                 raise PreconditionViolation("%s does not imply the diagram" % name)
             if not self.is_downward_closed_within(b, d):
                 raise PreconditionViolation("%s is not downward-closed within the diagram" % name)
+            checked.add((b, d))
         core = self.disj(self.neg(b1), b2)
         if not self.is_downward_closed(d):
             core = self.disj(core, self.neg(d))

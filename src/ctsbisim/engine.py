@@ -20,6 +20,14 @@ changed, found through predecessor lists.  Rounds stay synchronous, so the
 fixpoint, the round count and the per-entry history are those of applying
 the operator to the whole matrix every round.
 
+The first round is the image of the all-top relation, and there it has a
+closed form: every reply is its guard, and the residuum turns the join of
+a state's guards under an action into one residuum, so an entry depends
+only on the two states' signatures (per action, the join of the guards
+and the escape).  ``_transfer`` evaluates each distinct pair of signatures
+once when it is asked for the whole image of top.  In later rounds a reply
+into a bottom entry adds nothing to the join and is skipped.
+
 Work that depends only on a value is done once per distinct value: the
 explicit ops memoize the residuum by its arguments (as ``BddManager`` does
 for handles), a BDD problem decodes each configuration's name once,
@@ -43,6 +51,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
 from . import features as ft
+from . import models
 from .bdd import BddManager
 from .errors import (
     CapExceeded,
@@ -450,10 +459,13 @@ def build_problem(
             raise ModelMismatch("feature universes differ")
         _check_common(left, right, precedence)
         if backend == "explicit":
-            l1 = fts_to_lats(left, close=close)
-            l2 = fts_to_lats(right, close=close)
-            if l1.poset != l2.poset:
+            configs = left.admissible_configs()
+            if right.admissible_configs() != configs:
                 raise ModelMismatch("feature diagrams carve out different configurations")
+            # one configuration poset for both systems
+            over = configs, models.config_poset(configs, left.universe)
+            l1 = fts_to_lats(left, close=close, over=over)
+            l2 = fts_to_lats(right, close=close, over=over)
             return _explicit_problem(l1, l2, precedence)
         manager = BddManager(left.universe, var_order)
         diagram = manager.from_expr(left.diagram)
@@ -567,6 +579,60 @@ def _explicit_problem(l1: Lats, l2: Lats, precedence: bool) -> Problem:
 # --- transfer operator -------------------------------------------------------------------
 
 
+def _signatures(problem: Problem, succ: dict, esc: dict, n: int):
+    """The distinct state signatures ``((G^a, esc^a))_a`` of one system, where
+    G^a joins the state's a-guards, and per state its signature's index."""
+    join, bottom = problem.ops.join, problem.ops.bottom
+    index, of_state = {}, []
+    for i in range(n):
+        sig = []
+        for a in problem.alphabet:
+            g = bottom
+            for _, h in succ[a][i]:
+                g = join(g, h)
+            sig.append((g, esc[a][i]))
+        of_state.append(index.setdefault(tuple(sig), len(index)))
+    return list(index), of_state
+
+
+def _first_image(problem: Problem, residuum):
+    """The image of the all-top relation, one evaluation per pair of state
+    signatures.
+
+    Under top every reply to an a-move is ``meet(h, top) = h``, so a move
+    x -a,g-> x' needs ``esc_x^a | G_y^a``, and the meet of the residua of
+    x's a-moves is the one residuum of their join G_x^a, by
+    ``(g1 | g2) -> s = (g1 -> s) & (g2 -> s)``:
+
+        entry(x, y) = meet over a of (G_x^a -> esc_x^a | G_y^a)
+                                   & (G_y^a -> esc_y^a | G_x^a)
+
+    That is a function of the two states' signatures (see ``_signatures``).
+    An action without moves on one side is top there and calls no residuum.
+    """
+    ops = problem.ops
+    meet, join, top, bottom = ops.meet, ops.join, ops.top, ops.bottom
+    sigs_x, of_x = _signatures(problem, problem.succ_x, problem.esc_x, len(problem.states_x))
+    sigs_y, of_y = _signatures(problem, problem.succ_y, problem.esc_y, len(problem.states_y))
+
+    def value(sx, sy):
+        acc = top
+        for (gx, ex), (gy, ey) in zip(sx, sy):
+            if gx != bottom:
+                acc = meet(acc, residuum(gx, join(ex, gy)))
+            if gy != bottom:
+                acc = meet(acc, residuum(gy, join(ey, gx)))
+            if acc == bottom:
+                break
+        return acc
+
+    rows = []
+    for sx in sigs_x:
+        values = [value(sx, sy) for sy in sigs_y]
+        rows.append([values[k] for k in of_y])
+    return [list(rows[k]) for k in of_x]
+
+
 def _transfer(problem: Problem, R, residuum, stale: dict | None = None):
     """One application of the transfer operator to the relation matrix R.
 
@@ -576,14 +642,19 @@ def _transfer(problem: Problem, R, residuum, stale: dict | None = None):
     The escape join must stay inside the residuum: it excuses an unmatched
     move exactly under the conditions where a higher action is enabled.
     A deadlocked pair keeps top; an entry is final once it reaches bottom.
+    A reply into a bottom entry adds nothing to the join and is skipped.
 
-    With ``stale`` (row -> columns) only those entries are evaluated, and
-    only where R is not bottom yet; every other entry is copied from R.
-    That is the whole image only inside a descent from top, where an entry
-    none of whose successor pairs changed keeps its value.
+    Without ``stale`` this is the whole image; when R is all top, as in the
+    first round of a descent, it is evaluated per pair of state signatures
+    (``_first_image``).  With ``stale`` (row -> columns) only those entries
+    are evaluated, and only where R is not bottom yet; every other entry is
+    copied from R.  That is the whole image only inside a descent from top,
+    where an entry none of whose successor pairs changed keeps its value.
     """
     ops = problem.ops
     meet, join, top, bottom = ops.meet, ops.join, ops.top, ops.bottom
+    if stale is None and all(row.count(top) == len(row) for row in R):
+        return _first_image(problem, residuum)
     Rt = transpose(R)
     per_action = [
         (problem.succ_x[a], problem.succ_y[a], problem.esc_x[a], problem.esc_y[a])
@@ -599,7 +670,9 @@ def _transfer(problem: Problem, R, residuum, stale: dict | None = None):
                     row = rel[t]
                     sup = esc
                     for u, h in replies:
-                        sup = join(sup, meet(h, row[u]))
+                        v = row[u]
+                        if v != bottom:
+                            sup = join(sup, meet(h, v))
                     acc = meet(acc, residuum(g, sup))
                     if acc == bottom:
                         return bottom
@@ -649,14 +722,15 @@ def _descend(problem: Problem, step, history: dict | None = None):
     """Apply ``step`` from the all-top relation until it is stable; returns
     the fixpoint and the number of rounds that changed the relation.
 
-    Each round passes ``step`` the stale entries (row -> columns), and
-    only those are compared: every entry in the first round, afterwards
-    the pairs (x, y) with moves x -a-> x' and y -a-> y' into an entry
-    (x', y') that the previous round changed.  With ``history``, each
-    entry that round r changes gets ``(r, old value)`` appended under its
-    ``(xi, yi)``.  Descent from top makes "no entry changed" equivalent to
-    the post-fixpoint test; the safeguard bound turns any monotonicity bug
-    into a loud failure instead of divergence.
+    The first round asks ``step`` for the whole image of top, which
+    ``_transfer`` evaluates per pair of state signatures.  Every later
+    round passes the stale entries (row -> columns): the pairs (x, y) with
+    moves x -a-> x' and y -a-> y' into an entry (x', y') that the previous
+    round changed.  Only stale entries are compared.  With ``history``,
+    each entry that round r changes gets ``(r, old value)`` appended under
+    its ``(xi, yi)``.  Descent from top makes "no entry changed" equivalent
+    to the post-fixpoint test; the safeguard bound turns any monotonicity
+    bug into a loud failure instead of divergence.
     """
     nx, ny = len(problem.states_x), len(problem.states_y)
     bound = nx * ny * problem.cond_count + 1
@@ -664,9 +738,9 @@ def _descend(problem: Problem, step, history: dict | None = None):
     preds = [(pred_x[a], pred_y[a]) for a in problem.alphabet]
     R = top_matrix(problem.ops, nx, ny)
     stale = {xi: range(ny) for xi in range(nx)}
+    nxt = step(problem, R)
     rounds = 0
     while True:
-        nxt = step(problem, R, stale)
         changed = []
         for xi, cols in stale.items():
             row, new_row = R[xi], nxt[xi]
@@ -694,6 +768,7 @@ def _descend(problem: Problem, step, history: dict | None = None):
         # sorted lists rather than sets that live through the next round:
         # large sets leave the C heap fragmented and the peak RSS higher
         stale = {x: sorted(set(cols)) for x, cols in stale.items()}
+        nxt = step(problem, R, stale)
 
 
 class BisimResult:

@@ -325,7 +325,9 @@ def config_poset(configs: list[ft.Config], universe: FeatureUniverse) -> Conditi
     return ConditionPoset._from_rows([ft.config_name(c) for c in configs], up, down)
 
 
-def fts_to_lats(f: Fts, close: bool = False) -> Lats:
+def fts_to_lats(
+    f: Fts, close: bool = False, over: tuple[list[ft.Config], ConditionPoset] | None = None
+) -> Lats:
     """Conditions are the admissible configurations under the upgrade order;
     the guard of a transition collects the configurations satisfying its
     expression.  Guards must be downward-closed (more upgrades cannot lose
@@ -335,9 +337,15 @@ def fts_to_lats(f: Fts, close: bool = False) -> Lats:
     configurations (``Atom`` is its mask, ``Not``/``And``/``Or``/``Imp`` are
     the bitwise complement within them, ``&``, ``|`` and ``~l | r``), and
     each distinct guard value is tested for downward closure once.
+
+    ``over`` is ``(f.admissible_configs(), their config_poset)`` when the
+    caller has them already, as for two systems over one diagram.
     """
-    configs = f.admissible_configs()
-    poset = config_poset(configs, f.universe)
+    if over is None:
+        configs = f.admissible_configs()
+        poset = config_poset(configs, f.universe)
+    else:
+        configs, poset = over
     masks = _feature_masks(configs, f.universe)
     full = poset.full_mask
     closures: dict[int, int] = {}

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written by enumeration, straight from the
 definitions, and shares no code path with the implementations under test.
-The one exception, ``matrix_transfer``, is the paper's matrix form of the
-transfer operator: it uses the generic residuated matrix products, which
-the engine's own kernel does not call.
+Two exceptions: ``matrix_transfer`` is the paper's matrix form of the
+transfer operator and uses the generic residuated matrix products, which
+the engine's own kernel does not call; ``per_move_image`` reads a built
+``Problem`` and its lattice ops, and referees only how the kernel
+evaluates the operator on them.
 """
 
 from itertools import chain, combinations
@@ -59,6 +61,41 @@ def matrix_transfer(l1, l2, R):
         t2 = transpose(otimes_mul_ops(ops, beta[a], transpose(std_mul_ops(ops, alpha[a], R))))
         out = [[o & p & q for o, p, q in zip(*rows)] for rows in zip(out, t1, t2)]
     return out
+
+
+def per_move_image(problem, R, residuum):
+    """The transfer operator's whole image of R, one residuum per move.
+
+    Entry (x, y) is the meet, over every move x -a,g-> x', of
+    ``residuum(g, esc | join of h & R(x', y') over the moves y -a,h-> y')``,
+    with esc x's escape under a, and symmetrically over the moves of y.
+    Every move and every reply is evaluated: nothing is grouped by state
+    signature and no bottom reply is skipped.
+    """
+    ops = problem.ops
+    meet, join, top, bottom = ops.meet, ops.join, ops.top, ops.bottom
+    Rt = transpose(R)
+
+    def entry(xi, yi):
+        acc = top
+        for a in problem.alphabet:
+            xs, ys = problem.succ_x[a][xi], problem.succ_y[a][yi]
+            for moves, replies, esc, rel in (
+                (xs, ys, problem.esc_x[a][xi], R),
+                (ys, xs, problem.esc_y[a][yi], Rt),
+            ):
+                for t, g in moves:
+                    row = rel[t]
+                    sup = esc
+                    for u, h in replies:
+                        sup = join(sup, meet(h, row[u]))
+                    acc = meet(acc, residuum(g, sup))
+                    if acc == bottom:
+                        return bottom
+        return acc
+
+    ny = len(problem.states_y)
+    return [[entry(xi, yi) for yi in range(ny)] for xi in range(len(problem.states_x))]
 
 
 def separation_rounds(l1, l2) -> dict:

@@ -307,6 +307,58 @@ class TestResiduum:
         with pytest.raises(PreconditionViolation, match="does not imply"):
             m.residuum(1, outside, outside)
 
+    def test_invalid_handles_raise_after_validation_against_another_diagram(self):
+        u = FeatureUniverse(("f0", "f1"), {"f0"})
+        m = BddManager(u)
+        without_f0 = m.from_expr(parse_expr("!f0"))
+        with_f0 = m.from_expr(parse_expr("f0"))
+        # !f0 is the whole lattice of the diagram !f0, but not downward-closed
+        # within true; f0 is downward-closed within true but outside f1
+        assert m.residuum(without_f0, without_f0, without_f0) == without_f0
+        assert m.residuum(with_f0, with_f0, 1) == 1
+        for _ in range(2):
+            with pytest.raises(PreconditionViolation, match="b1 is not downward-closed"):
+                m.residuum(without_f0, 1, 1)
+            with pytest.raises(PreconditionViolation, match="b2 is not downward-closed"):
+                m.residuum(1, without_f0, 1)
+            f1 = m.var("f1")
+            with pytest.raises(PreconditionViolation, match="b1 does not imply"):
+                m.residuum(with_f0, f1, f1)
+            with pytest.raises(PreconditionViolation, match="b2 does not imply"):
+                m.residuum(f1, with_f0, f1)
+
+    def test_each_argument_is_checked_once_per_diagram(self, monkeypatch):
+        from oracles import all_downset_masks
+
+        u = FeatureUniverse(("f0", "f1", "f2"), {"f0", "f2"})
+        m = BddManager(u)
+        checks = []
+        check = m.is_downward_closed_within
+
+        def counting(b, d):
+            checks.append((b, d))
+            return check(b, d)
+
+        monkeypatch.setattr(m, "is_downward_closed_within", counting)
+        for text in ("true", "f0 | f1"):
+            d = m.from_expr(parse_expr(text))
+            configs = ft.sort_configs(map(frozenset, m.sat_configs(d)))
+            poset = config_poset(configs, u)
+            handles = []
+            for bits in all_downset_masks(poset):
+                h = 0
+                for i in iter_bits(bits):
+                    h = m.disj(h, m.conj(d, m.from_expr(parse_expr(minterm_text(configs[i], u)))))
+                handles.append(h)
+            for b1 in handles:
+                for b2 in handles:
+                    m.residuum(b1, b2, d)
+        assert len(checks) == len(set(checks)) > 0
+
+
+def minterm_text(config, universe):
+    return " & ".join(f if f in config else "!" + f for f in universe.features)
+
 
 class TestExportAndCounts:
     def test_dot_conventions(self):

@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from ctsbisim import engine
+from ctsbisim import engine, models
 from ctsbisim.bdd import BddManager
 from ctsbisim.engine import (
     ConditionalRelation,
@@ -35,8 +37,9 @@ from ctsbisim.errors import (
     PreconditionViolation,
     UnknownElement,
 )
+from ctsbisim.features import parse_expr
 from ctsbisim.modelio import load_model, model_from_dict
-from ctsbisim.models import Lats, gen_benchmark_fts, lats_to_cts
+from ctsbisim.models import Lats, fts_to_lats, gen_benchmark_fts, lats_to_cts
 from ctsbisim.poset import ConditionPoset, LatticeElement, iter_bits
 
 from conftest import (
@@ -48,7 +51,9 @@ from conftest import (
     random_precedence,
     two_feature_fts_dicts,
 )
-from oracles import brute_residuum, classical_bisim_pairs, matrix_transfer
+from oracles import brute_residuum, classical_bisim_pairs, matrix_transfer, per_move_image
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def embed(poset, *rows):
@@ -631,6 +636,42 @@ class TestBackendAgreement:
                 assert set(fts_res.conditions(x, y)) == expected
 
 
+class TestExplicitFtsBuild:
+    def test_one_configuration_poset_per_pair(self, monkeypatch):
+        built = []
+        config_poset = models.config_poset
+
+        def counting(configs, universe):
+            built.append(len(configs))
+            return config_poset(configs, universe)
+
+        monkeypatch.setattr(models, "config_poset", counting)
+        left, right = gen_benchmark_fts(4)
+        problem = build_problem(left, right)
+        assert built == [16]
+        assert problem.poset == fts_to_lats(left).poset
+
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_diagrams_compare_by_their_configurations(self, backend):
+        left, right = gen_benchmark_fts(2)
+        same = dataclasses.replace(right, diagram=parse_expr("f1 | !f1"))
+        assert build_problem(left, same, backend=backend).cond_count == 4
+        narrower = dataclasses.replace(right, diagram=parse_expr("f1 | f2"))
+        with pytest.raises(ModelMismatch, match="different configurations"):
+            build_problem(left, narrower, backend=backend)
+
+
+class TestBenchChecksums:
+    def test_gen_benchmark_fts_checksums_are_pinned(self):
+        # checksum() of every bench cell up to n = 8, recorded on both backends
+        pinned = json.loads((DATA / "bench_checksums.json").read_text())
+        assert sorted(pinned, key=int) == [str(n) for n in range(1, 9)]
+        for n, want in pinned.items():
+            left, right = gen_benchmark_fts(int(n))
+            for backend in ("explicit", "bdd"):
+                assert greatest_bisimulation(left, right, backend=backend).checksum() == want[backend]
+
+
 class TestCtsIsLats:
     def test_cts_rendition_gives_the_same_reports(self):
         rng = random.Random(404)
@@ -742,6 +783,137 @@ class TestIncrementalRounds:
         assert max(done[1:]) <= 2 * n
         matrix, iterations, history = whole_matrix_descent(res.problem)
         assert (res.matrix, res.iterations, res.history) == (matrix, iterations, history)
+
+
+# --- the first image -----------------------------------------------------------------
+
+
+def guard_joins(lats, x):
+    """Per action, the join of x's guards: x's signature without escapes,
+    which the escapes are functions of."""
+    joins = dict.fromkeys(lats.alphabet, 0)
+    for (src, a, _), bits in lats.alpha.items():
+        if src == x:
+            joins[a] |= bits
+    return tuple(joins.values())
+
+
+def templated_lats(rng, poset, states, alphabet, precedence):
+    """States draw their guards from two templates and their targets at
+    random, so the states of one template share their signature."""
+    templates = []
+    for _ in range(2):
+        shape = [(a, random_downset_bits(rng, poset)) for a in alphabet for _ in range(rng.randint(0, 2))]
+        templates.append([(a, bits) for a, bits in shape if bits])
+    alpha = {}
+    for x in states:
+        for a, bits in rng.choice(templates):
+            alpha[(x, a, rng.choice(states))] = bits
+    return Lats(states, alphabet, poset, alpha, precedence=precedence)
+
+
+def first_image_pairs(rng, count, discrete=False):
+    """Seeded LaTS pairs with 0-7 states a side, sparse and dense, half of
+    them built from shared templates."""
+    for i in range(count):
+        if discrete:
+            poset = ConditionPoset(["c%d" % k for k in range(rng.randint(1, 4))], [])
+        else:
+            poset = random_poset(rng, 4)
+        alphabet = ("act0", "act1", "act2")[: rng.randint(1, 3)]
+        order = random_precedence(rng, alphabet)
+        sides = []
+        for side in "xy":
+            states = tuple("%s%d" % (side, k) for k in range(rng.randint(0, 7)))
+            if i % 2:
+                sides.append(templated_lats(rng, poset, states, alphabet, order))
+            else:
+                density = rng.choice((0.05, 0.2, 0.4))
+                sides.append(random_lats(rng, poset, states, alphabet, order, density))
+        yield tuple(sides)
+
+
+def top_of(problem):
+    return top_matrix(problem.ops, len(problem.states_x), len(problem.states_y))
+
+
+def decoded(problem, M):
+    return [[sorted(problem.entry_names(e)) for e in row] for row in M]
+
+
+def boolean_residuum(problem):
+    top = problem.ops.top
+    return lambda g, s: (top ^ g) | s
+
+
+class TestFirstImage:
+    @pytest.mark.parametrize("precedence", [False, True], ids=["plain", "precedence"])
+    def test_equals_per_move_reference(self, precedence):
+        rng = random.Random(808)
+        seen = {"empty": 0, "no moves": 0, "shared": 0}
+        for l1, l2 in first_image_pairs(rng, 80):
+            explicit = build_problem(l1, l2, precedence=precedence)
+            top = top_of(explicit)
+            want = per_move_image(explicit, top, explicit.ops.residuum)
+            assert apply_G_ops(explicit, top) == want
+            # the Boolean image, on any order
+            boolean = boolean_residuum(explicit)
+            assert apply_F_boolean_ops(explicit, top) == per_move_image(explicit, top, boolean)
+            symbolic = build_problem(l1, l2, backend="bdd", precedence=precedence)
+            assert decoded(symbolic, apply_G_ops(symbolic, top_of(symbolic))) == decoded(explicit, want)
+            # one entry below top: the whole image, not the first one
+            if top and top[0]:
+                R = [list(row) for row in top]
+                R[0][0] = explicit.ops.bottom
+                assert apply_G_ops(explicit, R) == per_move_image(explicit, R, explicit.ops.residuum)
+            for lats in (l1, l2):
+                joins = [guard_joins(lats, x) for x in lats.states]
+                seen["empty"] += not lats.states
+                seen["no moves"] += any(not any(j) for j in joins)
+                seen["shared"] += len(set(joins)) < len(joins)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("precedence", [False, True], ids=["plain", "precedence"])
+    def test_boolean_image_on_discrete_orders(self, precedence):
+        rng = random.Random(809)
+        for l1, l2 in first_image_pairs(rng, 40, discrete=True):
+            problem = build_problem(l1, l2, precedence=precedence)
+            assert problem.discrete
+            top = top_of(problem)
+            want = per_move_image(problem, top, boolean_residuum(problem))
+            assert apply_F_boolean_ops(problem, top) == want
+            assert apply_G_ops(problem, top) == want
+
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_round_zero_residua_are_bounded_by_signature_pairs(self, backend, monkeypatch):
+        calls = []
+        transfer = engine._transfer
+
+        def counting_transfer(problem, R, residuum, stale=None):
+            calls.append(0)
+
+            def counted(g, s):
+                calls[-1] += 1
+                return residuum(g, s)
+
+            return transfer(problem, R, counted, stale)
+
+        monkeypatch.setattr(engine, "_transfer", counting_transfer)
+        n = 24
+        left, right = chain_pair(n)
+        res = greatest_bisimulation(left, right, backend=backend)
+        assert len(calls) == res.iterations + 1
+        # all states but the tail share one signature on each side
+        assert calls[0] <= 2 * 2 * 2 * len(left.alphabet)
+        # the per-move reference pays at least one residuum per entry
+        problem, per_move = res.problem, []
+
+        def counted(g, s):
+            per_move.append(g)
+            return problem.ops.residuum(g, s)
+
+        per_move_image(problem, top_of(problem), counted)
+        assert len(per_move) >= n * n
 
 
 # --- results: holds, report and its rendering -------------------------------------------

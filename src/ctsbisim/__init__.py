@@ -1,6 +1,6 @@
 """Conditional bisimilarity for conditional, lattice, and featured transition systems."""
 
-from .bdd import Bdd, BddManager, from_expr
+from .bdd import BddManager
 from .engine import (
     BisimResult,
     ConditionalRelation,

@@ -10,16 +10,16 @@ the residuum inside the lattice carved out by a feature diagram.
 
 A manager is a single-writer object: constructing operations must be
 serialized externally; read-only queries on an unchanging manager may run
-concurrently.  Handles are plain ints and travel with their manager.
+concurrently.  Handles are plain ints that mean something only to the
+manager that made them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Sequence
 
 from . import features as ft
-from .errors import ManagerMismatch, PreconditionViolation, UnknownFeature
+from .errors import PreconditionViolation, UnknownFeature
 from .features import FeatureExpr, FeatureUniverse
 
 FALSE = 0
@@ -153,9 +153,6 @@ class BddManager:
         self._not_memo[u] = result
         self._not_memo[result] = u
         return result
-
-    def imp(self, u: int, v: int) -> int:
-        return self.disj(self.neg(u), v)
 
     def leq(self, u: int, v: int) -> bool:
         """u implies v."""
@@ -356,59 +353,3 @@ class BddManager:
                 lines.append("  n%d -> n%d [style=dashed];" % (h, self._lo[h]))
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class Bdd:
-    """A root handle tied to its manager; the safe public face of a node."""
-
-    manager: BddManager
-    handle: int
-
-    def _peer(self, other: "Bdd") -> int:
-        if other.manager is not self.manager:
-            raise ManagerMismatch("operands belong to different BDD managers")
-        return other.handle
-
-    def __and__(self, other: "Bdd") -> "Bdd":
-        return Bdd(self.manager, self.manager.conj(self.handle, self._peer(other)))
-
-    def __or__(self, other: "Bdd") -> "Bdd":
-        return Bdd(self.manager, self.manager.disj(self.handle, self._peer(other)))
-
-    def __invert__(self) -> "Bdd":
-        return Bdd(self.manager, self.manager.neg(self.handle))
-
-    def implies(self, other: "Bdd") -> bool:
-        return self.manager.leq(self.handle, self._peer(other))
-
-    def evaluate(self, config: Collection[str]) -> bool:
-        return self.manager.evaluate(self.handle, config)
-
-    def is_downward_closed(self) -> bool:
-        return self.manager.is_downward_closed(self.handle)
-
-    def approximate(self) -> "Bdd":
-        return Bdd(self.manager, self.manager.approx(self.handle))
-
-    def residuum(self, other: "Bdd", diagram: "Bdd") -> "Bdd":
-        return Bdd(
-            self.manager,
-            self.manager.residuum(self.handle, self._peer(other), self._peer(diagram)),
-        )
-
-    def sat_configs(self) -> list[ft.Config]:
-        return self.manager.sat_configs(self.handle)
-
-    def node_counts(self) -> tuple[int, int]:
-        return self.manager.node_counts(self.handle)
-
-    def to_dot(self, name: str = "robdd") -> str:
-        return self.manager.to_dot(self.handle, name)
-
-
-def from_expr(manager: BddManager, expr: FeatureExpr | str) -> Bdd:
-    if isinstance(expr, str):
-        expr = ft.parse_expr(expr)
-    return Bdd(manager, manager.from_expr(expr))
-

@@ -36,6 +36,20 @@ def _var_order(raw: str | None):
     return [name.strip() for name in raw.split(",") if name.strip()]
 
 
+def _write_relation(relation, args) -> int:
+    """Write the relation report; with ``--pair``, exit 0 iff the pair is related."""
+    _write_output(report_bytes(relation.report()).decode(), args.out)
+    if args.pair:
+        x, y, cond = _parse_pair(args.pair)
+        verdict = relation.holds(x, y, cond)
+        print(
+            "%s ~ %s under %s: %s" % (x, y, cond, "bisimilar" if verdict else "not bisimilar"),
+            file=sys.stderr,
+        )
+        return 0 if verdict else 1
+    return 0
+
+
 def cmd_check(args) -> int:
     left = load_model(args.left, close=args.close)
     right = load_model(args.right, close=args.close)
@@ -47,32 +61,13 @@ def cmd_check(args) -> int:
         var_order=_var_order(args.var_order),
         close=args.close,
     )
-    _write_output(report_bytes(result.report()).decode(), args.out)
-    if args.pair:
-        x, y, cond = _parse_pair(args.pair)
-        verdict = result.holds(x, y, cond)
-        print(
-            "%s ~ %s under %s: %s" % (x, y, cond, "bisimilar" if verdict else "not bisimilar"),
-            file=sys.stderr,
-        )
-        return 0 if verdict else 1
-    return 0
+    return _write_relation(result, args)
 
 
 def cmd_oracle(args) -> int:
     left = load_model(args.left, close=args.close)
     right = load_model(args.right, close=args.close)
-    relation = brute_force_oracle(left, right, precedence=args.precedence)
-    _write_output(report_bytes(relation.report()).decode(), args.out)
-    if args.pair:
-        x, y, cond = _parse_pair(args.pair)
-        verdict = relation.holds(x, y, cond)
-        print(
-            "%s ~ %s under %s: %s" % (x, y, cond, "bisimilar" if verdict else "not bisimilar"),
-            file=sys.stderr,
-        )
-        return 0 if verdict else 1
-    return 0
+    return _write_relation(brute_force_oracle(left, right, precedence=args.precedence), args)
 
 
 def cmd_convert(args) -> int:

@@ -28,6 +28,13 @@ and the escape).  ``_transfer`` evaluates each distinct pair of signatures
 once when it is asked for the whole image of top.  In later rounds a reply
 into a bottom entry adds nothing to the join and is skipped.
 
+A relation is read in one place, ``ConditionalRelation``, on both
+backends.  ``build_problem`` supplies the backend's part once per problem:
+decoding an entry to its condition names, and testing one condition in an
+entry (on BDD problems by evaluating the entry on the condition's one
+configuration, without enumerating the entry).  ``BisimResult`` is the
+fixpoint matrix read through these two.
+
 Work that depends only on a value is done once per distinct value: the
 explicit ops memoize the residuum by its arguments (as ``BddManager`` does
 for handles), a BDD problem decodes each configuration's name once,
@@ -35,8 +42,6 @@ for handles), a BDD problem decodes each configuration's name once,
 ``report_bytes`` renders each distinct condition list once.  ROBDDs are
 canonical, so equal entries are equal keys on both backends.  Each memo
 lives on a per-problem object or within one call; none outlives a check.
-A BDD ``holds`` evaluates the entry on the condition's one configuration
-instead of enumerating the entry.
 
 The residuated matrix products ``std_mul``/``otimes_mul`` are the paper's
 algebra on dense matrices; the engine's own iteration does not use them.
@@ -79,11 +84,11 @@ class ExplicitOps:
     kind = "explicit"
     meet = staticmethod(operator.and_)
     join = staticmethod(operator.or_)
+    bottom = 0
 
     def __init__(self, poset: ConditionPoset):
-        self.poset = poset
         self.top = poset.full_mask
-        self.bottom = 0
+        self._residuum_bits = poset.residuum_bits
         self._residuum_memo: dict[tuple[int, int], int] = {}
 
     def leq(self, a, b):
@@ -93,7 +98,7 @@ class ExplicitOps:
         key = (a, b)
         result = self._residuum_memo.get(key)
         if result is None:
-            result = self._residuum_memo[key] = self.poset.residuum_bits(a, b)
+            result = self._residuum_memo[key] = self._residuum_bits(a, b)
         return result
 
 
@@ -101,18 +106,14 @@ class BddOps:
     """ROBDD lattice of downward-closed sets within a feature diagram."""
 
     kind = "bdd"
+    bottom = 0
 
     def __init__(self, manager: BddManager, diagram: int):
-        self.manager = manager
-        self.diagram = diagram
         self.top = diagram
-        self.bottom = 0
         self.meet = manager.conj
         self.join = manager.disj
         self.leq = manager.leq
-
-    def residuum(self, a, b):
-        return self.manager.residuum(a, b, self.diagram)
+        self.residuum = lambda a, b: manager.residuum(a, b, diagram)
 
 
 # --- matrix helpers ------------------------------------------------------------------
@@ -241,14 +242,6 @@ def relation_report(states_x, states_y, rows, names_of) -> dict:
     return {"pairs": pairs}
 
 
-def _state_indices(ix: dict, iy: dict, x: str, y: str) -> tuple[int, int]:
-    if x not in ix:
-        raise UnknownState("unknown left state %r" % (x,))
-    if y not in iy:
-        raise UnknownState("unknown right state %r" % (y,))
-    return ix[x], iy[y]
-
-
 def report_bytes(report: dict) -> bytes:
     """Render a relation report (see ``relation_report``) as the CLI prints it.
 
@@ -283,12 +276,20 @@ def report_checksum(report: dict) -> str:
 
 
 class ConditionalRelation:
-    """A matrix of downward-closed condition sets indexed by state pairs."""
+    """A matrix of downward-closed condition sets indexed by state pairs.
+
+    Entries are elements of either backend's lattice: bitsets over ``poset``,
+    or ROBDD handles (``poset`` is None).  ``entry_names`` decodes an entry
+    to its condition names and ``entry_holds`` tests one condition in an
+    entry, so every read of a relation, on both backends, is a method of
+    this class.  The constructor takes bitsets over ``poset`` and validates
+    them; ``BisimResult`` binds a computed matrix to its problem's decoders
+    without validating it again.
+    """
 
     def __init__(self, poset, states_x, states_y, rows):
-        self.poset = poset
-        self.states_x = tuple(states_x)
-        self.states_y = tuple(states_y)
+        rows = [list(r) for r in rows]
+        self._bind(poset, states_x, states_y, rows, poset.names_of_bits, poset.has_bits)
         if len(rows) != len(self.states_x) or any(len(r) != len(self.states_y) for r in rows):
             raise DimensionMismatch("relation matrix does not match the state sets")
         for row in rows:
@@ -298,18 +299,25 @@ class ConditionalRelation:
                         "relation entry {%s} is not downward-closed"
                         % ", ".join(poset.names_of_bits(bits))
                     )
-        self.rows = [list(r) for r in rows]
+
+    def _bind(self, poset, states_x, states_y, rows, entry_names, entry_holds):
+        self.poset = poset
+        self.states_x = tuple(states_x)
+        self.states_y = tuple(states_y)
+        self.rows = rows
+        self.entry_names = entry_names
+        self.entry_holds = entry_holds
         self._ix = {x: i for i, x in enumerate(self.states_x)}
         self._iy = {y: i for i, y in enumerate(self.states_y)}
 
     @classmethod
     def top(cls, poset, states_x, states_y):
-        full = poset.full_mask
-        rows = [[full] * len(tuple(states_y)) for _ in tuple(states_x)]
-        return cls(poset, states_x, states_y, rows)
+        states_x, states_y = tuple(states_x), tuple(states_y)
+        return cls(poset, states_x, states_y, [[poset.full_mask] * len(states_y) for _ in states_x])
 
     @classmethod
     def from_mapping(cls, poset, states_x, states_y, mapping, close=False):
+        states_x, states_y = tuple(states_x), tuple(states_y)
         rows = []
         for x in states_x:
             row = []
@@ -319,18 +327,24 @@ class ConditionalRelation:
             rows.append(row)
         return cls(poset, states_x, states_y, rows)
 
-    def _bits(self, x: str, y: str) -> int:
-        xi, yi = _state_indices(self._ix, self._iy, x, y)
-        return self.rows[xi][yi]
+    def _entry(self, x: str, y: str):
+        if x not in self._ix:
+            raise UnknownState("unknown left state %r" % (x,))
+        if y not in self._iy:
+            raise UnknownState("unknown right state %r" % (y,))
+        return self.rows[self._ix[x]][self._iy[y]]
 
     def holds(self, x: str, y: str, cond: str) -> bool:
-        return bool(self._bits(x, y) & (1 << self.poset.element_index(cond)))
+        return self.entry_holds(self._entry(x, y), cond)
 
     def conditions(self, x: str, y: str) -> tuple[str, ...]:
-        return tuple(sorted(self.poset.names_of_bits(self._bits(x, y))))
+        return tuple(sorted(self.entry_names(self._entry(x, y))))
 
     def report(self) -> dict:
-        return relation_report(self.states_x, self.states_y, self.rows, self.poset.names_of_bits)
+        return relation_report(self.states_x, self.states_y, self.rows, self.entry_names)
+
+    def checksum(self) -> str:
+        return report_checksum(self.report())
 
 
 # --- problem preparation ---------------------------------------------------------------
@@ -344,9 +358,12 @@ class Problem:
     i under a, and ``esc_x[a][i]`` is the join of the guards on strictly
     higher actions at i (bottom when precedence is off); ``succ_y`` and
     ``esc_y`` are the same for the right system.  ``entry_names`` decodes an
-    entry to its condition names; on BDD problems ``condition_config`` maps a
-    condition name to the one configuration that encodes it, so a single
-    condition is read off an entry without enumerating the entry.
+    entry to its condition names and ``entry_holds(entry, cond)`` tests one
+    condition, raising ``UnknownElement`` for a name that is not a
+    condition; ``ConditionalRelation`` reads relations through these two.
+    On BDD problems ``entry_holds`` evaluates the entry on the condition's
+    one configuration instead of enumerating the entry.  ``poset`` is set on
+    explicit problems and ``manager`` on BDD ones.
     """
 
     ops: object
@@ -359,9 +376,9 @@ class Problem:
     esc_y: dict
     cond_count: int
     entry_names: Callable[[object], tuple[str, ...]]
+    entry_holds: Callable[[object, str], bool]
     poset: ConditionPoset | None = None
     manager: BddManager | None = None
-    condition_config: Callable[[str], ft.Config] | None = None
     discrete: bool = False
 
 
@@ -496,7 +513,7 @@ def build_problem(
 
         features = frozenset(left.universe.features)
 
-        def condition_config(cond: str) -> ft.Config:
+        def entry_holds(handle, cond: str) -> bool:
             # the canonical name of an admissible configuration, e.g. ``{enc,ssl}``
             inner = cond[1:-1]
             config = frozenset(inner.split(",")) if inner else frozenset()
@@ -506,7 +523,7 @@ def build_problem(
                 and manager.evaluate(diagram, config)
             ):
                 raise UnknownElement("unknown condition %r" % (cond,))
-            return config
+            return manager.evaluate(handle, config)
 
         return _problem(
             BddOps(manager, diagram),
@@ -517,8 +534,8 @@ def build_problem(
             precedence,
             cond_count=manager.sat_count(diagram),
             entry_names=_entry_names(manager, config_name_of_index),
+            entry_holds=entry_holds,
             manager=manager,
-            condition_config=condition_config,
         )
 
     if isinstance(left, Lats) and isinstance(right, Lats):
@@ -551,8 +568,8 @@ def build_problem(
             precedence,
             cond_count=len(poset),
             entry_names=_entry_names(manager, index_to_name.__getitem__),
+            entry_holds=lambda h, cond: manager.evaluate(h, configs[poset.element_index(cond)]),
             manager=manager,
-            condition_config=lambda cond: configs[poset.element_index(cond)],
         )
 
     raise ModelMismatch(
@@ -571,6 +588,7 @@ def _explicit_problem(l1: Lats, l2: Lats, precedence: bool) -> Problem:
         precedence,
         cond_count=len(poset),
         entry_names=poset.names_of_bits,
+        entry_holds=poset.has_bits,
         poset=poset,
         discrete=poset.is_discrete,
     )
@@ -771,52 +789,35 @@ def _descend(problem: Problem, step, history: dict | None = None):
         nxt = step(problem, R, stale)
 
 
-class BisimResult:
-    """The greatest fixpoint of a problem.  ``history`` maps an entry's
+class BisimResult(ConditionalRelation):
+    """The greatest fixpoint of a problem: its matrix as a relation read
+    through the problem's ``entry_names``/``entry_holds``, trusted rather
+    than validated again, on either backend.  ``history`` maps an entry's
     ``(xi, yi)`` to the ``(round, old value)`` of every round that changed
     it, in round order (None when it was not recorded)."""
 
     def __init__(self, problem: Problem, matrix, history: dict | None, iterations: int):
+        p = problem
+        self._bind(p.poset, p.states_x, p.states_y, matrix, p.entry_names, p.entry_holds)
         self.problem = problem
-        self.matrix = matrix
         self.history = history
         self.iterations = iterations
-        self._ix = {x: i for i, x in enumerate(problem.states_x)}
-        self._iy = {y: i for i, y in enumerate(problem.states_y)}
+
+    # named in this class's own body so that tracing can wrap them here
+    holds = ConditionalRelation.holds
+    report = ConditionalRelation.report
 
     @property
     def backend(self) -> str:
         return self.problem.ops.kind
 
     @property
-    def relation(self) -> ConditionalRelation | None:
-        if self.problem.poset is None:
-            return None
-        return ConditionalRelation(
-            self.problem.poset,
-            self.problem.states_x,
-            self.problem.states_y,
-            self.matrix,
-        )
+    def matrix(self):
+        return self.rows
 
-    def conditions(self, x: str, y: str) -> tuple[str, ...]:
-        xi, yi = _state_indices(self._ix, self._iy, x, y)
-        return tuple(sorted(self.problem.entry_names(self.matrix[xi][yi])))
-
-    def holds(self, x: str, y: str, cond: str) -> bool:
-        problem = self.problem
-        xi, yi = _state_indices(self._ix, self._iy, x, y)
-        entry = self.matrix[xi][yi]
-        if problem.poset is None:
-            return problem.manager.evaluate(entry, problem.condition_config(cond))
-        return bool(entry & (1 << problem.poset.element_index(cond)))
-
-    def report(self) -> dict:
-        problem = self.problem
-        return relation_report(problem.states_x, problem.states_y, self.matrix, problem.entry_names)
-
-    def checksum(self) -> str:
-        return report_checksum(self.report())
+    @property
+    def relation(self) -> ConditionalRelation:
+        return self
 
 
 def greatest_bisimulation(
@@ -849,7 +850,7 @@ def greatest_bisimulation(
 def _relation_matrix_for(R: ConditionalRelation, problem: Problem):
     if R.states_x != problem.states_x or R.states_y != problem.states_y:
         raise ModelMismatch("relation states do not match the models")
-    if problem.poset is not None and R.poset != problem.poset:
+    if R.poset != problem.poset:
         raise ModelMismatch("relation poset does not match the models")
     return R.rows
 

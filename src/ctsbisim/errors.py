@@ -33,10 +33,6 @@ class UnknownFeature(CtsBisimError):
     """An expression references a feature outside the universe."""
 
 
-class ManagerMismatch(CtsBisimError):
-    """BDD handles from different managers were mixed."""
-
-
 class PreconditionViolation(CtsBisimError):
     """An operation's documented precondition does not hold for an input."""
 

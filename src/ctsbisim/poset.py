@@ -175,6 +175,10 @@ class ConditionPoset:
     def names_of_bits(self, bits: int) -> tuple[str, ...]:
         return tuple(self.elements[i] for i in iter_bits(bits))
 
+    def has_bits(self, bits: int, name: str) -> bool:
+        """Whether the condition ``name`` is in the set ``bits``."""
+        return bool(bits >> self.element_index(name) & 1)
+
     def bits_of_names(self, names: Iterable[str]) -> int:
         bits = 0
         for name in names:

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from ctsbisim import features as ft
-from ctsbisim.bdd import Bdd, BddManager, from_expr
-from ctsbisim.errors import ManagerMismatch, PreconditionViolation, UnknownFeature
+from ctsbisim.bdd import BddManager
+from ctsbisim.errors import PreconditionViolation, UnknownFeature
 from ctsbisim.features import FeatureUniverse, parse_expr
 from ctsbisim.models import config_poset
 from ctsbisim.poset import iter_bits
@@ -78,13 +78,13 @@ class TestConstruction:
 class TestApply:
     def test_conjunction_with_negation_is_false(self):
         m = BddManager(FeatureUniverse(("f0", "f1")))
-        b = from_expr(m, "f0 | f1")
-        assert (b & ~b).handle == 0
+        b = m.from_expr(parse_expr("f0 | f1"))
+        assert m.conj(b, m.neg(b)) == 0
 
     def test_disjunction_with_true(self):
         m = BddManager(FeatureUniverse(("f0",)))
-        b = from_expr(m, "f0")
-        assert (b | Bdd(m, 1)).handle == 1
+        b = m.from_expr(parse_expr("f0"))
+        assert m.disj(b, 1) == 1
 
     def test_semantics_by_enumeration(self):
         u = FeatureUniverse(("f0", "f1", "f2", "f3"))
@@ -113,12 +113,6 @@ class TestApply:
         for i in range(len(handles)):
             for j in range(len(handles)):
                 assert (handles[i] == handles[j]) == (sats[i] == sats[j])
-
-    def test_manager_mismatch(self):
-        m1 = BddManager(FeatureUniverse(("f0",)))
-        m2 = BddManager(FeatureUniverse(("f0",)))
-        with pytest.raises(ManagerMismatch):
-            from_expr(m1, "f0") & from_expr(m2, "f0")
 
 
 class TestEvaluate:

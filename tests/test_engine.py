@@ -39,7 +39,7 @@ from ctsbisim.errors import (
 )
 from ctsbisim.features import parse_expr
 from ctsbisim.modelio import load_model, model_from_dict
-from ctsbisim.models import Lats, fts_to_lats, gen_benchmark_fts, lats_to_cts
+from ctsbisim.models import Fts, Lats, fts_to_lats, gen_benchmark_fts, lats_to_cts
 from ctsbisim.poset import ConditionPoset, LatticeElement, iter_bits
 
 from conftest import (
@@ -52,6 +52,7 @@ from conftest import (
     two_feature_fts_dicts,
 )
 from oracles import brute_residuum, classical_bisim_pairs, matrix_transfer, per_move_image
+from test_models import random_expr, random_fts, random_monotone_guard
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -1032,3 +1033,83 @@ class TestReportRecordsAreIndependent:
 
     def test_conditional_relation(self, routing_pair):
         self.assert_independent(brute_force_oracle(*routing_pair))
+
+
+class TestRelationArguments:
+    def test_state_sets_may_be_one_shot_iterables(self, routing_pair):
+        basic, modified = routing_pair
+        poset, xs, ys = basic.poset, basic.states, modified.states
+        mapping = {("ready", "ready"): ["b"], ("unsafe", "safe"): ["a"]}
+        for build, args in ((ConditionalRelation.top, ()), (ConditionalRelation.from_mapping, (mapping, True))):
+            once = build(poset, (x for x in xs), (y for y in ys), *args)
+            assert once.report() == build(poset, xs, ys, *args).report()
+
+
+class TestChecksRefuseBddRelations:
+    """The checks read bitsets over the models' poset; the relation of a BDD
+    result holds ROBDD handles, so it is refused rather than misread."""
+
+    @pytest.mark.parametrize("check", [is_bisimulation, check_transfer, boolean_vs_lattice])
+    def test_transfer_checks(self, routing_pair, check):
+        basic, modified = routing_pair
+        rel = greatest_bisimulation(basic, modified, backend="bdd").relation
+        with pytest.raises(ModelMismatch):
+            check(rel, basic, modified)
+
+    def test_fitting_check(self):
+        l = TestFitting().single_label(random.Random(117))
+        rel = greatest_bisimulation(l, l, backend="bdd").relation
+        with pytest.raises(ModelMismatch):
+            fitting_check(l, rel)
+
+
+def random_fts_pair(rng):
+    """A ``random_fts`` system and a partner over its universe, diagram,
+    alphabet and precedence: the system itself a third of the time, else
+    fresh states and guards drawn as ``random_fts`` draws them."""
+    left = random_fts(rng)
+    if rng.random() < 1 / 3:
+        return left, left
+    universe, names = left.universe, list(left.universe.features)
+    states = tuple("t%d" % i for i in range(rng.randint(1, 3)))
+    trans = {}
+    for x in states:
+        for a in left.alphabet:
+            for y in states:
+                if rng.random() < 0.5:
+                    monotone = rng.random() < 0.7
+                    trans[(x, a, y)] = (
+                        random_monotone_guard(rng, universe) if monotone else random_expr(rng, names, 3)
+                    )
+    return left, Fts(universe, states, left.alphabet, trans, left.diagram, left.precedence)
+
+
+class TestThreeWayFtsDifferential:
+    """Explicit, BDD and the per-condition oracle give one relation on random
+    FTS pairs (random, true and unsatisfiable diagrams, partial upgrade sets,
+    guards closed down): equal reports, and equal ``conditions`` and
+    ``holds`` for every (x, y, condition)."""
+
+    def test_random_fts_pairs(self):
+        rng = random.Random(2526)
+        seen = {"holds": 0, "refused": 0, "no conditions": 0}
+        for _ in range(100):
+            left, right = random_fts_pair(rng)
+            for precedence in (False, True):
+                oracle = brute_force_oracle(
+                    fts_to_lats(left, close=True), fts_to_lats(right, close=True), precedence=precedence
+                )
+                results = [oracle] + [
+                    greatest_bisimulation(left, right, precedence=precedence, backend=backend, close=True)
+                    for backend in ("explicit", "bdd")
+                ]
+                assert all(res.report() == oracle.report() for res in results)
+                seen["no conditions"] += not oracle.poset.elements
+                for x in left.states:
+                    for y in right.states:
+                        assert len({res.conditions(x, y) for res in results}) == 1
+                        for cond in oracle.poset.elements:
+                            answers = {res.holds(x, y, cond) for res in results}
+                            assert len(answers) == 1
+                            seen["holds" if answers.pop() else "refused"] += 1
+        assert all(seen.values())  # the sweep covers each kind of answer

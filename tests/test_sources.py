@@ -133,3 +133,61 @@ def test_cache_check_flags_what_it_should(source, flagged):
     tree = ast.parse(source)
     assert bool(cache_decorators(tree)) == (flagged == "decorator")
     assert bool(mutated_module_containers(tree)) == (flagged == "container")
+
+
+# --- no definition without a reference --------------------------------------------------
+
+REPO = PACKAGE.parent.parent
+REFERENCE_ROOTS = ("src", "tests", "perfbench")
+
+
+def definitions(tree: ast.Module) -> set[str]:
+    """Names of the non-dunder functions, methods and classes a module defines."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, kinds) and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads or binds as a ``Name``, an ``Attribute`` or an import alias."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.name.split(".")[-1], node.asname or node.name))
+    return names
+
+
+def test_every_definition_is_referenced():
+    referenced = set()
+    for root in REFERENCE_ROOTS:
+        for path in (REPO / root).rglob("*.py"):
+            referenced |= referenced_names(ast.parse(path.read_text()))
+    unreferenced = {
+        "%s:%s" % (module, name)
+        for module in MODULES
+        for name in definitions(ast.parse((PACKAGE / module).read_text())) - referenced
+    }
+    assert sorted(unreferenced) == []
+
+
+@pytest.mark.parametrize(
+    "source, unreferenced",
+    [
+        ("def f(): pass\n", {"f"}),
+        ("class C:\n    def m(self): pass\n", {"C", "m"}),
+        ("def f(): pass\ng = f\n", set()),
+        ("class C:\n    def m(self): pass\nC().m()\n", set()),
+        ("from mod import f\ndef f(): pass\n", set()),
+        ("def __call__(self): pass\n", set()),
+    ],
+)
+def test_reference_check_flags_what_it_should(source, unreferenced):
+    tree = ast.parse(source)
+    assert definitions(tree) - referenced_names(tree) == unreferenced

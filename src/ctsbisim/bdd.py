@@ -83,22 +83,7 @@ class BddManager:
 
     def from_expr(self, expr: FeatureExpr) -> int:
         ft.check_atoms(expr, self.universe)
-        return self._from_expr(expr)
-
-    def _from_expr(self, expr: FeatureExpr) -> int:
-        if isinstance(expr, ft.Atom):
-            return self.var(expr.name)
-        if isinstance(expr, ft.Const):
-            return TRUE if expr.value else FALSE
-        if isinstance(expr, ft.Not):
-            return self.neg(self._from_expr(expr.arg))
-        if isinstance(expr, ft.And):
-            return self.conj(self._from_expr(expr.left), self._from_expr(expr.right))
-        if isinstance(expr, ft.Or):
-            return self.disj(self._from_expr(expr.left), self._from_expr(expr.right))
-        if isinstance(expr, ft.Imp):
-            return self.disj(self.neg(self._from_expr(expr.left)), self._from_expr(expr.right))
-        raise TypeError("not a feature expression: %r" % (expr,))
+        return ft.interpret(expr, self.var, self.neg, self.conj, self.disj, TRUE, FALSE)
 
     # --- connectives --------------------------------------------------------
 

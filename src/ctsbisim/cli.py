@@ -64,9 +64,14 @@ def cmd_check(args) -> int:
     return _write_relation(result, args)
 
 
+def _load_lats(path: str, close: bool):
+    """A model as a lattice system; with ``close``, an FTS's guards are closed
+    downward as in ``convert --close``."""
+    return convert_model(load_model(path, close=close), "lats", close=close)
+
+
 def cmd_oracle(args) -> int:
-    left = load_model(args.left, close=args.close)
-    right = load_model(args.right, close=args.close)
+    left, right = _load_lats(args.left, args.close), _load_lats(args.right, args.close)
     return _write_relation(brute_force_oracle(left, right, precedence=args.precedence), args)
 
 
@@ -105,8 +110,7 @@ def cmd_approx(args) -> int:
 
 
 def cmd_game(args) -> int:
-    left = load_model(args.left, close=args.close)
-    right = load_model(args.right, close=args.close)
+    left, right = _load_lats(args.left, args.close), _load_lats(args.right, args.close)
     x, y, cond = _parse_pair(args.start)
     if args.self_play:
         play = self_play(left, right, x, y, cond)

@@ -192,32 +192,27 @@ def _element_matrix_bits(M):
     return poset, rows
 
 
-def _wrap_matrix(poset, rows):
+def _lifted(product, U, V, poset: ConditionPoset | None):
+    """``product`` over the bitsets of two LatticeElement matrices."""
+    pu, ubits = _element_matrix_bits(U)
+    pv, vbits = _element_matrix_bits(V)
+    poset = pu or pv or poset
+    if pu and pv and pu != pv:
+        raise PosetMismatch("operand matrices use different posets")
+    if poset is None:
+        raise DimensionMismatch("cannot infer the poset of empty matrices")
+    rows = product(ExplicitOps(poset), ubits, vbits)
     return [[LatticeElement(poset, bits) for bits in row] for row in rows]
 
 
 def std_mul(U, V, poset: ConditionPoset | None = None):
     """Standard lattice matrix product on LatticeElement matrices."""
-    pu, ubits = _element_matrix_bits(U)
-    pv, vbits = _element_matrix_bits(V)
-    poset = pu or pv or poset
-    if pu and pv and pu != pv:
-        raise PosetMismatch("operand matrices use different posets")
-    if poset is None:
-        raise DimensionMismatch("cannot infer the poset of empty matrices")
-    return _wrap_matrix(poset, std_mul_ops(ExplicitOps(poset), ubits, vbits))
+    return _lifted(std_mul_ops, U, V, poset)
 
 
 def otimes_mul(U, V, poset: ConditionPoset | None = None):
     """Residuated matrix product on LatticeElement matrices."""
-    pu, ubits = _element_matrix_bits(U)
-    pv, vbits = _element_matrix_bits(V)
-    poset = pu or pv or poset
-    if pu and pv and pu != pv:
-        raise PosetMismatch("operand matrices use different posets")
-    if poset is None:
-        raise DimensionMismatch("cannot infer the poset of empty matrices")
-    return _wrap_matrix(poset, otimes_mul_ops(ExplicitOps(poset), ubits, vbits))
+    return _lifted(otimes_mul_ops, U, V, poset)
 
 
 # --- conditional relations -----------------------------------------------------------
@@ -938,6 +933,10 @@ def brute_force_oracle(c1, c2, precedence: bool = False, cap: int = 250_000) -> 
     until the family is simultaneously stable.  A single pruning pass after
     independent per-condition refinement would be too weak: removing a pair
     at an upgrade can invalidate its matches at larger conditions.
+
+    An FTS is converted with ``fts_to_lats`` and so must have downward-closed
+    guards; callers who want the closure convert first, with
+    ``fts_to_lats(f, close=True)``, as ``oracle --close`` does.
     """
     if isinstance(c1, Fts):
         c1 = fts_to_lats(c1)

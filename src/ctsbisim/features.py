@@ -8,6 +8,7 @@ configuration *down* in the upgrade order.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -103,20 +104,29 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-def evaluate(expr: FeatureExpr, config: Collection[str]) -> bool:
+def interpret(expr: FeatureExpr, atom, neg, conj, disj, true, false):
+    """Fold ``expr`` into another domain: ``atom(name)`` for a feature,
+    ``true``/``false`` for the constants and ``neg``/``conj``/``disj`` for
+    the connectives, with ``l -> r`` read as ``disj(neg(l), r)``.  Operands
+    are interpreted left to right."""
     if isinstance(expr, Atom):
-        return expr.name in config
+        return atom(expr.name)
     if isinstance(expr, Const):
-        return expr.value
+        return true if expr.value else false
+    ops = (atom, neg, conj, disj, true, false)
     if isinstance(expr, Not):
-        return not evaluate(expr.arg, config)
+        return neg(interpret(expr.arg, *ops))
     if isinstance(expr, And):
-        return evaluate(expr.left, config) and evaluate(expr.right, config)
+        return conj(interpret(expr.left, *ops), interpret(expr.right, *ops))
     if isinstance(expr, Or):
-        return evaluate(expr.left, config) or evaluate(expr.right, config)
+        return disj(interpret(expr.left, *ops), interpret(expr.right, *ops))
     if isinstance(expr, Imp):
-        return (not evaluate(expr.left, config)) or evaluate(expr.right, config)
+        return disj(neg(interpret(expr.left, *ops)), interpret(expr.right, *ops))
     raise TypeError("not a feature expression: %r" % (expr,))
+
+
+def evaluate(expr: FeatureExpr, config: Collection[str]) -> bool:
+    return interpret(expr, config.__contains__, operator.not_, operator.and_, operator.or_, True, False)
 
 
 def atoms(expr: FeatureExpr) -> frozenset[str]:

@@ -9,13 +9,21 @@ survives in a pair's entry, read from the rounds that changed the entry
 reply strictly decreases the index); membership in the final relation
 (an infinite index) drives Player 2's defence (replies keep the condition
 inside).  Both players move on the problem's successor lists.
+
+Legal moves come from one place: ``GameBoard.attacks`` yields the
+attacker's moves in (condition, side, action, target) order and
+``GameBoard.replies`` lists the answers to one; strategies, validators and
+listings all read them.  Interactive play asks both players through one
+prompt loop, reading lines from one iterator (scripted lines or stdin).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .engine import BisimResult, Problem, greatest_bisimulation
 from .errors import IllegalMove, InvariantViolation, NotWinnable, PreconditionViolation
@@ -38,8 +46,12 @@ class Move:
     action: str
     target: str
 
+    @property
+    def step(self) -> str:
+        return "%s %s -> %s" % (self.side, self.action, self.target)
+
     def __str__(self) -> str:
-        return "upgrade %s; %s %s -> %s" % (self.upgrade, self.side, self.action, self.target)
+        return "upgrade %s; %s" % (self.upgrade, self.step)
 
 
 class Concede:
@@ -87,6 +99,20 @@ class GameBoard:
     def state_of(self, inst: GameInstance, side: str) -> str:
         return inst.x if side == "left" else inst.y
 
+    def attacks(self, inst: GameInstance) -> Iterator[Move]:
+        """Every legal attack, in (condition, side, action, target) order."""
+        for cond in self.upgrades(inst.condition):
+            for side in ("left", "right"):
+                for action, target in self.moves(side, self.state_of(inst, side), cond):
+                    yield Move(cond, side, action, target)
+
+    def replies(self, inst: GameInstance, move: Move) -> list[str]:
+        """The targets of the other side's moves with the attack's action,
+        under its condition."""
+        side = _OTHER[move.side]
+        moves = self.moves(side, self.state_of(inst, side), move.upgrade)
+        return [t for a, t in moves if a == move.action]
+
 
 class SeparationTable:
     """Per (pair, condition): the last fixpoint round keeping it alive, or
@@ -129,45 +155,42 @@ def separation_table(result: BisimResult) -> SeparationTable:
     return SeparationTable(result)
 
 
-def _pair_after(inst: GameInstance, side: str, target: str, reply_target: str):
-    if side == "left":
-        return target, reply_target
-    return reply_target, target
+def _pair_after(move: Move, reply_target: str) -> tuple[str, str]:
+    if move.side == "left":
+        return move.target, reply_target
+    return reply_target, move.target
+
+
+def _reply(move: Move, target: str) -> Move:
+    return Move(move.upgrade, _OTHER[move.side], move.action, target)
 
 
 def player1_move(inst: GameInstance, table: SeparationTable) -> Move:
-    """Optimal attack: pick the upgrade and move minimizing the worst reply's
-    separation index.  The minimum is strictly below the current index, so
-    the attack terminates; an empty reply set wins on the spot."""
+    """Optimal attack: the first attack, in ``GameBoard.attacks`` order,
+    minimizing the worst reply's separation index.  The minimum is strictly
+    below the current index, so the attack terminates; an empty reply set
+    wins on the spot."""
     current = table.m_of(inst)
     if current == INF:
         raise NotWinnable("instance (%s, %s, %s) is bisimilar" % (inst.x, inst.y, inst.condition))
-    board = table.board
-    best = None  # (omega, cond, side_rank, action, target, side)
-    for cond in board.upgrades(inst.condition):
-        for rank, side in enumerate(("left", "right")):
-            state = board.state_of(inst, side)
-            other_state = board.state_of(inst, _OTHER[side])
-            for action, target in board.moves(side, state, cond):
-                replies = [
-                    t for a, t in board.moves(_OTHER[side], other_state, cond) if a == action
-                ]
-                if replies:
-                    worst = max(
-                        table.m(*_pair_after(inst, side, target, t), cond) for t in replies
-                    )
-                else:
-                    worst = -1  # unanswerable: immediate win
-                key = (worst, cond, rank, action, target)
-                if best is None or key < best:
-                    best = key + (side,)
+
+    def worst(move: Move) -> float:
+        replies = table.board.replies(inst, move)
+        return max((table.m(*_pair_after(move, t), move.upgrade) for t in replies), default=-1)
+
+    best = min(table.board.attacks(inst), key=worst, default=None)
     if best is None:
-        raise NotWinnable(
-            "no move available from (%s, %s, %s)" % (inst.x, inst.y, inst.condition)
-        )
-    omega, cond, _rank, action, target, side = best
-    _require(omega < current, "attack does not descend")
-    return Move(upgrade=cond, side=side, action=action, target=target)
+        raise NotWinnable("no move available from (%s, %s, %s)" % (inst.x, inst.y, inst.condition))
+    _require(worst(best) < current, "attack does not descend")
+    return best
+
+
+def engine_attack(inst: GameInstance, table: SeparationTable) -> Move | None:
+    """The engine's attack: the optimal one on a separated instance, else
+    the first legal one; None when there is no move."""
+    if table.m_of(inst) != INF:
+        return player1_move(inst, table)
+    return next(table.board.attacks(inst), None)
 
 
 def _validate_attack(inst: GameInstance, move: Move, board: GameBoard) -> None:
@@ -187,47 +210,34 @@ def _validate_attack(inst: GameInstance, move: Move, board: GameBoard) -> None:
         )
 
 
+def _validate_reply(inst: GameInstance, move: Move, reply: Move, board: GameBoard) -> None:
+    side = _OTHER[move.side]
+    if reply.upgrade != move.upgrade:
+        raise IllegalMove("the defender keeps the condition %s" % move.upgrade)
+    if reply.side != side:
+        raise IllegalMove("the reply must be on the %s side" % side)
+    if reply.action != move.action:
+        raise IllegalMove("the reply must use action %s" % move.action)
+    if reply.target not in board.replies(inst, move):
+        raise IllegalMove(
+            "no transition %s -[%s]-> %s under %s"
+            % (board.state_of(inst, side), move.action, reply.target, move.upgrade)
+        )
+
+
 def player2_reply(inst: GameInstance, move: Move, table: SeparationTable):
     """Defence from the greatest bisimulation: while the pair's entry still
     contains the played condition, answer with a move that keeps it inside
     (the transfer property guarantees one); otherwise answer arbitrarily or
     concede when no same-action move exists."""
-    board = table.board
-    _validate_attack(inst, move, board)
-    reply_side = _OTHER[move.side]
-    state = board.state_of(inst, reply_side)
-    candidates = [
-        t for a, t in board.moves(reply_side, state, move.upgrade) if a == move.action
-    ]
+    _validate_attack(inst, move, table.board)
+    candidates = table.board.replies(inst, move)
     if not candidates:
         return CONCEDE
     if table.holds(inst.x, inst.y, move.upgrade):
-        preserving = [
-            t
-            for t in candidates
-            if table.holds(*_pair_after(inst, move.side, move.target, t), move.upgrade)
-        ]
-        _require(bool(preserving), "transfer property violated")
-        return Move(upgrade=move.upgrade, side=reply_side, action=move.action, target=preserving[0])
-    return Move(upgrade=move.upgrade, side=reply_side, action=move.action, target=candidates[0])
-
-
-def _default_attack(inst: GameInstance, board: GameBoard) -> Move | None:
-    """Deterministic fallback attack for hopeless instances: first legal
-    move by (condition, side, action, target)."""
-    for cond in board.upgrades(inst.condition):
-        for side in ("left", "right"):
-            state = board.state_of(inst, side)
-            moves = board.moves(side, state, cond)
-            if moves:
-                action, target = moves[0]
-                return Move(upgrade=cond, side=side, action=action, target=target)
-    return None
-
-
-def _advance(inst: GameInstance, move: Move, reply: Move) -> GameInstance:
-    x, y = _pair_after(inst, move.side, move.target, reply.target)
-    return GameInstance(x, y, move.upgrade)
+        candidates = [t for t in candidates if table.holds(*_pair_after(move, t), move.upgrade)]
+        _require(bool(candidates), "transfer property violated")
+    return _reply(move, candidates[0])
 
 
 @dataclass
@@ -263,20 +273,17 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
         visited.add(inst)
         m0 = table.m_of(inst)
         lines.append("instance: (%s | %s | %s)  M=%s" % (inst.x, inst.y, inst.condition, m0))
-        if m0 == INF:
-            move = _default_attack(inst, table.board)
-            if move is None:
-                return PlayResult(2, rounds, "attacker has no move", lines)
-        else:
-            move = player1_move(inst, table)
+        move = engine_attack(inst, table)
+        if move is None:
+            return PlayResult(2, rounds, "attacker has no move", lines)
         lines.append("P1: %s" % (move,))
         reply = player2_reply(inst, move, table)
         if reply is CONCEDE:
             _require(m0 != INF, "defender conceded a bisimilar instance")
             lines.append("P2: concede")
             return PlayResult(1, rounds + 1, "defender cannot answer", lines)
-        lines.append("P2: %s %s -> %s" % (reply.side, reply.action, reply.target))
-        nxt = _advance(inst, move, reply)
+        lines.append("P2: %s" % reply.step)
+        nxt = GameInstance(*_pair_after(move, reply.target), move.upgrade)
         if m0 == INF:
             _require(table.holds(nxt.x, nxt.y, nxt.condition), "membership lost")
         else:
@@ -310,12 +317,13 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
     or Player 2 (defender) against the engine strategies.
 
     Commands: ``moves`` lists the legal options, ``hint`` shows the
-    engine-recommended move, ``quit`` ends the session.  Illegal input is
-    rejected with a reason and prompted again.
+    engine-recommended move, ``quit`` ends the session, as does the end of
+    the input.  Illegal input is rejected with a reason and prompted again.
+    Lines come from ``input_lines`` or, without them, from stdin.
     """
-    result = greatest_bisimulation(l1, l2)
-    table = separation_table(result)
+    table = separation_table(greatest_bisimulation(l1, l2))
     board = table.board
+    lines = iter(sys.stdin.readline, "") if input_lines is None else iter(input_lines)
     transcript: list[str] = []
 
     def emit(text: str) -> None:
@@ -323,135 +331,79 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
         if out is not None:
             out.write(text + "\n")
 
-    if input_lines is None:
-        reader = None
-    else:
-        reader = iter(input_lines)
+    def finish(text: str) -> str:
+        emit(text)
+        return "\n".join(transcript) + "\n"
 
-    def read(prompt: str) -> str:
-        if out is not None:
-            out.write(prompt)
-            out.flush()
-        if reader is None:
-            try:
-                return input()
-            except EOFError:
-                return "quit"
-        try:
-            line = next(reader)
-        except StopIteration:
-            return "quit"
-        transcript.append(prompt + line.strip())
-        return line
-
-    def list_attacks(inst: GameInstance) -> None:
-        for cond in board.upgrades(inst.condition):
-            for side in ("left", "right"):
-                for action, target in board.moves(side, board.state_of(inst, side), cond):
-                    emit("  upgrade %s; %s %s -> %s" % (cond, side, action, target))
-
-    def list_replies(inst: GameInstance, move: Move) -> None:
-        side = _OTHER[move.side]
-        state = board.state_of(inst, side)
-        for action, target in board.moves(side, state, move.upgrade):
-            if action == move.action:
-                emit("  %s %s -> %s" % (side, action, target))
+    def ask(prompt: str, usage: str, condition: str, options, hint, validate) -> Move | None:
+        """Read lines until one is a legal move; None when the human quits
+        or the input runs out."""
+        while True:
+            if out is not None:
+                out.write(prompt)
+                out.flush()
+            line = next(lines, None)
+            if line is None:
+                return None
+            line = line.strip()
+            transcript.append(prompt + line)
+            if line == "quit":
+                return None
+            if line == "moves":
+                for option in options:
+                    emit("  %s" % option)
+            elif line == "hint":
+                emit("hint: %s" % hint())
+            elif not line:
+                continue
+            elif (candidate := _parse_move(line, condition)) is None:
+                emit("cannot parse move; expected: " + usage)
+            else:
+                try:
+                    validate(candidate)
+                    return candidate
+                except IllegalMove as exc:
+                    emit("illegal move: %s" % exc)
 
     emit("you play Player %d; Player 2 wins iff the pair is bisimilar" % human_side)
     inst = start
     table.m_of(inst)  # validates names
     while True:
         emit("instance: (%s | %s | %s)" % (inst.x, inst.y, inst.condition))
-
-        # Player 1's move
         if human_side == 1:
-            move = None
-            while move is None:
-                line = read("P1 move> ").strip()
-                if line == "quit":
-                    emit("quit: transcript closed")
-                    return "\n".join(transcript) + "\n"
-                if line == "moves":
-                    list_attacks(inst)
-                    continue
-                if line == "hint":
-                    if table.m_of(inst) != INF:
-                        emit("hint: %s" % player1_move(inst, table))
-                    else:
-                        fallback = _default_attack(inst, board)
-                        emit("hint: %s" % (fallback if fallback else "no move available"))
-                    continue
-                if not line:
-                    continue
-                candidate = _parse_move(line, inst.condition)
-                if candidate is None:
-                    emit("cannot parse move; expected: upgrade <cond>; <left|right> <action> -> <state>")
-                    continue
-                try:
-                    _validate_attack(inst, candidate, board)
-                except IllegalMove as exc:
-                    emit("illegal move: %s" % exc)
-                    continue
-                move = candidate
-        else:
-            if table.m_of(inst) != INF:
-                move = player1_move(inst, table)
-            else:
-                move = _default_attack(inst, board)
+            move = ask(
+                "P1 move> ",
+                "upgrade <cond>; <left|right> <action> -> <state>",
+                inst.condition,
+                list(board.attacks(inst)),
+                lambda: engine_attack(inst, table) or "no move available",
+                lambda attack: _validate_attack(inst, attack, board),
+            )
             if move is None:
-                emit("Player 1 cannot make another step: Player 2 wins")
-                return "\n".join(transcript) + "\n"
+                return finish("quit: transcript closed")
+        else:
+            move = engine_attack(inst, table)
+            if move is None:
+                return finish("Player 1 cannot make another step: Player 2 wins")
         emit("P1: %s" % (move,))
 
-        # Player 2's reply
-        reply_side = _OTHER[move.side]
-        legal = [
-            t
-            for a, t in board.moves(reply_side, board.state_of(inst, reply_side), move.upgrade)
-            if a == move.action
-        ]
         if human_side == 2:
-            if not legal:
-                emit("Player 2 cannot simulate the step: Player 1 wins")
-                return "\n".join(transcript) + "\n"
-            reply = None
-            while reply is None:
-                line = read("P2 reply> ").strip()
-                if line == "quit":
-                    emit("quit: transcript closed")
-                    return "\n".join(transcript) + "\n"
-                if line == "moves":
-                    list_replies(inst, move)
-                    continue
-                if line == "hint":
-                    emit("hint: %s" % player2_reply(inst, move, table))
-                    continue
-                if not line:
-                    continue
-                candidate = _parse_move(line, move.upgrade)
-                if candidate is None:
-                    emit("cannot parse move; expected: <left|right> <action> -> <state>")
-                    continue
-                if candidate.upgrade != move.upgrade:
-                    emit("illegal move: the defender keeps the condition %s" % move.upgrade)
-                    continue
-                if candidate.side != reply_side:
-                    emit("illegal move: the reply must be on the %s side" % reply_side)
-                    continue
-                if candidate.action != move.action:
-                    emit("illegal move: the reply must use action %s" % move.action)
-                    continue
-                if candidate.target not in legal:
-                    emit(
-                        "illegal move: no transition %s -[%s]-> %s under %s"
-                        % (board.state_of(inst, reply_side), move.action, candidate.target, move.upgrade)
-                    )
-                    continue
-                reply = candidate
+            targets = board.replies(inst, move)
+            if not targets:
+                return finish("Player 2 cannot simulate the step: Player 1 wins")
+            reply = ask(
+                "P2 reply> ",
+                "<left|right> <action> -> <state>",
+                move.upgrade,
+                [_reply(move, t).step for t in targets],
+                lambda: player2_reply(inst, move, table),
+                lambda answer: _validate_reply(inst, move, answer, board),
+            )
+            if reply is None:
+                return finish("quit: transcript closed")
         else:
             reply = player2_reply(inst, move, table)
             if reply is CONCEDE:
-                emit("Player 2 concedes: Player 1 wins")
-                return "\n".join(transcript) + "\n"
-        emit("P2: %s %s -> %s" % (reply.side, reply.action, reply.target))
-        inst = _advance(inst, move, reply)
+                return finish("Player 2 concedes: Player 1 wins")
+        emit("P2: %s" % reply.step)
+        inst = GameInstance(*_pair_after(move, reply.target), move.upgrade)

@@ -271,25 +271,6 @@ def _feature_masks(configs: list[ft.Config], universe: FeatureUniverse) -> dict[
     return masks
 
 
-def _guard_bits(expr: FeatureExpr, masks: dict[str, int], full: int) -> int:
-    """The configurations satisfying ``expr``, evaluated once on the masks."""
-    if isinstance(expr, ft.Atom):
-        return masks[expr.name]
-    if isinstance(expr, ft.Const):
-        return full if expr.value else 0
-    if isinstance(expr, ft.Not):
-        return full & ~_guard_bits(expr.arg, masks, full)
-    left = _guard_bits(expr.left, masks, full)
-    right = _guard_bits(expr.right, masks, full)
-    if isinstance(expr, ft.And):
-        return left & right
-    if isinstance(expr, ft.Or):
-        return left | right
-    if isinstance(expr, ft.Imp):
-        return (full & ~left) | right
-    raise TypeError("not a feature expression: %r" % (expr,))
-
-
 def config_poset(configs: list[ft.Config], universe: FeatureUniverse) -> ConditionPoset:
     """The upgrade order on a set of configurations, as a condition poset.
 
@@ -333,10 +314,10 @@ def fts_to_lats(
     expression.  Guards must be downward-closed (more upgrades cannot lose
     a transition) unless ``close`` requests their downward closure.
 
-    Each guard is evaluated once on per-feature masks over the admissible
-    configurations (``Atom`` is its mask, ``Not``/``And``/``Or``/``Imp`` are
-    the bitwise complement within them, ``&``, ``|`` and ``~l | r``), and
-    each distinct guard value is tested for downward closure once.
+    Each guard is interpreted once on per-feature masks over the admissible
+    configurations (an atom is its mask; negation, conjunction and
+    disjunction are the complement within them, ``&`` and ``|``), and each
+    distinct guard value is tested for downward closure once.
 
     ``over`` is ``(f.admissible_configs(), their config_poset)`` when the
     caller has them already, as for two systems over one diagram.
@@ -348,10 +329,11 @@ def fts_to_lats(
         configs, poset = over
     masks = _feature_masks(configs, f.universe)
     full = poset.full_mask
+    complement = lambda bits: full & ~bits
     closures: dict[int, int] = {}
     alpha: dict[tuple[str, str, str], int] = {}
     for (x, a, y), expr in f.trans.items():
-        bits = _guard_bits(expr, masks, full)
+        bits = ft.interpret(expr, masks.__getitem__, complement, int.__and__, int.__or__, full, 0)
         if not bits:
             continue
         closed = closures.get(bits)

@@ -67,6 +67,62 @@ def two_feature_fts_dicts():
     return left, right
 
 
+# Scripted sessions of ``interactive_play`` on routing_basic vs
+# routing_modified, by name: (start instance, human side, input lines).
+# ``tests/data/game_<name>.txt`` holds each session's transcript.
+GAME_SESSIONS = {
+    # every command and every kind of rejected attack, then quit
+    "attacker": (
+        ("ready", "ready", "b"),
+        1,
+        [
+            "moves",
+            "hint",
+            "",
+            "junk",
+            "upgrade zz; left receive -> received",
+            "left e -> ready",
+            "upgrade a; left receive -> received",
+            "upgrade b; left check -> safe",
+            "moves",
+            "hint",
+            "left check -> unsafe",
+            "quit",
+        ],
+    ),
+    # the winning line; the defending engine concedes
+    "attacker_wins": (
+        ("ready", "ready", "b"),
+        1,
+        ["upgrade b; left receive -> received", "left check -> unsafe", "hint", "upgrade a; left e -> ready"],
+    ),
+    # every kind of rejected reply; the input runs out
+    "defender": (
+        ("ready", "ready", "b"),
+        2,
+        [
+            "moves",
+            "hint",
+            "",
+            "junk",
+            "upgrade a; right receive -> received",
+            "left receive -> received",
+            "right check -> safe",
+            "right receive -> ready",
+            "right receive -> received",
+            "moves",
+            "hint",
+        ],
+    ),
+    # the only legal replies, until the attacking engine's unanswerable move
+    "defender_loses": (
+        ("ready", "ready", "b"),
+        2,
+        ["right receive -> received", "right check -> safe"],
+    ),
+}
+
+
 # --- seeded random model generators ------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from ctsbisim.cli import main
 from ctsbisim.engine import brute_force_oracle, greatest_bisimulation
 from ctsbisim.modelio import load_model
 
-from conftest import two_feature_fts_dicts
+from conftest import GAME_SESSIONS, two_feature_fts_dicts
 
 
 BDD = ("--backend", "bdd")
@@ -31,6 +32,16 @@ THREE_FEATURE_FTS = {
         {"from": "send", "action": "done", "to": "idle", "guard": "true"},
         {"from": "log", "action": "done", "to": "idle", "guard": "!log -> ssl"},
     ],
+}
+
+# one transition whose guard "!enc" holds at {} but not at the upgrade {enc}
+NOT_ENC_FTS = {
+    "kind": "fts",
+    "states": ["p", "q"],
+    "alphabet": ["a"],
+    "features": ["enc"],
+    "upgrade": ["enc"],
+    "transitions": [{"from": "p", "action": "a", "to": "q", "guard": "!enc"}],
 }
 
 
@@ -369,10 +380,16 @@ class TestApprox:
 
 class TestGame:
     def test_self_play_transcripts(self, models_dir, tmp_path):
-        # the CTS pair and the raw FTS pair, where "{}" lacks the encryption
-        # upgrade as "b" does
-        for stem, cond in (("routing", "b"), ("routing_fts", "{}")):
-            out = tmp_path / (stem + ".txt")
+        # the CTS pair from a bisimilar and a separated instance, and the raw
+        # FTS pair, where "{}" lacks the encryption upgrade as "b" does;
+        # tests/data holds the transcripts as the game wrote them before its
+        # move generators and input loop were merged
+        for stem, cond, name in (
+            ("routing", "a", "routing_a"),
+            ("routing", "b", "routing_b"),
+            ("routing_fts", "{}", "routing_fts"),
+        ):
+            out = tmp_path / (name + ".txt")
             assert (
                 run(
                     "game",
@@ -386,8 +403,26 @@ class TestGame:
                 )
                 == 0
             )
-            text = out.read_text()
-            assert "winner: Player 1" in text
+            assert out.read_bytes() == (DATA / ("game_self_play_%s.txt" % name)).read_bytes()
+
+    def test_stdin_session_writes_the_scripted_transcript(self, models_dir, tmp_path, monkeypatch):
+        # the lines of a scripted session, typed on stdin
+        start, human_side, lines = GAME_SESSIONS["attacker"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(line + "\n" for line in lines)))
+        out = tmp_path / "game.txt"
+        code = run(
+            "game",
+            models_dir / "routing_basic.json",
+            models_dir / "routing_modified.json",
+            "--start",
+            ",".join(start),
+            "--human",
+            human_side,
+            "--out",
+            out,
+        )
+        assert code == 0
+        assert out.read_bytes() == (DATA / "game_attacker.txt").read_bytes()
 
     def test_bad_start_pair_exits_2(self, models_dir, capsys):
         assert (
@@ -401,6 +436,29 @@ class TestGame:
             )
             == 2
         )
+
+
+class TestClose:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "M", "M"),
+            ("check", "M", "M", *BDD),
+            ("oracle", "M", "M"),
+            ("game", "M", "M", "--start", "p,p,{}", "--self-play"),
+            ("convert", "M", "--to", "lats"),
+        ],
+        ids=["check", "check-bdd", "oracle", "game", "convert"],
+    )
+    def test_close_is_honoured_on_fts(self, tmp_path, argv):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(NOT_ENC_FTS))
+        out = tmp_path / "out.txt"
+        assert run(*(model if a == "M" else a for a in argv), "--close", "--out", out) == 0
+        if argv[0] == "oracle":
+            check_out = tmp_path / "check.json"
+            assert run("check", model, model, "--close", "--out", check_out) == 0
+            assert out.read_bytes() == check_out.read_bytes()
 
 
 class TestBench:

@@ -23,8 +23,10 @@ from ctsbisim.modelio import load_model
 from ctsbisim.models import Lats
 from ctsbisim.poset import ConditionPoset
 
-from conftest import make_routing, random_lats_pair
+from conftest import GAME_SESSIONS, make_routing, random_lats_pair
 from oracles import exhaustive_p1_wins, separation_rounds
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -333,3 +335,23 @@ class TestInteractive:
             basic, modified, GameInstance("ready", "ready", "b"), 2, input_lines=script
         )
         assert "Player 1 wins" in transcript
+
+    def test_deadlocked_attacking_engine_loses(self):
+        poset = ConditionPoset(["a"], [])
+        l1 = Lats(["x"], ["m"], poset, {})
+        l2 = Lats(["y"], ["m"], poset, {})
+        transcript = interactive_play(l1, l2, GameInstance("x", "y", "a"), 2, input_lines=[])
+        assert transcript.endswith("Player 1 cannot make another step: Player 2 wins\n")
+
+    # tests/data holds these transcripts as the game wrote them before its
+    # move generators and input loop were merged
+    @pytest.mark.parametrize("name", sorted(GAME_SESSIONS))
+    def test_session_is_the_recorded_transcript(self, models_dir, name):
+        start, human_side, lines = GAME_SESSIONS[name]
+        basic, modified = (
+            load_model(models_dir / stem) for stem in ("routing_basic.json", "routing_modified.json")
+        )
+        transcript = interactive_play(
+            basic, modified, GameInstance(*start), human_side, input_lines=lines
+        )
+        assert transcript.encode() == (DATA / ("game_%s.txt" % name)).read_bytes()

@@ -10,8 +10,6 @@ from .engine import (
     fitting_check,
     greatest_bisimulation,
     is_bisimulation,
-    otimes_mul,
-    std_mul,
 )
 from .errors import CtsBisimError
 from .features import FeatureUniverse, parse_expr, upgrade_leq
@@ -23,7 +21,6 @@ from .game import (
     player1_move,
     player2_reply,
     self_play,
-    separation_table,
 )
 from .modelio import convert_model, load_model, model_to_dict
 from .models import (
@@ -36,12 +33,7 @@ from .models import (
     gen_benchmark_fts,
     lats_to_cts,
 )
-from .poset import (
-    BoolElement,
-    ConditionPoset,
-    LatticeElement,
-    validate_poset,
-)
+from .poset import BoolElement, ConditionPoset, LatticeElement
 
 __version__ = "0.1.0"
 

@@ -42,9 +42,6 @@ for handles), a BDD problem decodes each configuration's name once,
 ``report_bytes`` renders each distinct condition list once.  ROBDDs are
 canonical, so equal entries are equal keys on both backends.  Each memo
 lives on a per-problem object or within one call; none outlives a check.
-
-The residuated matrix products ``std_mul``/``otimes_mul`` are the paper's
-algebra on dense matrices; the engine's own iteration does not use them.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from .errors import (
     DimensionMismatch,
     GuardNotDownwardClosed,
     ModelMismatch,
-    PosetMismatch,
     PrecedenceMismatch,
     PreconditionViolation,
     SafeguardExceeded,
@@ -72,7 +68,7 @@ from .errors import (
 )
 from .features import FeatureUniverse
 from .models import Fts, Lats, fts_to_lats
-from .poset import ConditionPoset, LatticeElement, iter_bits
+from .poset import ConditionPoset, iter_bits
 
 
 # --- lattice backends --------------------------------------------------------------
@@ -123,48 +119,6 @@ def transpose(M):
     return [list(col) for col in zip(*M)] if M else []
 
 
-def _check_inner(U, V):
-    inner = len(U[0]) if U else 0
-    if inner != len(V):
-        raise DimensionMismatch(
-            "inner dimensions differ: %d columns vs %d rows" % (inner, len(V))
-        )
-
-
-def std_mul_ops(ops, U, V):
-    """(U.V)(x,z) = join over y of U(x,y) meet V(y,z); empty inner gives bottom."""
-    _check_inner(U, V)
-    meet, join, bottom = ops.meet, ops.join, ops.bottom
-    Vt = transpose(V)
-    out = []
-    for row in U:
-        orow = []
-        for col in Vt:
-            acc = bottom
-            for u, v in zip(row, col):
-                acc = join(acc, meet(u, v))
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
-def otimes_mul_ops(ops, U, V):
-    """(U (x) V)(x,z) = meet over y of U(x,y) -> V(y,z); empty inner gives top."""
-    _check_inner(U, V)
-    meet, residuum, top = ops.meet, ops.residuum, ops.top
-    Vt = transpose(V)
-    out = []
-    for row in U:
-        orow = []
-        for col in Vt:
-            acc = top
-            for u, v in zip(row, col):
-                acc = meet(acc, residuum(u, v))
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
 def mats_leq(ops, A, B) -> bool:
     leq = ops.leq
     return all(leq(a, b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
@@ -173,46 +127,6 @@ def mats_leq(ops, A, B) -> bool:
 def top_matrix(ops, nx: int, ny: int):
     top = ops.top
     return [[top] * ny for _ in range(nx)]
-
-
-def _element_matrix_bits(M):
-    poset = None
-    rows = []
-    for row in M:
-        bits_row = []
-        for e in row:
-            if not isinstance(e, LatticeElement):
-                raise TypeError("matrix entries must be LatticeElement, got %r" % (e,))
-            if poset is None:
-                poset = e.poset
-            elif e.poset != poset:
-                raise PosetMismatch("matrix entries use different posets")
-            bits_row.append(e.bits)
-        rows.append(bits_row)
-    return poset, rows
-
-
-def _lifted(product, U, V, poset: ConditionPoset | None):
-    """``product`` over the bitsets of two LatticeElement matrices."""
-    pu, ubits = _element_matrix_bits(U)
-    pv, vbits = _element_matrix_bits(V)
-    poset = pu or pv or poset
-    if pu and pv and pu != pv:
-        raise PosetMismatch("operand matrices use different posets")
-    if poset is None:
-        raise DimensionMismatch("cannot infer the poset of empty matrices")
-    rows = product(ExplicitOps(poset), ubits, vbits)
-    return [[LatticeElement(poset, bits) for bits in row] for row in rows]
-
-
-def std_mul(U, V, poset: ConditionPoset | None = None):
-    """Standard lattice matrix product on LatticeElement matrices."""
-    return _lifted(std_mul_ops, U, V, poset)
-
-
-def otimes_mul(U, V, poset: ConditionPoset | None = None):
-    """Residuated matrix product on LatticeElement matrices."""
-    return _lifted(otimes_mul_ops, U, V, poset)
 
 
 # --- conditional relations -----------------------------------------------------------
@@ -432,10 +346,9 @@ def _poset_feature_encoding(poset: ConditionPoset, manager: BddManager):
     for i in range(n):
         absent = poset.down[i]
         handle = 1
-        for lvl, name in enumerate(manager.order):
-            j = poset.index[name]
+        for name in manager.order:
             v = manager.var(name)
-            handle = manager.conj(handle, manager.neg(v) if absent & (1 << j) else v)
+            handle = manager.conj(handle, manager.neg(v) if absent & (1 << poset.index[name]) else v)
         minterms.append(handle)
     diagram = 0
     for handle in minterms:
@@ -447,13 +360,34 @@ def _poset_feature_encoding(poset: ConditionPoset, manager: BddManager):
     return minterms, diagram, configs
 
 
-def _entry_names(manager: BddManager, name_of_index):
-    """Decode a handle to the names of its satisfying configurations."""
+def _bdd_problem(manager, diagram, left, right, guards, precedence, name_of, config_of) -> Problem:
+    """A BDD problem whose conditions are the configurations in ``diagram``.
 
-    def entry_names(handle):
-        return tuple(map(name_of_index, iter_bits(manager.sat_minterms(handle))))
+    ``guards(model)`` yields a system's ``((x, a, y), handle)`` items,
+    ``name_of`` names a configuration and ``config_of`` is the configuration
+    of a condition name, raising ``UnknownElement`` for any other name.
+    Each configuration is named once per problem.
+    """
+    names = {}
 
-    return entry_names
+    def name_of_index(i):
+        name = names.get(i)
+        if name is None:
+            name = names[i] = name_of(manager.config_of_index(i))
+        return name
+
+    return _problem(
+        BddOps(manager, diagram),
+        left,
+        right,
+        guards(left),
+        guards(right),
+        precedence,
+        cond_count=manager.sat_count(diagram),
+        entry_names=lambda h: tuple(map(name_of_index, iter_bits(manager.sat_minterms(h)))),
+        entry_holds=lambda h, cond: manager.evaluate(h, config_of(cond)),
+        manager=manager,
+    )
 
 
 def build_problem(
@@ -472,7 +406,7 @@ def build_problem(
         _check_common(left, right, precedence)
         if backend == "explicit":
             configs = left.admissible_configs()
-            if right.admissible_configs() != configs:
+            if right.diagram != left.diagram and right.admissible_configs() != configs:
                 raise ModelMismatch("feature diagrams carve out different configurations")
             # one configuration poset for both systems
             over = configs, models.config_poset(configs, left.universe)
@@ -497,18 +431,9 @@ def build_problem(
                         )
                 yield (x, a, y), g
 
-        config_names = {}
-
-        def config_name_of_index(i):
-            # each configuration's name is decoded once per problem
-            name = config_names.get(i)
-            if name is None:
-                name = config_names[i] = ft.config_name(manager.config_of_index(i))
-            return name
-
         features = frozenset(left.universe.features)
 
-        def entry_holds(handle, cond: str) -> bool:
+        def config_of(cond: str):
             # the canonical name of an admissible configuration, e.g. ``{enc,ssl}``
             inner = cond[1:-1]
             config = frozenset(inner.split(",")) if inner else frozenset()
@@ -518,19 +443,10 @@ def build_problem(
                 and manager.evaluate(diagram, config)
             ):
                 raise UnknownElement("unknown condition %r" % (cond,))
-            return manager.evaluate(handle, config)
+            return config
 
-        return _problem(
-            BddOps(manager, diagram),
-            left,
-            right,
-            guards(left),
-            guards(right),
-            precedence,
-            cond_count=manager.sat_count(diagram),
-            entry_names=_entry_names(manager, config_name_of_index),
-            entry_holds=entry_holds,
-            manager=manager,
+        return _bdd_problem(
+            manager, diagram, left, right, guards, precedence, ft.config_name, config_of
         )
 
     if isinstance(left, Lats) and isinstance(right, Lats):
@@ -543,9 +459,6 @@ def build_problem(
         universe = FeatureUniverse(poset.elements, frozenset(poset.elements))
         manager = BddManager(universe, var_order)
         minterms, diagram, configs = _poset_feature_encoding(poset, manager)
-        index_to_name = {
-            manager.index_of_config(config): name for config, name in zip(configs, poset.elements)
-        }
 
         def guards(lats: Lats):
             for key, bits in lats.alpha.items():
@@ -554,17 +467,15 @@ def build_problem(
                     handle = manager.disj(handle, minterms[i])
                 yield key, handle
 
-        return _problem(
-            BddOps(manager, diagram),
+        return _bdd_problem(
+            manager,
+            diagram,
             left,
             right,
-            guards(left),
-            guards(right),
+            guards,
             precedence,
-            cond_count=len(poset),
-            entry_names=_entry_names(manager, index_to_name.__getitem__),
-            entry_holds=lambda h, cond: manager.evaluate(h, configs[poset.element_index(cond)]),
-            manager=manager,
+            dict(zip(configs, poset.elements)).__getitem__,
+            lambda cond: configs[poset.element_index(cond)],
         )
 
     raise ModelMismatch(
@@ -810,10 +721,6 @@ class BisimResult(ConditionalRelation):
     def matrix(self):
         return self.rows
 
-    @property
-    def relation(self) -> ConditionalRelation:
-        return self
-
 
 def greatest_bisimulation(
     left,
@@ -1029,20 +936,29 @@ def boolean_vs_lattice(R: ConditionalRelation, l1, l2) -> dict:
 def fitting_check(l: Lats, R: ConditionalRelation) -> bool:
     """Matrix-inequality characterization for single-label systems over a
     Boolean (discrete) condition algebra: R.alpha <= alpha.R and
-    R^T.alpha <= alpha.R^T."""
+    R^T.alpha <= alpha.R^T, with the products taken over alpha's successor
+    lists."""
     if len(l.alphabet) != 1:
         raise PreconditionViolation("fitting_check requires a single-label system")
     if not l.poset.is_discrete:
         raise PreconditionViolation("fitting_check requires a discrete condition order")
     problem = build_problem(l, l, backend="explicit")
     rows = _relation_matrix_for(R, problem)
-    ops = problem.ops
-    n = len(l.states)
-    alpha = [[0] * n for _ in range(n)]
-    for xi, moves in enumerate(problem.succ_x[l.alphabet[0]]):
-        for t, g in moves:
-            alpha[xi][t] = g
-    rt = transpose(rows)
-    return mats_leq(ops, std_mul_ops(ops, rows, alpha), std_mul_ops(ops, alpha, rows)) and mats_leq(
-        ops, std_mul_ops(ops, rt, alpha), std_mul_ops(ops, alpha, rt)
-    )
+    succ = problem.succ_x[l.alphabet[0]]
+
+    def fits(S) -> bool:
+        for x, row in enumerate(S):
+            # row x of S.alpha and of alpha.S
+            s_alpha = [0] * len(S)
+            for y, s in enumerate(row):
+                for z, g in succ[y]:
+                    s_alpha[z] |= s & g
+            alpha_s = [0] * len(S)
+            for y, g in succ[x]:
+                for z, s in enumerate(S[y]):
+                    alpha_s[z] |= g & s
+            if any(a & ~b for a, b in zip(s_alpha, alpha_s)):
+                return False
+        return True
+
+    return fits(rows) and fits(transpose(rows))

@@ -8,7 +8,9 @@ survives in a pair's entry, read from the rounds that changed the entry
 (``BisimResult.history``).  Finite indices drive Player 1's attack (every
 reply strictly decreases the index); membership in the final relation
 (an infinite index) drives Player 2's defence (replies keep the condition
-inside).  Both players move on the problem's successor lists.
+inside).  Both players move on the problem's successor lists.  Under
+action precedence a move is unavailable at the conditions where its
+escape holds, i.e. where a higher action is enabled at its source.
 
 Legal moves come from one place: ``GameBoard.attacks`` yields the
 attacker's moves in (condition, side, action, target) order and
@@ -75,15 +77,16 @@ class GameBoard:
     def __init__(self, problem: Problem):
         self.poset = problem.poset
         self._moves: dict[tuple[str, str, str], list[tuple[str, str]]] = {}
-        for side, succ, states in (
-            ("left", problem.succ_x, problem.states_x),
-            ("right", problem.succ_y, problem.states_y),
+        for side, succ, esc, states in (
+            ("left", problem.succ_x, problem.esc_x, problem.states_x),
+            ("right", problem.succ_y, problem.esc_y, problem.states_y),
         ):
             per_state: dict[tuple[str, int], list] = {}
             for a, per_source in succ.items():
                 for i, moves in enumerate(per_source):
                     for j, bits in moves:
-                        for ci in iter_bits(bits):
+                        # a move is disabled where a higher action is enabled
+                        for ci in iter_bits(bits & ~esc[a][i]):
                             per_state.setdefault((states[i], ci), []).append((a, states[j]))
             for (x, ci), moves in per_state.items():
                 self._moves[(side, x, self.poset.elements[ci])] = sorted(moves)
@@ -149,10 +152,6 @@ class SeparationTable:
 
     def holds(self, x: str, y: str, cond: str) -> bool:
         return self.m(x, y, cond) == INF
-
-
-def separation_table(result: BisimResult) -> SeparationTable:
-    return SeparationTable(result)
 
 
 def _pair_after(move: Move, reply_target: str) -> tuple[str, str]:
@@ -259,7 +258,7 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
     """
     if result is None:
         result = greatest_bisimulation(l1, l2)
-    table = separation_table(result)
+    table = SeparationTable(result)
     inst = GameInstance(x, y, cond)
     table.m_of(inst)  # validates names
     lines = []
@@ -321,7 +320,7 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
     the input.  Illegal input is rejected with a reason and prompted again.
     Lines come from ``input_lines`` or, without them, from stdin.
     """
-    table = separation_table(greatest_bisimulation(l1, l2))
+    table = SeparationTable(greatest_bisimulation(l1, l2))
     board = table.board
     lines = iter(sys.stdin.readline, "") if input_lines is None else iter(input_lines)
     transcript: list[str] = []

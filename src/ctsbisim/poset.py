@@ -224,11 +224,6 @@ class ConditionPoset:
                 yield LatticeElement(self, bits)
 
 
-def validate_poset(elements: Sequence[str], pairs: Iterable[tuple[str, str]] = ()) -> ConditionPoset:
-    """Build a poset from covering (or full) pairs; (a, b) declares a <= b."""
-    return ConditionPoset(elements, pairs)
-
-
 class BoolElement:
     """An arbitrary subset of the conditions: an element of the Boolean algebra."""
 

@@ -2,18 +2,18 @@
 
 Everything here is deliberately written by enumeration, straight from the
 definitions, and shares no code path with the implementations under test.
-Two exceptions: ``matrix_transfer`` is the paper's matrix form of the
-transfer operator and uses the generic residuated matrix products, which
-the engine's own kernel does not call; ``per_move_image`` reads a built
-``Problem`` and its lattice ops, and referees only how the kernel
-evaluates the operator on them.
+The paper's residuated matrix products live here, and ``matrix_transfer``
+builds the matrix form of the transfer operator on them; they evaluate
+entries with the explicit backend's ``ExplicitOps``.  ``per_move_image``
+reads a built ``Problem`` and its lattice ops, and referees only how the
+kernel evaluates the operator on them.
 """
 
 from itertools import chain, combinations
 
 from ctsbisim import features as ft
-from ctsbisim.engine import ExplicitOps, otimes_mul_ops, std_mul_ops, transpose
-from ctsbisim.errors import GuardNotDownwardClosed
+from ctsbisim.engine import ExplicitOps, transpose
+from ctsbisim.errors import DimensionMismatch, GuardNotDownwardClosed
 from ctsbisim.models import Lats
 from ctsbisim.poset import ConditionPoset, iter_bits
 
@@ -38,6 +38,48 @@ def brute_residuum(poset: ConditionPoset, l: int, m: int) -> int:
         if (l & d) & ~m == 0:
             acc |= d
     return acc
+
+
+def _check_inner(U, V):
+    inner = len(U[0]) if U else 0
+    if inner != len(V):
+        raise DimensionMismatch(
+            "inner dimensions differ: %d columns vs %d rows" % (inner, len(V))
+        )
+
+
+def std_mul_ops(ops, U, V):
+    """(U.V)(x,z) = join over y of U(x,y) meet V(y,z); empty inner gives bottom."""
+    _check_inner(U, V)
+    meet, join, bottom = ops.meet, ops.join, ops.bottom
+    Vt = transpose(V)
+    out = []
+    for row in U:
+        orow = []
+        for col in Vt:
+            acc = bottom
+            for u, v in zip(row, col):
+                acc = join(acc, meet(u, v))
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
+def otimes_mul_ops(ops, U, V):
+    """(U (x) V)(x,z) = meet over y of U(x,y) -> V(y,z); empty inner gives top."""
+    _check_inner(U, V)
+    meet, residuum, top = ops.meet, ops.residuum, ops.top
+    Vt = transpose(V)
+    out = []
+    for row in U:
+        orow = []
+        for col in Vt:
+            acc = top
+            for u, v in zip(row, col):
+                acc = meet(acc, residuum(u, v))
+            orow.append(acc)
+        out.append(orow)
+    return out
 
 
 def dense_guards(lats) -> dict:
@@ -216,12 +258,18 @@ def classical_bisim_pairs(lts1, lts2, alphabet) -> set:
     }
 
 
-def exhaustive_p1_wins(l1, l2) -> set:
+def exhaustive_p1_wins(l1, l2, precedence=False) -> set:
     """Backward induction over the finite game graph: the least fixpoint of
-    'some upgraded move has all replies already winning'."""
+    'some upgraded move has all replies already winning'.  With
+    ``precedence`` the moves under a condition are those of its
+    ``instantiate_prec`` system, where a higher enabled action disables a
+    lower one."""
     poset = l1.poset
 
     def moves(lats, state, cond):
+        if precedence:
+            lts = lats.instantiate_prec(cond)
+            return [(a, y) for a in lats.alphabet for y in lts.successors(state, a)]
         ci = poset.element_index(cond)
         return [
             (a, y)

@@ -21,11 +21,7 @@ from ctsbisim.engine import (
     greatest_bisimulation,
     is_bisimulation,
     mats_leq,
-    otimes_mul,
-    otimes_mul_ops,
     report_bytes,
-    std_mul,
-    std_mul_ops,
     top_matrix,
     transpose,
 )
@@ -40,7 +36,7 @@ from ctsbisim.errors import (
 from ctsbisim.features import parse_expr
 from ctsbisim.modelio import load_model, model_from_dict
 from ctsbisim.models import Fts, Lats, fts_to_lats, gen_benchmark_fts, lats_to_cts
-from ctsbisim.poset import ConditionPoset, LatticeElement, iter_bits
+from ctsbisim.poset import ConditionPoset, iter_bits
 
 from conftest import (
     make_routing,
@@ -51,14 +47,17 @@ from conftest import (
     random_precedence,
     two_feature_fts_dicts,
 )
-from oracles import brute_residuum, classical_bisim_pairs, matrix_transfer, per_move_image
+from oracles import (
+    brute_residuum,
+    classical_bisim_pairs,
+    matrix_transfer,
+    otimes_mul_ops,
+    per_move_image,
+    std_mul_ops,
+)
 from test_models import random_expr, random_fts, random_monotone_guard
 
 DATA = Path(__file__).resolve().parent / "data"
-
-
-def embed(poset, *rows):
-    return [[LatticeElement(poset, poset.bits_of_names(e)) for e in row] for row in rows]
 
 
 def random_relation_bits(rng, poset, nx, ny):
@@ -68,18 +67,19 @@ def random_relation_bits(rng, poset, nx, ny):
 class TestMatrixOps:
     def test_identity_absorbs_otimes(self, fig1_poset):
         p = fig1_poset
-        top, bot = p.top, p.bottom
-        identity = [[top, bot], [bot, top]]
-        v = embed(p, (["a"], ["b"]), (["a", "b"], ["b", "e"]))
-        # close guard names downward for valid elements
-        v = [[p.element(e.members(), close=True) for e in row] for row in v]
-        assert otimes_mul(identity, v) == v
+        identity = [[p.full_mask, 0], [0, p.full_mask]]
+        # guard names closed downward, so every entry is a downset
+        v = [
+            [p.close_down_bits(p.bits_of_names(names)) for names in row]
+            for row in ((["a"], ["b"]), (["a", "b"], ["b", "e"]))
+        ]
+        assert otimes_mul_ops(ExplicitOps(p), identity, v) == v
 
     def test_one_by_one_collapses_to_residuum(self, fig1_poset):
         p = fig1_poset
         l = p.element(["b", "e"], close=True)
         m = p.element(["a"])
-        assert otimes_mul([[l]], [[m]]) == [[l.residuum(m)]]
+        assert otimes_mul_ops(ExplicitOps(p), [[l.bits]], [[m.bits]]) == [[l.residuum(m).bits]]
 
     def test_boolean_otimes_is_negated_product(self):
         # on a discrete order: U (x) V == not(U . not V), checked by enumeration
@@ -481,8 +481,8 @@ class TestBisimulationChecks:
     def test_fixpoint_is_bisimulation(self, routing_pair):
         basic, modified = routing_pair
         res = greatest_bisimulation(basic, modified)
-        assert is_bisimulation(res.relation, basic, modified)
-        assert check_transfer(res.relation, basic, modified) == []
+        assert is_bisimulation(res, basic, modified)
+        assert check_transfer(res, basic, modified) == []
 
     def test_top_relation_violation_located(self, routing_pair):
         basic, modified = routing_pair
@@ -524,7 +524,7 @@ class TestBooleanVsLattice:
 
     def test_routing_is_boolean_but_not_lattice_bisimilar_at_b(self, routing_pair):
         basic, modified = routing_pair
-        rel = greatest_bisimulation(basic, modified).relation
+        rel = greatest_bisimulation(basic, modified)
         report = boolean_vs_lattice(rel, basic, modified)
         assert report["boolean_strictly_coarser"]
         assert ("ready", "ready", "b") in report["witnesses"]
@@ -535,7 +535,7 @@ class TestBooleanVsLattice:
         states = ("s0", "s1", "s2")
         l1 = random_lats(rng, poset, states, ("m",))
         l2 = random_lats(rng, poset, states, ("m",))
-        rel = greatest_bisimulation(l1, l2).relation
+        rel = greatest_bisimulation(l1, l2)
         report = boolean_vs_lattice(rel, l1, l2)
         assert report["approximation_matches"]
         assert not report["boolean_strictly_coarser"]
@@ -557,7 +557,7 @@ class TestFitting:
     def test_fixpoint_passes(self):
         rng = random.Random(114)
         l = self.single_label(rng)
-        rel = greatest_bisimulation(l, l).relation
+        rel = greatest_bisimulation(l, l)
         assert fitting_check(l, rel)
 
     def test_agrees_with_transfer_test(self):
@@ -1052,13 +1052,13 @@ class TestChecksRefuseBddRelations:
     @pytest.mark.parametrize("check", [is_bisimulation, check_transfer, boolean_vs_lattice])
     def test_transfer_checks(self, routing_pair, check):
         basic, modified = routing_pair
-        rel = greatest_bisimulation(basic, modified, backend="bdd").relation
+        rel = greatest_bisimulation(basic, modified, backend="bdd")
         with pytest.raises(ModelMismatch):
             check(rel, basic, modified)
 
     def test_fitting_check(self):
         l = TestFitting().single_label(random.Random(117))
-        rel = greatest_bisimulation(l, l, backend="bdd").relation
+        rel = greatest_bisimulation(l, l, backend="bdd")
         with pytest.raises(ModelMismatch):
             fitting_check(l, rel)
 

@@ -13,17 +13,17 @@ from ctsbisim.game import (
     GameInstance,
     INF,
     Move,
+    SeparationTable,
     interactive_play,
     player1_move,
     player2_reply,
     self_play,
-    separation_table,
 )
 from ctsbisim.modelio import load_model
 from ctsbisim.models import Lats
 from ctsbisim.poset import ConditionPoset
 
-from conftest import GAME_SESSIONS, make_routing, random_lats_pair
+from conftest import GAME_SESSIONS, make_routing, random_lats, random_lats_pair, random_poset
 from oracles import exhaustive_p1_wins, separation_rounds
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -33,7 +33,7 @@ DATA = Path(__file__).resolve().parent / "data"
 def routing_game(routing_pair):
     basic, modified = routing_pair
     result = greatest_bisimulation(basic, modified)
-    return basic, modified, result, separation_table(result)
+    return basic, modified, result, SeparationTable(result)
 
 
 class TestSeparationTable:
@@ -48,7 +48,7 @@ class TestSeparationTable:
     def test_self_comparison_diagonal_infinite(self, routing_pair):
         basic, _ = routing_pair
         res = greatest_bisimulation(basic, basic)
-        table = separation_table(res)
+        table = SeparationTable(res)
         for x in basic.states:
             for c in basic.poset.elements:
                 assert table.m(x, x, c) == INF
@@ -63,7 +63,7 @@ class TestSeparationTable:
         pairs = [routing_pair]
         pairs += [random_lats_pair(rng, max_states=5, max_conds=4) for _ in range(40)]
         for l1, l2 in pairs:
-            table = separation_table(greatest_bisimulation(l1, l2))
+            table = SeparationTable(greatest_bisimulation(l1, l2))
             expected = separation_rounds(l1, l2)
             assert {key: table.m(*key) for key in expected} == expected
 
@@ -74,7 +74,7 @@ class TestSeparationTable:
         basic, modified = routing_pair
         result = greatest_bisimulation(basic, modified, **options)
         with pytest.raises(PreconditionViolation):
-            separation_table(result)
+            SeparationTable(result)
         with pytest.raises(PreconditionViolation):
             self_play(basic, modified, "ready", "ready", "b", result=result)
 
@@ -107,7 +107,7 @@ class TestPlayer1:
         l1 = Lats(["x", "d"], ["m"], poset, {("x", "m", "d"): ("c1", "c2")})
         l2 = Lats(["y"], ["m"], poset, {})
         res = greatest_bisimulation(l1, l2)
-        table = separation_table(res)
+        table = SeparationTable(res)
         move = player1_move(GameInstance("x", "y", "c0"), table)
         # both upgrades win immediately; the smaller name is chosen
         assert move.upgrade == "c1"
@@ -140,11 +140,11 @@ class TestPlayer1:
 import sys
 from ctsbisim.engine import greatest_bisimulation
 from ctsbisim.errors import InvariantViolation
-from ctsbisim.game import GameInstance, player1_move, separation_table
+from ctsbisim.game import GameInstance, SeparationTable, player1_move
 from ctsbisim.modelio import load_model
 
 assert False, "assert statements must be stripped under -O"
-table = separation_table(greatest_bisimulation(load_model(sys.argv[1]), load_model(sys.argv[2])))
+table = SeparationTable(greatest_bisimulation(load_model(sys.argv[1]), load_model(sys.argv[2])))
 table.m = lambda x, y, cond: 1
 try:
     player1_move(GameInstance("ready", "ready", "b"), table)
@@ -271,6 +271,37 @@ class TestExhaustiveSolver:
         wins = exhaustive_p1_wins(basic, modified)
         assert ("ready", "ready", "b") in wins
         assert ("ready", "ready", "a") not in wins
+
+
+class TestPrecedence:
+    def test_self_play_and_referee_agree_with_the_fixpoint(self, routing_pair):
+        # under action precedence a move is unavailable where a higher action
+        # is enabled at its source; the referee plays on ``instantiate_prec``
+        # systems.  Besides the routing pair, random systems with a third
+        # action e above a and b, as in the precedence benchmark.
+        rng = random.Random(5)
+        alphabet, precedence = ("a", "b", "e"), (("e", "a"), ("e", "b"))
+        pairs = [routing_pair]
+        for _ in range(40):
+            poset = random_poset(rng, 4)
+            pairs.append(tuple(
+                random_lats(rng, poset, tuple("%s%d" % (s, i) for i in range(rng.randint(2, 4))),
+                            alphabet, precedence, density=0.4)
+                for s in "xy"
+            ))
+        changed = 0
+        for l1, l2 in pairs:
+            result = greatest_bisimulation(l1, l2, precedence=True)
+            changed += result.report() != greatest_bisimulation(l1, l2).report()
+            wins = exhaustive_p1_wins(l1, l2, precedence=True)
+            for x in l1.states:
+                for y in l2.states:
+                    for c in l1.poset.elements:
+                        p1_wins = (x, y, c) in wins
+                        assert p1_wins == (not result.holds(x, y, c))
+                        play = self_play(l1, l2, x, y, c, result=result)
+                        assert p1_wins == (play.winner == 1)
+        assert changed >= 10
 
 
 class TestInteractive:

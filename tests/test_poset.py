@@ -7,12 +7,7 @@ from ctsbisim.errors import (
     PosetMismatch,
     UnknownElement,
 )
-from ctsbisim.poset import (
-    BoolElement,
-    ConditionPoset,
-    LatticeElement,
-    validate_poset,
-)
+from ctsbisim.poset import BoolElement, ConditionPoset, LatticeElement
 
 from oracles import all_downset_masks, brute_approximate, brute_residuum
 
@@ -38,29 +33,29 @@ def poset_with_masks(draw, k=2, max_n=5):
 
 class TestValidatePoset:
     def test_closure_of_single_pair(self):
-        p = validate_poset(["a", "b"], [("a", "b")])
+        p = ConditionPoset(["a", "b"], [("a", "b")])
         assert p.leq("a", "b") and p.leq("a", "a") and p.leq("b", "b")
         assert not p.leq("b", "a")
 
     def test_trivial_point(self):
-        p = validate_poset(["x"])
+        p = ConditionPoset(["x"])
         assert p.leq("x", "x")
         assert len(p) == 1
 
     def test_cycle_is_rejected(self):
         with pytest.raises(CycleError):
-            validate_poset(["a", "b"], [("a", "b"), ("b", "a")])
+            ConditionPoset(["a", "b"], [("a", "b"), ("b", "a")])
 
     def test_transitive_cycle_is_rejected(self):
         with pytest.raises(CycleError):
-            validate_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+            ConditionPoset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
 
     def test_unknown_element_in_pair(self):
         with pytest.raises(UnknownElement):
-            validate_poset(["a"], [("a", "z")])
+            ConditionPoset(["a"], [("a", "z")])
 
     def test_transitivity_through_chain(self):
-        p = validate_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        p = ConditionPoset(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert p.leq("a", "c")
 
 
@@ -70,7 +65,7 @@ class TestDownsetsAndIrreducibles:
         assert fig1_poset.downset("a").members() == ("a",)
 
     def test_one_point_downset(self):
-        p = validate_poset(["x"])
+        p = ConditionPoset(["x"])
         assert p.downset("x").members() == ("x",)
 
     def test_unknown_element(self, fig1_poset):
@@ -86,11 +81,11 @@ class TestDownsetsAndIrreducibles:
         ]
 
     def test_discrete_irreducibles(self):
-        p = validate_poset(["a", "b"])
+        p = ConditionPoset(["a", "b"])
         assert [e.members() for e in p.irreducibles()] == [("a",), ("b",)]
 
     def test_empty_poset(self):
-        p = validate_poset([])
+        p = ConditionPoset([])
         assert p.irreducibles() == []
         assert list(p.downsets()) == [p.bottom]
 
@@ -123,7 +118,7 @@ class TestJoinMeet:
         assert (l | fig1_poset.bottom) == l
 
     def test_poset_mismatch(self, fig1_poset):
-        other = validate_poset(["a", "b", "e", "f"])
+        other = ConditionPoset(["a", "b", "e", "f"])
         with pytest.raises(PosetMismatch):
             fig1_poset.element(["a"]) | other.element(["a"])
 

@@ -191,3 +191,37 @@ def test_every_definition_is_referenced():
 def test_reference_check_flags_what_it_should(source, unreferenced):
     tree = ast.parse(source)
     assert definitions(tree) - referenced_names(tree) == unreferenced
+
+
+# --- the public API and the oracles' reach into the engine -----------------------------
+
+PUBLIC_API = [
+    "BddManager", "BisimResult", "BoolElement", "ConditionPoset", "ConditionalRelation",
+    "Cts", "CtsBisimError", "FeatureUniverse", "Fts", "GameInstance", "Lats",
+    "LatticeElement", "Move", "SeparationTable", "bdd", "boolean_vs_lattice",
+    "brute_force_oracle", "check_transfer", "convert_model", "cts_to_lats", "engine",
+    "errors", "features", "fitting_check", "fts_to_lats", "game", "gen_benchmark",
+    "gen_benchmark_fts", "greatest_bisimulation", "interactive_play", "is_bisimulation",
+    "lats_to_cts", "load_model", "model_to_dict", "modelio", "models", "parse_expr",
+    "player1_move", "player2_reply", "poset", "self_play", "upgrade_leq",
+]
+
+
+def test_public_api_is_pinned():
+    # adding or removing a public name is a deliberate edit of this list
+    assert sorted(ctsbisim.__all__) == PUBLIC_API
+
+
+def test_oracles_use_only_the_engine_lattice_ops():
+    # the reference code builds its own matrix algebra; from the engine it
+    # takes the explicit lattice ops and the transpose, nothing else
+    tree = ast.parse((REPO / "tests" / "oracles.py").read_text())
+    engine_names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "ctsbisim.engine":
+            engine_names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "ctsbisim":
+            assert "engine" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert "ctsbisim.engine" not in {alias.name for alias in node.names}
+    assert sorted(engine_names) == ["ExplicitOps", "transpose"]

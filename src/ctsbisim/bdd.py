@@ -3,10 +3,10 @@
 Nodes are triples (variable level, high, low) interned in a unique table,
 so semantic equality of functions coincides with handle equality.  On top
 of the usual connectives the manager implements the lattice layer used for
-upgrade orderings: the downward-closure test (at every upgrade-labelled
-node the low successor must imply the high successor), the approximation
-of an arbitrary Boolean function by its largest downward-closed part, and
-the residuum inside the lattice carved out by a feature diagram.
+upgrade orderings: the approximation of an arbitrary Boolean function by
+its largest downward-closed part, the downward-closure test (a function is
+downward-closed exactly when it equals its approximation), and the
+residuum inside the lattice carved out by a feature diagram.
 
 A manager is a single-writer object: constructing operations must be
 serialized externally; read-only queries on an unchanging manager may run
@@ -52,7 +52,6 @@ class BddManager:
         self._not_memo: dict[int, int] = {}
         self._approx_memo: dict[int, int] = {0: 0, 1: 1}
         self._approx_up_memo: dict[int, int] = {0: 0, 1: 1}
-        self._dc_memo: dict[int, bool] = {0: True, 1: True}
         self._residuum_memo: dict[tuple[int, int, int], int] = {}
         self._minterm_memo: dict[tuple[int, int], int] = {}
         # (handle, diagram) pairs that passed the residuum's argument checks
@@ -223,13 +222,6 @@ class BddManager:
         n = self.n_levels
         return frozenset(self.order[k] for k in range(n) if i >> (n - 1 - k) & 1)
 
-    def index_of_config(self, config: Collection[str]) -> int:
-        n = self.n_levels
-        i = 0
-        for name in config:
-            i |= 1 << (n - 1 - self.level_of[name])
-        return i
-
     def sat_configs(self, u: int) -> list[ft.Config]:
         from .poset import iter_bits
 
@@ -238,16 +230,8 @@ class BddManager:
     # --- lattice layer ---------------------------------------------------------
 
     def is_downward_closed(self, u: int) -> bool:
-        """Every node with an upgrade variable has low implying high."""
-        cached = self._dc_memo.get(u)
-        if cached is not None:
-            return cached
-        hi, lo = self._hi[u], self._lo[u]
-        ok = self.is_downward_closed(hi) and self.is_downward_closed(lo)
-        if ok and self._level[u] in self._upgrade_levels:
-            ok = self.leq(lo, hi)
-        self._dc_memo[u] = ok
-        return ok
+        """u equals its largest downward-closed part (handles are canonical)."""
+        return self.approx(u) == u
 
     def approx(self, u: int) -> int:
         """Largest downward-closed function below u.

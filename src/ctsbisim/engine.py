@@ -851,10 +851,7 @@ def brute_force_oracle(c1, c2, precedence: bool = False, cap: int = 250_000) -> 
         c2 = fts_to_lats(c2)
     if c1.poset != c2.poset:
         raise ModelMismatch("condition posets differ")
-    if set(c1.alphabet) != set(c2.alphabet):
-        raise ModelMismatch("alphabets differ")
-    if precedence and c1.precedence != c2.precedence:
-        raise PrecedenceMismatch("the two models carry different precedence orders")
+    _check_common(c1, c2, precedence)
     poset = c1.poset
     size = len(c1.states) * len(c2.states) * max(len(poset), 1)
     if size > cap:

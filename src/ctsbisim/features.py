@@ -37,9 +37,11 @@ class FeatureUniverse:
         return len(self.features)
 
     def configurations(self) -> Iterator[Config]:
-        """All subsets of the features (exponential; keep universes small)."""
-        for r in range(len(self.features) + 1):
-            for combo in combinations(self.features, r):
+        """All subsets of the features in ``sort_configs`` order (exponential;
+        keep universes small)."""
+        names = sorted(self.features)
+        for r in range(len(names) + 1):
+            for combo in combinations(names, r):
                 yield frozenset(combo)
 
 

@@ -108,9 +108,13 @@ class Lats:
             if closed is None:
                 closed = closures[bits] = poset.close_down_bits(bits)
             if closed != bits and not close:
+                # the lowest condition holding the guard, then its lowest upgrade that does not
+                i, j = next(
+                    (i, j) for i in iter_bits(bits) for j in iter_bits(poset.down[i] & ~bits)
+                )
                 raise GuardNotDownwardClosed(
-                    "guard of (%s, %s, %s) is not downward-closed: {%s}"
-                    % (x, a, y, ", ".join(poset.names_of_bits(bits)))
+                    "guard of (%s, %s, %s) holds at %s but not at the upgrade %s"
+                    % (x, a, y, poset.elements[i], poset.elements[j])
                 )
             guards[(x, a, y)] = closed
         self.alpha = guards
@@ -178,13 +182,10 @@ class Cts(Lats):
                 raise UnknownCondition("unknown condition %r" % (cond,))
             for y in targets:
                 guards[(x, a, y)] = guards.get((x, a, y), 0) | 1 << poset.index[cond]
-        for (x, a, y), bits in guards.items():
-            if not poset.is_down_closed_bits(bits):
-                raise ModelError(
-                    "transition function is not monotone: guard of (%s, %s, %s) is {%s}"
-                    % (x, a, y, ", ".join(poset.names_of_bits(bits)))
-                )
-        super().__init__(states, alphabet, poset, guards, precedence)
+        try:
+            super().__init__(states, alphabet, poset, guards, precedence)
+        except GuardNotDownwardClosed as exc:
+            raise ModelError("transition function is not monotone: %s" % exc) from None
         # an empty successor set adds no guard, so only its key can be wrong
         if any(x not in self.states or a not in self.alphabet for x, a, _ in trans):
             raise ModelError("successor sets keyed by unknown states or actions")
@@ -234,9 +235,7 @@ class Fts:
 
     def admissible_configs(self) -> list[ft.Config]:
         """Configurations satisfying the diagram, in canonical order."""
-        return ft.sort_configs(
-            c for c in self.universe.configurations() if ft.evaluate(self.diagram, c)
-        )
+        return [c for c in self.universe.configurations() if ft.evaluate(self.diagram, c)]
 
 
 # --- conversions -----------------------------------------------------------------
@@ -311,13 +310,14 @@ def fts_to_lats(
 ) -> Lats:
     """Conditions are the admissible configurations under the upgrade order;
     the guard of a transition collects the configurations satisfying its
-    expression.  Guards must be downward-closed (more upgrades cannot lose
-    a transition) unless ``close`` requests their downward closure.
+    expression.  ``Lats`` rejects a guard that is not downward-closed (more
+    upgrades cannot lose a transition), naming the lowest configuration that
+    holds it and its lowest upgrade that does not, or closes it downward
+    when ``close`` is set.
 
     Each guard is interpreted once on per-feature masks over the admissible
     configurations (an atom is its mask; negation, conjunction and
-    disjunction are the complement within them, ``&`` and ``|``), and each
-    distinct guard value is tested for downward closure once.
+    disjunction are the complement within them, ``&`` and ``|``).
 
     ``over`` is ``(f.admissible_configs(), their config_poset)`` when the
     caller has them already, as for two systems over one diagram.
@@ -330,25 +330,11 @@ def fts_to_lats(
     masks = _feature_masks(configs, f.universe)
     full = poset.full_mask
     complement = lambda bits: full & ~bits
-    closures: dict[int, int] = {}
-    alpha: dict[tuple[str, str, str], int] = {}
-    for (x, a, y), expr in f.trans.items():
-        bits = ft.interpret(expr, masks.__getitem__, complement, int.__and__, int.__or__, full, 0)
-        if not bits:
-            continue
-        closed = closures.get(bits)
-        if closed is None:
-            closed = closures[bits] = poset.close_down_bits(bits)
-        if closed != bits and not close:
-            i, j = next(
-                (i, j) for i in iter_bits(bits) for j in iter_bits(poset.down[i] & ~bits)
-            )
-            raise GuardNotDownwardClosed(
-                "guard of (%s, %s, %s) holds at %s but not at the upgrade %s"
-                % (x, a, y, poset.elements[i], poset.elements[j])
-            )
-        alpha[(x, a, y)] = closed
-    return Lats(f.states, f.alphabet, poset, alpha, precedence=f.precedence)
+    alpha = {
+        key: ft.interpret(expr, masks.__getitem__, complement, int.__and__, int.__or__, full, 0)
+        for key, expr in f.trans.items()
+    }
+    return Lats(f.states, f.alphabet, poset, alpha, precedence=f.precedence, close=close)
 
 
 # --- benchmark family ---------------------------------------------------------------

@@ -374,6 +374,9 @@ class TestExportAndCounts:
     def test_minterm_dictionary(self):
         u = FeatureUniverse(("f0", "f1"))
         m = BddManager(u)
-        h = m.from_expr(parse_expr("f0"))
-        indices = {m.index_of_config(c) for c in m.sat_configs(h)}
-        assert indices == {i for i in range(4) if m.sat_minterms(h) >> i & 1}
+        # configurations come in index order, whose high bit is the first variable
+        either = parse_expr("f0 | f1")
+        assert m.sat_configs(m.from_expr(parse_expr("f0"))) == [{"f0"}, {"f0", "f1"}]
+        assert m.sat_configs(m.from_expr(either)) == [{"f1"}, {"f0"}, {"f0", "f1"}]
+        m = BddManager(u, ["f1", "f0"])
+        assert m.sat_configs(m.from_expr(either)) == [{"f0"}, {"f1"}, {"f0", "f1"}]

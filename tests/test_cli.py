@@ -109,6 +109,22 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "transitions[0]: expected an object" in err
 
+    def test_unclosed_lats_guard_exits_2_naming_the_witness(self, tmp_path, capsys):
+        # a <= b, and the guard holds at b but not at its upgrade a
+        model = {
+            "kind": "lats",
+            "states": ["x"],
+            "alphabet": ["act"],
+            "poset": {"elements": ["a", "b"], "leq": [["a", "b"]]},
+            "transitions": [{"from": "x", "action": "act", "to": "x", "guard": ["b"]}],
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        for backend in ("explicit", "bdd"):
+            assert run("check", path, path, "--backend", backend, "--out", tmp_path / "r.json") == 2
+            witness = "guard of (x, act, x) holds at b but not at the upgrade a"
+            assert capsys.readouterr().err == "error: %s: %s\n" % (path, witness)
+
     def test_unreadable_file_exits_2(self, tmp_path):
         assert run("check", tmp_path / "missing.json", tmp_path / "missing.json") == 2
 

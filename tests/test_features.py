@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,14 @@ class TestUniverse:
             frozenset({"b"}),
             frozenset({"a", "b"}),
         }
+
+    def test_configurations_come_in_canonical_order(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            names = rng.sample(["b", "a1", "zeta", "c_2", "m", "a"], rng.randint(0, 6))
+            configs = list(FeatureUniverse(tuple(names)).configurations())
+            assert configs == ft.sort_configs(configs)
+            assert len(set(configs)) == 2 ** len(names)
 
     def test_config_name(self):
         assert config_name(set()) == "{}"

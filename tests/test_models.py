@@ -45,6 +45,17 @@ class TestCts:
         with pytest.raises(ModelError, match="monotone"):
             Cts(["x", "y"], ["act"], poset, {("x", "act", "b"): {"y"}})
 
+    def test_monotonicity_violation_names_the_witness(self):
+        poset = ConditionPoset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        trans = {("x", "act", "c"): {"y"}, ("x", "act", "b"): {"y"}}
+        with pytest.raises(ModelError) as err:
+            Cts(["x", "y"], ["act"], poset, trans)
+        assert type(err.value) is ModelError
+        assert str(err.value) == (
+            "transition function is not monotone: "
+            "guard of (x, act, y) holds at b but not at the upgrade a"
+        )
+
     def test_monotone_transitions_accepted(self):
         poset = ConditionPoset(["a", "b"], [("a", "b")])
         c = Cts(

@@ -193,6 +193,46 @@ def test_reference_check_flags_what_it_should(source, unreferenced):
     assert definitions(tree) - referenced_names(tree) == unreferenced
 
 
+# --- one place rejects an unclosed explicit guard ----------------------------------------
+
+
+def raising_scopes(tree: ast.Module, exc_name: str) -> list[str]:
+    """Qualified names of the functions and classes whose bodies raise ``exc_name``."""
+    scopes = []
+
+    def visit(node, qualname):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == exc_name:
+                scopes.append(".".join(qualname) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, qualname + (child.name,) if named else qualname)
+
+    visit(tree, ())
+    return scopes
+
+
+def test_only_lats_init_rejects_an_unclosed_guard():
+    # conversions hand their guard bits to ``Lats``, which closes or rejects them
+    tree = ast.parse((PACKAGE / "models.py").read_text())
+    assert raising_scopes(tree, "GuardNotDownwardClosed") == ["Lats.__init__"]
+
+
+@pytest.mark.parametrize(
+    "source, scopes",
+    [
+        ("raise E('x')\n", ["<module>"]),
+        ("class C:\n    def f(self):\n        raise E\n", ["C.f"]),
+        ("def f():\n    def g():\n        raise E()\n    raise E()\n", ["f.g", "f"]),
+        ("def f():\n    raise ValueError('E')\n", []),
+        ("def f():\n    try:\n        pass\n    except E:\n        raise\n", []),
+    ],
+)
+def test_raise_check_flags_what_it_should(source, scopes):
+    assert raising_scopes(ast.parse(source), "E") == scopes
+
+
 # --- the public API and the oracles' reach into the engine -----------------------------
 
 PUBLIC_API = [

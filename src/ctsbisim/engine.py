@@ -13,12 +13,12 @@ are opaque lattice elements handled through an ops object providing
 meet/join/residuum/leq/top/bottom, so the same iteration runs on explicit
 bitsets and on ROBDD handles.
 
-The descent is a worklist over entries: an entry reads only the entries of
-its same-action successor pairs, so after the first round ``_descend``
-re-evaluates just the entries with a move into an entry the previous round
-changed, found through predecessor lists.  Rounds stay synchronous, so the
-fixpoint, the round count and the per-entry history are those of applying
-the operator to the whole matrix every round.
+The descent is a worklist over entries and terms: an entry is a meet of
+one term per move, and a term reads only its same-action successor pairs.
+After the first round ``_descend`` passes the entries with a move into a
+changed entry, and ``_transfer`` meets each old value with just the terms
+that read a changed entry.  On the chain down from top the other terms keep
+their value, so the fixpoint, rounds and history equal whole-matrix ones.
 
 The first round is the image of the all-top relation, and there it has a
 closed form: every reply is its guard, and the residuum turns the join of
@@ -264,8 +264,9 @@ class Problem:
     """Both systems' moves with guards in the backend's lattice, per action.
 
     ``succ_x[a][i]`` lists the ``(target index, guard)`` moves of left state
-    i under a, and ``esc_x[a][i]`` is the join of the guards on strictly
-    higher actions at i (bottom when precedence is off); ``succ_y`` and
+    i under a, ``targets_x[a][i]`` is the bitmask of their targets, and
+    ``esc_x[a][i]`` is the join of the guards on strictly higher actions at
+    i (bottom when precedence is off); ``succ_y``, ``targets_y`` and
     ``esc_y`` are the same for the right system.  ``entry_names`` decodes an
     entry to its condition names and ``entry_holds(entry, cond)`` tests one
     condition, raising ``UnknownElement`` for a name that is not a
@@ -283,6 +284,8 @@ class Problem:
     succ_y: dict
     esc_x: dict
     esc_y: dict
+    targets_x: dict
+    targets_y: dict
     cond_count: int
     entry_names: Callable[[object], tuple[str, ...]]
     entry_holds: Callable[[object, str], bool]
@@ -292,8 +295,8 @@ class Problem:
 
 
 def _move_lists(ops, model, guards, higher):
-    """Successor and escape lists of one system from its ``((x, a, y), guard)``
-    items; ``higher`` holds the (higher, lower) precedence pairs in force."""
+    """Successor, escape and target-mask lists of one system from its
+    ``((x, a, y), guard)`` items; ``higher`` holds the (higher, lower) pairs."""
     pos = {s: i for i, s in enumerate(model.states)}
     succ = {a: [[] for _ in model.states] for a in model.alphabet}
     for (x, a, y), g in guards:
@@ -304,13 +307,14 @@ def _move_lists(ops, model, guards, higher):
         for i, moves in enumerate(succ[hi]):
             for _, g in moves:
                 esc[lo][i] = ops.join(esc[lo][i], g)
-    return succ, esc
+    targets = {a: [sum({1 << t for t, _ in moves}) for moves in lists] for a, lists in succ.items()}
+    return succ, esc, targets
 
 
 def _problem(ops, mx, my, guards_x, guards_y, precedence: bool, **fields) -> Problem:
     higher = mx.precedence if precedence else ()
-    succ_x, esc_x = _move_lists(ops, mx, guards_x, higher)
-    succ_y, esc_y = _move_lists(ops, my, guards_y, higher)
+    succ_x, esc_x, targets_x = _move_lists(ops, mx, guards_x, higher)
+    succ_y, esc_y, targets_y = _move_lists(ops, my, guards_y, higher)
     return Problem(
         ops=ops,
         alphabet=tuple(mx.alphabet),
@@ -320,6 +324,8 @@ def _problem(ops, mx, my, guards_x, guards_y, precedence: bool, **fields) -> Pro
         succ_y=succ_y,
         esc_x=esc_x,
         esc_y=esc_y,
+        targets_x=targets_x,
+        targets_y=targets_y,
         **fields,
     )
 
@@ -408,10 +414,10 @@ def build_problem(
             configs = left.admissible_configs()
             if right.diagram != left.diagram and right.admissible_configs() != configs:
                 raise ModelMismatch("feature diagrams carve out different configurations")
-            # one configuration poset for both systems
-            over = configs, models.config_poset(configs, left.universe)
-            l1 = fts_to_lats(left, close=close, over=over)
-            l2 = fts_to_lats(right, close=close, over=over)
+            # one set of feature masks and one configuration poset for both systems
+            masks = models.feature_masks(configs, left.universe)
+            over = configs, masks, models.config_poset(configs, left.universe)
+            l1, l2 = (fts_to_lats(f, close=close, over=over) for f in (left, right))
             return _explicit_problem(l1, l2, precedence)
         manager = BddManager(left.universe, var_order)
         diagram = manager.from_expr(left.diagram)
@@ -557,75 +563,85 @@ def _first_image(problem: Problem, residuum):
     return [list(rows[k]) for k in of_x]
 
 
-def _transfer(problem: Problem, R, residuum, stale: dict | None = None):
+def _transfer(problem: Problem, R, residuum, stale: dict | None = None, changed=None):
     """One application of the transfer operator to the relation matrix R.
 
-    Entry (x, y) is the meet, over every move x -a,g-> x' of x, of
+    Entry (x, y) is the meet of one term per move: for x -a,g-> x' the term
     ``residuum(g, esc | join of h & R(x', y') over the moves y -a,h-> y')``,
-    where esc is x's escape under a, and symmetrically over the moves of y.
+    where esc is x's escape under a, and symmetrically for the moves of y.
     The escape join must stay inside the residuum: it excuses an unmatched
     move exactly under the conditions where a higher action is enabled.
     A deadlocked pair keeps top; an entry is final once it reaches bottom.
     A reply into a bottom entry adds nothing to the join and is skipped.
 
-    Without ``stale`` this is the whole image; when R is all top, as in the
-    first round of a descent, it is evaluated per pair of state signatures
-    (``_first_image``).  With ``stale`` (row -> columns) only those entries
-    are evaluated, and only where R is not bottom yet; every other entry is
-    copied from R.  That is the whole image only inside a descent from top,
-    where an entry none of whose successor pairs changed keeps its value.
+    Without ``stale`` this is the whole image, every entry from top with
+    every term, or per pair of state signatures when R is all top
+    (``_first_image``).  A later round of a descent passes ``stale`` (row ->
+    columns) and the last round's changes as bitmasks, ``changed_row[t]``
+    of the columns u where R(t, u) changed and ``changed_col[u]`` of those
+    rows t.  A stale entry meets its value in R with just the terms that
+    read a changed entry: x -a-> t if ``changed_row[t]`` meets y's
+    a-targets, y -a-> u if ``changed_col[u]`` meets x's.  Exact in a
+    descent: R's entry is the meet of the old terms, no term rises, and the
+    others keep their value.  Rows without stale entries are R's own.
     """
     ops = problem.ops
     meet, join, top, bottom = ops.meet, ops.join, ops.top, ops.bottom
-    if stale is None and all(row.count(top) == len(row) for row in R):
-        return _first_image(problem, residuum)
-    Rt = transpose(R)
+    out = list(R)
+    if stale is None:
+        if all(row.count(top) == len(row) for row in R):
+            return _first_image(problem, residuum)
+        out = top_matrix(ops, len(R), len(problem.states_y))
+        stale = dict.fromkeys(range(len(R)), range(len(problem.states_y)))
+    changed_row, changed_col = changed or (None, None)
     per_action = [
-        (problem.succ_x[a], problem.succ_y[a], problem.esc_x[a], problem.esc_y[a])
+        (problem.succ_x[a], problem.succ_y[a], problem.esc_x[a], problem.esc_y[a],
+         problem.targets_x[a], problem.targets_y[a])
         for a in problem.alphabet
     ]
 
-    def entry(xi, yi):
-        acc = top
-        for succ_x, succ_y, esc_x, esc_y in per_action:
+    def entry(xi, yi, acc):
+        for succ_x, succ_y, esc_x, esc_y, targets_x, targets_y in per_action:
             xs, ys = succ_x[xi], succ_y[yi]
-            for moves, replies, esc, rel in ((xs, ys, esc_x[xi], R), (ys, xs, esc_y[yi], Rt)):
-                for t, g in moves:
-                    row = rel[t]
-                    sup = esc
-                    for u, h in replies:
-                        v = row[u]
-                        if v != bottom:
+            for t, g in xs:
+                if changed_row is None or changed_row[t] & targets_y[yi]:
+                    row, sup = R[t], esc_x[xi]
+                    for u, h in ys:
+                        if (v := row[u]) != bottom:
                             sup = join(sup, meet(h, v))
                     acc = meet(acc, residuum(g, sup))
                     if acc == bottom:
                         return bottom
+            for u, h in ys:
+                if changed_col is None or changed_col[u] & targets_x[xi]:
+                    sup = esc_y[yi]
+                    for t, g in xs:
+                        if (v := R[t][u]) != bottom:
+                            sup = join(sup, meet(g, v))
+                    acc = meet(acc, residuum(h, sup))
+                    if acc == bottom:
+                        return bottom
         return acc
 
-    if stale is None:
-        ny = len(problem.states_y)
-        return [[entry(xi, yi) for yi in range(ny)] for xi in range(len(problem.states_x))]
-    out = [list(row) for row in R]
     for xi, cols in stale.items():
-        row = out[xi]
+        row = out[xi] = list(out[xi])
         for yi in cols:
-            if row[yi] != bottom:
-                row[yi] = entry(xi, yi)
+            row[yi] = entry(xi, yi, row[yi])
     return out
 
 
-def apply_G_ops(problem: Problem, R, stale: dict | None = None):
+def apply_G_ops(problem: Problem, R, stale: dict | None = None, changed=None):
     """The transfer operator G.  Without precedence every escape is bottom
     and G is the plain operator F."""
-    return _transfer(problem, R, problem.ops.residuum, stale)
+    return _transfer(problem, R, problem.ops.residuum, stale, changed)
 
 
-def apply_F_boolean_ops(problem: Problem, R, stale: dict | None = None):
+def apply_F_boolean_ops(problem: Problem, R, stale: dict | None = None, changed=None):
     """The transfer operator with the Boolean residuum ``not g or s`` on
     explicit bitsets: equal to G on a discrete order, and the Boolean image
     that ``boolean_vs_lattice`` approximates on any other."""
     top = problem.ops.top
-    return _transfer(problem, R, lambda g, s: (top ^ g) | s, stale)
+    return _transfer(problem, R, lambda g, s: (top ^ g) | s, stale, changed)
 
 
 # --- fixpoint ---------------------------------------------------------------------------
@@ -644,13 +660,14 @@ def _predecessors(succ: dict) -> dict:
 
 def _descend(problem: Problem, step, history: dict | None = None):
     """Apply ``step`` from the all-top relation until it is stable; returns
-    the fixpoint and the number of rounds that changed the relation.
+    the fixpoint, the number of rounds that changed the relation, and per
+    round the entries evaluated and changed (``stats``).
 
-    The first round asks ``step`` for the whole image of top, which
-    ``_transfer`` evaluates per pair of state signatures.  Every later
-    round passes the stale entries (row -> columns): the pairs (x, y) with
-    moves x -a-> x' and y -a-> y' into an entry (x', y') that the previous
-    round changed.  Only stale entries are compared.  With ``history``,
+    The first round asks ``step`` for the whole image of top.  Every later
+    round passes the stale entries (row -> columns), the pairs (x, y) not
+    bottom yet with moves x -a-> x' and y -a-> y' into an entry (x', y')
+    that the previous round changed, and those changes as bitmasks per row
+    and per column.  Only stale entries are compared.  With ``history``,
     each entry that round r changes gets ``(r, old value)`` appended under
     its ``(xi, yi)``.  Descent from top makes "no entry changed" equivalent
     to the post-fixpoint test; the safeguard bound turns any monotonicity
@@ -658,11 +675,13 @@ def _descend(problem: Problem, step, history: dict | None = None):
     """
     nx, ny = len(problem.states_x), len(problem.states_y)
     bound = nx * ny * problem.cond_count + 1
+    bottom = problem.ops.bottom
     pred_x, pred_y = _predecessors(problem.succ_x), _predecessors(problem.succ_y)
     preds = [(pred_x[a], pred_y[a]) for a in problem.alphabet]
     R = top_matrix(problem.ops, nx, ny)
     stale = {xi: range(ny) for xi in range(nx)}
     nxt = step(problem, R)
+    stats = {"stale": [nx * ny], "changed": []}
     rounds = 0
     while True:
         changed = []
@@ -673,8 +692,9 @@ def _descend(problem: Problem, step, history: dict | None = None):
                     changed.append((xi, yi))
                     if history is not None:
                         history.setdefault((xi, yi), []).append((rounds, row[yi]))
+        stats["changed"].append(len(changed))
         if not changed:
-            return R, rounds
+            return R, rounds, stats
         rounds += 1
         if rounds >= bound:
             raise SafeguardExceeded(
@@ -682,8 +702,10 @@ def _descend(problem: Problem, step, history: dict | None = None):
                 "not deflating (engine bug)" % bound
             )
         R = nxt
-        stale = {}
+        stale, changed_row, changed_col = {}, [0] * nx, [0] * ny
         for xi, yi in changed:
+            changed_row[xi] |= 1 << yi
+            changed_col[yi] |= 1 << xi
             for px, py in preds:
                 cols = py[yi]
                 if cols:
@@ -691,8 +713,9 @@ def _descend(problem: Problem, step, history: dict | None = None):
                         stale.setdefault(x, []).extend(cols)
         # sorted lists rather than sets that live through the next round:
         # large sets leave the C heap fragmented and the peak RSS higher
-        stale = {x: sorted(set(cols)) for x, cols in stale.items()}
-        nxt = step(problem, R, stale)
+        stale = {x: [y for y in sorted(set(cols)) if R[x][y] != bottom] for x, cols in stale.items()}
+        stats["stale"].append(sum(map(len, stale.values())))
+        nxt = step(problem, R, stale, (changed_row, changed_col))
 
 
 class BisimResult(ConditionalRelation):
@@ -700,14 +723,16 @@ class BisimResult(ConditionalRelation):
     through the problem's ``entry_names``/``entry_holds``, trusted rather
     than validated again, on either backend.  ``history`` maps an entry's
     ``(xi, yi)`` to the ``(round, old value)`` of every round that changed
-    it, in round order (None when it was not recorded)."""
+    it, in round order (None when it was not recorded).  ``stats`` lists the
+    entries each transfer round evaluated (``stale``) and changed (``changed``)."""
 
-    def __init__(self, problem: Problem, matrix, history: dict | None, iterations: int):
+    def __init__(self, problem: Problem, matrix, history: dict | None, iterations: int, stats: dict):
         p = problem
         self._bind(p.poset, p.states_x, p.states_y, matrix, p.entry_names, p.entry_holds)
         self.problem = problem
         self.history = history
         self.iterations = iterations
+        self.stats = stats
 
     # named in this class's own body so that tracing can wrap them here
     holds = ConditionalRelation.holds
@@ -742,8 +767,8 @@ def greatest_bisimulation(
     # on a discrete order the residuum is complement-join, so both operators agree
     step = apply_F_boolean_ops if problem.discrete else apply_G_ops
     history = {} if keep_trace else None
-    matrix, iterations = _descend(problem, step, history)
-    return BisimResult(problem, matrix, history, iterations)
+    matrix, iterations, stats = _descend(problem, step, history)
+    return BisimResult(problem, matrix, history, iterations, stats)
 
 
 # --- checks against the definitions ---------------------------------------------------------
@@ -912,8 +937,8 @@ def boolean_vs_lattice(R: ConditionalRelation, l1, l2) -> dict:
     approx_f_b = [[poset.approx_bits(e) for e in row] for row in f_b]
     matches = approx_f_b == f_l
 
-    lattice_star, _ = _descend(problem, apply_G_ops)
-    bool_star, _ = _descend(problem, apply_F_boolean_ops)
+    lattice_star = _descend(problem, apply_G_ops)[0]
+    bool_star = _descend(problem, apply_F_boolean_ops)[0]
 
     witnesses = []
     for xi in range(len(problem.states_x)):

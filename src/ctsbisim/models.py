@@ -260,7 +260,7 @@ def lats_to_cts(l: Lats) -> Cts:
     return _recast(l, Cts)
 
 
-def _feature_masks(configs: list[ft.Config], universe: FeatureUniverse) -> dict[str, int]:
+def feature_masks(configs: list[ft.Config], universe: FeatureUniverse) -> dict[str, int]:
     """Per feature, the configurations it is on in: bit i for ``configs[i]``."""
     masks = dict.fromkeys(universe.features, 0)
     for i, c in enumerate(configs):
@@ -285,7 +285,7 @@ def config_poset(configs: list[ft.Config], universe: FeatureUniverse) -> Conditi
     These rows are the order exactly, whatever the set of configurations;
     it is a partial order by construction, so no closure is validated.
     """
-    masks = _feature_masks(configs, universe)
+    masks = feature_masks(configs, universe)
     full = (1 << len(configs)) - 1
     columns = [(f, f not in universe.upgrade, masks[f], full & ~masks[f]) for f in universe.features]
     up, down = [], []
@@ -306,7 +306,7 @@ def config_poset(configs: list[ft.Config], universe: FeatureUniverse) -> Conditi
 
 
 def fts_to_lats(
-    f: Fts, close: bool = False, over: tuple[list[ft.Config], ConditionPoset] | None = None
+    f: Fts, close: bool = False, over: tuple[list[ft.Config], dict, ConditionPoset] | None = None
 ) -> Lats:
     """Conditions are the admissible configurations under the upgrade order;
     the guard of a transition collects the configurations satisfying its
@@ -319,15 +319,14 @@ def fts_to_lats(
     configurations (an atom is its mask; negation, conjunction and
     disjunction are the complement within them, ``&`` and ``|``).
 
-    ``over`` is ``(f.admissible_configs(), their config_poset)`` when the
-    caller has them already, as for two systems over one diagram.
+    ``over`` is ``(f.admissible_configs(), their feature_masks, their
+    config_poset)`` when the caller has them already, as for two systems
+    over one diagram.
     """
     if over is None:
         configs = f.admissible_configs()
-        poset = config_poset(configs, f.universe)
-    else:
-        configs, poset = over
-    masks = _feature_masks(configs, f.universe)
+        over = configs, feature_masks(configs, f.universe), config_poset(configs, f.universe)
+    configs, masks, poset = over
     full = poset.full_mask
     complement = lambda bits: full & ~bits
     alpha = {

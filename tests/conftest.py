@@ -183,3 +183,33 @@ def random_lats_pair(
     l1 = random_lats(rng, poset, states1, alphabet, precedence, density)
     l2 = random_lats(rng, poset, states2, alphabet, precedence, density)
     return l1, l2
+
+
+def precedence_shaped_pair(rng: random.Random, n=16, conditions=6):
+    """Two LaTS in the shape of the benchmark's ``precedence`` workload: per
+    state two or three a- and b-successors and one e-successor, e ranked
+    above a and b, over one non-discrete poset; the right side has the
+    left's moves with every guard drawn again, each the down-closure of one
+    to three conditions."""
+    poset = random_poset(rng, conditions, min_n=conditions)
+    while poset.is_discrete:
+        poset = random_poset(rng, conditions, min_n=conditions)
+    states = tuple("s%d" % i for i in range(n))
+    fanout = {"a": (2, 3), "b": (2, 3), "e": (1, 1)}
+    moves = [
+        (x, act, y)
+        for x in states
+        for act, (lo, hi) in fanout.items()
+        for y in rng.sample(states, rng.randint(lo, hi))
+    ]
+
+    def guard():
+        bits = 0
+        for _ in range(rng.randint(1, 3)):
+            bits |= poset.down[rng.randrange(conditions)]
+        return bits
+
+    return tuple(
+        Lats(states, tuple(fanout), poset, {m: guard() for m in moves}, precedence=(("e", "a"), ("e", "b")))
+        for _ in "lr"
+    )

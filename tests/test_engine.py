@@ -40,6 +40,7 @@ from ctsbisim.poset import ConditionPoset, iter_bits
 
 from conftest import (
     make_routing,
+    precedence_shaped_pair,
     random_downset_bits,
     random_lats,
     random_lats_pair,
@@ -734,6 +735,43 @@ def evaluated_per_round(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def residua_per_round(monkeypatch):
+    """Patch the transfer kernel to count, per call, the residua it takes."""
+    calls = []
+    transfer = engine._transfer
+
+    def counting_transfer(problem, R, residuum, *rest):
+        calls.append(0)
+
+        def counted(g, s):
+            calls[-1] += 1
+            return residuum(g, s)
+
+        return transfer(problem, R, counted, *rest)
+
+    monkeypatch.setattr(engine, "_transfer", counting_transfer)
+    return calls
+
+
+def three_move_pair():
+    """x has three a-moves, to t2, t3 and t1 in that order, and y one, to u.
+    Only t1 has a move (b, a self-loop), so the first round sets (t1, u) to
+    bottom and leaves (t2, u) and (t3, u) at top; the only stale entry of
+    the second round is (x, y), and only x's move to t1 reads a changed
+    entry (y's move to u reads (t1, u) too, but its term is never reached:
+    the move to t1 already takes (x, y) to bottom)."""
+    poset = ConditionPoset(["c"], [])
+    left = Lats(
+        ("x", "t1", "t2", "t3"),
+        ("a", "b"),
+        poset,
+        {("x", "a", "t2"): 1, ("x", "a", "t3"): 1, ("x", "a", "t1"): 1, ("t1", "b", "t1"): 1},
+    )
+    right = Lats(("y", "u"), ("a", "b"), poset, {("y", "a", "u"): 1})
+    return left, right
+
+
 def chain_pair(n):
     """Two cyclic a-chains of n states over a four-element antichain; the
     tail's b self-loop is enabled under every condition on the left and
@@ -784,6 +822,60 @@ class TestIncrementalRounds:
         assert max(done[1:]) <= 2 * n
         matrix, iterations, history = whole_matrix_descent(res.problem)
         assert (res.matrix, res.iterations, res.history) == (matrix, iterations, history)
+
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_a_round_recomputes_only_the_terms_that_read_a_change(self, backend, residua_per_round):
+        left, right = three_move_pair()
+        res = greatest_bisimulation(left, right, backend=backend)
+        # the whole entry would take three residua, one per move of x
+        assert residua_per_round[1:] == [1, 0]
+        assert res.stats["stale"][1:] == [1, 0]
+        assert res.conditions("x", "y") == ()
+        assert (res.matrix, res.iterations, res.history) == whole_matrix_descent(res.problem)
+
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    @pytest.mark.parametrize("precedence", [False, True], ids=["plain", "precedence"])
+    def test_precedence_shaped_pairs_equal_whole_matrix_descent(self, backend, precedence):
+        rng = random.Random(1325)
+        for _ in range(8):
+            left, right = precedence_shaped_pair(rng)
+            res = greatest_bisimulation(left, right, precedence=precedence, backend=backend)
+            assert (res.matrix, res.iterations, res.history) == whole_matrix_descent(res.problem)
+            assert res.report() == brute_force_oracle(left, right, precedence=precedence).report()
+
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_stats_count_the_entries_each_round_evaluates_and_changes(self, backend, evaluated_per_round):
+        rng = random.Random(1326)
+        for _ in range(3):
+            evaluated_per_round.clear()
+            left, right = precedence_shaped_pair(rng, n=8)
+            res = greatest_bisimulation(left, right, precedence=True, backend=backend)
+            assert res.stats["stale"] == [done for done, _ in evaluated_per_round]
+            changed = [0] * (res.iterations + 1)
+            for rounds in res.history.values():
+                for r, _ in rounds:
+                    changed[r] += 1
+            assert res.stats["changed"] == changed
+            assert changed[-1] == 0 and all(changed[:-1])
+
+
+class TestTransferWork:
+    def test_per_round_residua_do_not_rise(self, residua_per_round):
+        """The residuum calls per transfer round on ten seeded pairs of the
+        ``precedence`` shape, with precedence on, are pinned in
+        ``data/transfer_residua.json``: a deterministic guard against work
+        regressions.  A change that lowers a count records the new ones."""
+        pinned = json.loads((DATA / "transfer_residua.json").read_text())
+        rng = random.Random(13)
+        pairs = [precedence_shaped_pair(rng) for _ in range(len(pinned))]
+        assert sorted(pinned, key=int) == [str(i) for i in range(10)]
+        for i, (left, right) in enumerate(pairs):
+            for backend in ("explicit", "bdd"):
+                residua_per_round.clear()
+                greatest_bisimulation(left, right, precedence=True, backend=backend)
+                want = pinned[str(i)][backend]
+                assert len(residua_per_round) == len(want)
+                assert all(got <= cap for got, cap in zip(residua_per_round, want)), (i, backend)
 
 
 # --- the first image -----------------------------------------------------------------
@@ -890,14 +982,14 @@ class TestFirstImage:
         calls = []
         transfer = engine._transfer
 
-        def counting_transfer(problem, R, residuum, stale=None):
+        def counting_transfer(problem, R, residuum, stale=None, changed=None):
             calls.append(0)
 
             def counted(g, s):
                 calls[-1] += 1
                 return residuum(g, s)
 
-            return transfer(problem, R, counted, stale)
+            return transfer(problem, R, counted, stale, changed)
 
         monkeypatch.setattr(engine, "_transfer", counting_transfer)
         n = 24

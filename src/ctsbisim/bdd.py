@@ -281,8 +281,10 @@ class BddManager:
 
         Both arguments must be downward-closed and imply d; each handle is
         checked once per diagram, and a handle that fails is checked again
-        and rejected on every call.  When d itself is downward-closed the
-        computation drops the ``or not d`` term.
+        and rejected on every call.  The result is ``approx(not b1 or b2 or
+        not d) and d``: the ``not d`` term counts the configurations outside
+        d as satisfied, so the closure is taken within d.  On a downward-closed
+        d it changes nothing, and on ``d = true`` it costs two terminal cases.
         """
         key = (b1, b2, d)
         cached = self._residuum_memo.get(key)
@@ -297,9 +299,7 @@ class BddManager:
             if not self.is_downward_closed_within(b, d):
                 raise PreconditionViolation("%s is not downward-closed within the diagram" % name)
             checked.add((b, d))
-        core = self.disj(self.neg(b1), b2)
-        if not self.is_downward_closed(d):
-            core = self.disj(core, self.neg(d))
+        core = self.disj(self.disj(self.neg(b1), b2), self.neg(d))
         result = self.conj(self.approx(core), d)
         self._residuum_memo[key] = result
         return result

@@ -77,7 +77,6 @@ from .poset import ConditionPoset, iter_bits
 class ExplicitOps:
     """Bitset lattice over a condition poset."""
 
-    kind = "explicit"
     meet = staticmethod(operator.and_)
     join = staticmethod(operator.or_)
     bottom = 0
@@ -101,7 +100,6 @@ class ExplicitOps:
 class BddOps:
     """ROBDD lattice of downward-closed sets within a feature diagram."""
 
-    kind = "bdd"
     bottom = 0
 
     def __init__(self, manager: BddManager, diagram: int):
@@ -180,10 +178,6 @@ def report_bytes(report: dict) -> bytes:
     return ('{\n  "pairs": [\n%s\n  ]\n}\n' % ",\n".join(parts)).encode()
 
 
-def report_checksum(report: dict) -> str:
-    return hashlib.sha256(report_bytes(report)).hexdigest()
-
-
 class ConditionalRelation:
     """A matrix of downward-closed condition sets indexed by state pairs.
 
@@ -196,24 +190,26 @@ class ConditionalRelation:
     without validating it again.
     """
 
-    def __init__(self, poset, states_x, states_y, rows):
-        rows = [list(r) for r in rows]
-        self._bind(poset, states_x, states_y, rows, poset.names_of_bits, poset.has_bits)
-        if len(rows) != len(self.states_x) or any(len(r) != len(self.states_y) for r in rows):
+    def __init__(self, poset, states_x, states_y, matrix):
+        matrix = [list(r) for r in matrix]
+        self._bind(poset, states_x, states_y, matrix, poset.names_of_bits, poset.has_bits)
+        if len(matrix) != len(self.states_x) or any(len(r) != len(self.states_y) for r in matrix):
             raise DimensionMismatch("relation matrix does not match the state sets")
-        for row in rows:
+        for row in matrix:
             for bits in row:
+                if bits & ~poset.full_mask:
+                    raise UnknownElement("bitmask out of range for poset")
                 if not poset.is_down_closed_bits(bits):
                     raise GuardNotDownwardClosed(
                         "relation entry {%s} is not downward-closed"
                         % ", ".join(poset.names_of_bits(bits))
                     )
 
-    def _bind(self, poset, states_x, states_y, rows, entry_names, entry_holds):
+    def _bind(self, poset, states_x, states_y, matrix, entry_names, entry_holds):
         self.poset = poset
         self.states_x = tuple(states_x)
         self.states_y = tuple(states_y)
-        self.rows = rows
+        self.matrix = matrix
         self.entry_names = entry_names
         self.entry_holds = entry_holds
         self._ix = {x: i for i, x in enumerate(self.states_x)}
@@ -241,7 +237,7 @@ class ConditionalRelation:
             raise UnknownState("unknown left state %r" % (x,))
         if y not in self._iy:
             raise UnknownState("unknown right state %r" % (y,))
-        return self.rows[self._ix[x]][self._iy[y]]
+        return self.matrix[self._ix[x]][self._iy[y]]
 
     def holds(self, x: str, y: str, cond: str) -> bool:
         return self.entry_holds(self._entry(x, y), cond)
@@ -250,10 +246,10 @@ class ConditionalRelation:
         return tuple(sorted(self.entry_names(self._entry(x, y))))
 
     def report(self) -> dict:
-        return relation_report(self.states_x, self.states_y, self.rows, self.entry_names)
+        return relation_report(self.states_x, self.states_y, self.matrix, self.entry_names)
 
     def checksum(self) -> str:
-        return report_checksum(self.report())
+        return hashlib.sha256(report_bytes(self.report())).hexdigest()
 
 
 # --- problem preparation ---------------------------------------------------------------
@@ -273,7 +269,8 @@ class Problem:
     condition; ``ConditionalRelation`` reads relations through these two.
     On BDD problems ``entry_holds`` evaluates the entry on the condition's
     one configuration instead of enumerating the entry.  ``poset`` is set on
-    explicit problems and ``manager`` on BDD ones.
+    explicit problems and ``manager`` on BDD ones, so the backend and, on
+    explicit problems, the discreteness of the order are read off them.
     """
 
     ops: object
@@ -291,7 +288,6 @@ class Problem:
     entry_holds: Callable[[object, str], bool]
     poset: ConditionPoset | None = None
     manager: BddManager | None = None
-    discrete: bool = False
 
 
 def _move_lists(ops, model, guards, higher):
@@ -502,7 +498,6 @@ def _explicit_problem(l1: Lats, l2: Lats, precedence: bool) -> Problem:
         entry_names=poset.names_of_bits,
         entry_holds=poset.has_bits,
         poset=poset,
-        discrete=poset.is_discrete,
     )
 
 
@@ -719,9 +714,10 @@ def _descend(problem: Problem, step, history: dict | None = None):
 
 
 class BisimResult(ConditionalRelation):
-    """The greatest fixpoint of a problem: its matrix as a relation read
+    """The greatest fixpoint of a problem: its ``matrix`` as a relation read
     through the problem's ``entry_names``/``entry_holds``, trusted rather
-    than validated again, on either backend.  ``history`` maps an entry's
+    than validated again, on either backend; which one is read off
+    ``problem`` (``poset`` or ``manager``).  ``history`` maps an entry's
     ``(xi, yi)`` to the ``(round, old value)`` of every round that changed
     it, in round order (None when it was not recorded).  ``stats`` lists the
     entries each transfer round evaluated (``stale``) and changed (``changed``)."""
@@ -737,14 +733,6 @@ class BisimResult(ConditionalRelation):
     # named in this class's own body so that tracing can wrap them here
     holds = ConditionalRelation.holds
     report = ConditionalRelation.report
-
-    @property
-    def backend(self) -> str:
-        return self.problem.ops.kind
-
-    @property
-    def matrix(self):
-        return self.rows
 
 
 def greatest_bisimulation(
@@ -765,7 +753,8 @@ def greatest_bisimulation(
         left, right, backend=backend, precedence=precedence, var_order=var_order, close=close
     )
     # on a discrete order the residuum is complement-join, so both operators agree
-    step = apply_F_boolean_ops if problem.discrete else apply_G_ops
+    poset = problem.poset
+    step = apply_F_boolean_ops if poset is not None and poset.is_discrete else apply_G_ops
     history = {} if keep_trace else None
     matrix, iterations, stats = _descend(problem, step, history)
     return BisimResult(problem, matrix, history, iterations, stats)
@@ -774,18 +763,20 @@ def greatest_bisimulation(
 # --- checks against the definitions ---------------------------------------------------------
 
 
-def _relation_matrix_for(R: ConditionalRelation, problem: Problem):
+def _explicit_check(R: ConditionalRelation, l1, l2, precedence: bool = False):
+    """The explicit problem of the two models and R's matrix, once R is
+    known to relate their states over their poset."""
+    problem = build_problem(l1, l2, backend="explicit", precedence=precedence)
     if R.states_x != problem.states_x or R.states_y != problem.states_y:
         raise ModelMismatch("relation states do not match the models")
     if R.poset != problem.poset:
         raise ModelMismatch("relation poset does not match the models")
-    return R.rows
+    return problem, R.matrix
 
 
 def is_bisimulation(R: ConditionalRelation, l1, l2, precedence: bool = False) -> bool:
     """Post-fixpoint test: R is a bisimulation iff R is below its own image."""
-    problem = build_problem(l1, l2, backend="explicit", precedence=precedence)
-    rows = _relation_matrix_for(R, problem)
+    problem, rows = _explicit_check(R, l1, l2, precedence)
     return mats_leq(problem.ops, rows, apply_G_ops(problem, rows))
 
 
@@ -800,8 +791,7 @@ class TransferViolation:
 
 def check_transfer(R: ConditionalRelation, l1, l2) -> list[TransferViolation]:
     """Enumerate failures of the irreducible-indexed transfer properties."""
-    problem = build_problem(l1, l2, backend="explicit")
-    rows = _relation_matrix_for(R, problem)
+    problem, rows = _explicit_check(R, l1, l2)
     cols = transpose(rows)
     violations = []
     for xi, x in enumerate(problem.states_x):
@@ -928,8 +918,7 @@ def boolean_vs_lattice(R: ConditionalRelation, l1, l2) -> dict:
     the approximation of the Boolean image must equal the lattice image,
     and the greatest Boolean bisimulation may strictly exceed the lattice
     one (witnesses are reported when it does)."""
-    problem = build_problem(l1, l2, backend="explicit")
-    rows = _relation_matrix_for(R, problem)
+    problem, rows = _explicit_check(R, l1, l2)
     poset = problem.poset
 
     f_l = apply_G_ops(problem, rows)
@@ -964,8 +953,7 @@ def fitting_check(l: Lats, R: ConditionalRelation) -> bool:
         raise PreconditionViolation("fitting_check requires a single-label system")
     if not l.poset.is_discrete:
         raise PreconditionViolation("fitting_check requires a discrete condition order")
-    problem = build_problem(l, l, backend="explicit")
-    rows = _relation_matrix_for(R, problem)
+    problem, rows = _explicit_check(R, l, l)
     succ = problem.succ_x[l.alphabet[0]]
 
     def fits(S) -> bool:

@@ -8,7 +8,8 @@ class CtsBisimError(Exception):
 # --- poset / explicit lattice ------------------------------------------------
 
 class UnknownElement(CtsBisimError):
-    """A condition name is not declared in the poset."""
+    """A condition name is not declared in the poset, or a bitmask reaches
+    past its elements."""
 
 
 class CycleError(CtsBisimError):
@@ -41,10 +42,6 @@ class PreconditionViolation(CtsBisimError):
 
 class ModelError(CtsBisimError):
     """A transition-system model fails validation or parsing."""
-
-
-class UnknownCondition(CtsBisimError):
-    """A condition name is not part of the model's poset."""
 
 
 class UnknownState(CtsBisimError):

@@ -33,9 +33,6 @@ class FeatureUniverse:
         if stray:
             raise UnknownFeature("upgrade features not declared: %s" % sorted(stray))
 
-    def __len__(self) -> int:
-        return len(self.features)
-
     def configurations(self) -> Iterator[Config]:
         """All subsets of the features in ``sort_configs`` order (exponential;
         keep universes small)."""

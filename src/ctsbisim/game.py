@@ -12,11 +12,12 @@ inside).  Both players move on the problem's successor lists.  Under
 action precedence a move is unavailable at the conditions where its
 escape holds, i.e. where a higher action is enabled at its source.
 
-Legal moves come from one place: ``GameBoard.attacks`` yields the
+Legal moves come from one place: ``SeparationTable.attacks`` yields the
 attacker's moves in (condition, side, action, target) order and
-``GameBoard.replies`` lists the answers to one; strategies, validators and
-listings all read them.  Interactive play asks both players through one
-prompt loop, reading lines from one iterator (scripted lines or stdin).
+``SeparationTable.replies`` lists the answers to one; strategies,
+validators and listings all read them.  Interactive play asks both
+players through one prompt loop, reading lines from one iterator
+(scripted lines or stdin).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .engine import BisimResult, Problem, greatest_bisimulation
+from .engine import BisimResult, greatest_bisimulation
 from .errors import IllegalMove, InvariantViolation, NotWinnable, PreconditionViolation
 from .poset import iter_bits
 
@@ -71,11 +72,21 @@ def _require(holds: bool, what: str) -> None:
         raise InvariantViolation("%s (engine bug)" % what)
 
 
-class GameBoard:
-    """Move tables for both systems, per state and condition."""
+class SeparationTable:
+    """The game on one explicit fixpoint: both systems' moves, per state and
+    condition, and per (pair, condition) the last fixpoint round keeping it
+    alive, or INF when it is in the greatest bisimulation."""
 
-    def __init__(self, problem: Problem):
+    def __init__(self, result: BisimResult):
+        problem = result.problem
+        if problem.poset is None or result.history is None:
+            raise PreconditionViolation(
+                "the game needs an explicit-backend result computed with keep_trace=True"
+            )
+        self.result = result
         self.poset = problem.poset
+        self._ix = {x: i for i, x in enumerate(problem.states_x)}
+        self._iy = {y: i for i, y in enumerate(problem.states_y)}
         self._moves: dict[tuple[str, str, str], list[tuple[str, str]]] = {}
         for side, succ, esc, states in (
             ("left", problem.succ_x, problem.esc_x, problem.states_x),
@@ -116,23 +127,6 @@ class GameBoard:
         moves = self.moves(side, self.state_of(inst, side), move.upgrade)
         return [t for a, t in moves if a == move.action]
 
-
-class SeparationTable:
-    """Per (pair, condition): the last fixpoint round keeping it alive, or
-    INF when it is in the greatest bisimulation."""
-
-    def __init__(self, result: BisimResult):
-        problem = result.problem
-        if problem.poset is None or result.history is None:
-            raise PreconditionViolation(
-                "the game needs an explicit-backend result computed with keep_trace=True"
-            )
-        self.result = result
-        self.poset = problem.poset
-        self.board = GameBoard(problem)
-        self._ix = {x: i for i, x in enumerate(problem.states_x)}
-        self._iy = {y: i for i, y in enumerate(problem.states_y)}
-
     def m(self, x: str, y: str, cond: str) -> float:
         if x not in self._ix:
             raise IllegalMove("unknown left state %r" % (x,))
@@ -165,7 +159,7 @@ def _reply(move: Move, target: str) -> Move:
 
 
 def player1_move(inst: GameInstance, table: SeparationTable) -> Move:
-    """Optimal attack: the first attack, in ``GameBoard.attacks`` order,
+    """Optimal attack: the first attack, in ``SeparationTable.attacks`` order,
     minimizing the worst reply's separation index.  The minimum is strictly
     below the current index, so the attack terminates; an empty reply set
     wins on the spot."""
@@ -174,10 +168,10 @@ def player1_move(inst: GameInstance, table: SeparationTable) -> Move:
         raise NotWinnable("instance (%s, %s, %s) is bisimilar" % (inst.x, inst.y, inst.condition))
 
     def worst(move: Move) -> float:
-        replies = table.board.replies(inst, move)
+        replies = table.replies(inst, move)
         return max((table.m(*_pair_after(move, t), move.upgrade) for t in replies), default=-1)
 
-    best = min(table.board.attacks(inst), key=worst, default=None)
+    best = min(table.attacks(inst), key=worst, default=None)
     if best is None:
         raise NotWinnable("no move available from (%s, %s, %s)" % (inst.x, inst.y, inst.condition))
     _require(worst(best) < current, "attack does not descend")
@@ -189,27 +183,27 @@ def engine_attack(inst: GameInstance, table: SeparationTable) -> Move | None:
     the first legal one; None when there is no move."""
     if table.m_of(inst) != INF:
         return player1_move(inst, table)
-    return next(table.board.attacks(inst), None)
+    return next(table.attacks(inst), None)
 
 
-def _validate_attack(inst: GameInstance, move: Move, board: GameBoard) -> None:
-    if move.upgrade not in board.poset.index:
+def _validate_attack(inst: GameInstance, move: Move, table: SeparationTable) -> None:
+    if move.upgrade not in table.poset.index:
         raise IllegalMove("unknown condition %r" % (move.upgrade,))
-    if not board.poset.leq(move.upgrade, inst.condition):
+    if not table.poset.leq(move.upgrade, inst.condition):
         raise IllegalMove(
             "%r is not an upgrade of the current condition %r" % (move.upgrade, inst.condition)
         )
     if move.side not in _OTHER:
         raise IllegalMove("side must be left or right, got %r" % (move.side,))
-    state = board.state_of(inst, move.side)
-    if (move.action, move.target) not in board.moves(move.side, state, move.upgrade):
+    state = table.state_of(inst, move.side)
+    if (move.action, move.target) not in table.moves(move.side, state, move.upgrade):
         raise IllegalMove(
             "no transition %s -[%s]-> %s on the %s side under %s"
             % (state, move.action, move.target, move.side, move.upgrade)
         )
 
 
-def _validate_reply(inst: GameInstance, move: Move, reply: Move, board: GameBoard) -> None:
+def _validate_reply(inst: GameInstance, move: Move, reply: Move, table: SeparationTable) -> None:
     side = _OTHER[move.side]
     if reply.upgrade != move.upgrade:
         raise IllegalMove("the defender keeps the condition %s" % move.upgrade)
@@ -217,10 +211,10 @@ def _validate_reply(inst: GameInstance, move: Move, reply: Move, board: GameBoar
         raise IllegalMove("the reply must be on the %s side" % side)
     if reply.action != move.action:
         raise IllegalMove("the reply must use action %s" % move.action)
-    if reply.target not in board.replies(inst, move):
+    if reply.target not in table.replies(inst, move):
         raise IllegalMove(
             "no transition %s -[%s]-> %s under %s"
-            % (board.state_of(inst, side), move.action, reply.target, move.upgrade)
+            % (table.state_of(inst, side), move.action, reply.target, move.upgrade)
         )
 
 
@@ -229,8 +223,8 @@ def player2_reply(inst: GameInstance, move: Move, table: SeparationTable):
     contains the played condition, answer with a move that keeps it inside
     (the transfer property guarantees one); otherwise answer arbitrarily or
     concede when no same-action move exists."""
-    _validate_attack(inst, move, table.board)
-    candidates = table.board.replies(inst, move)
+    _validate_attack(inst, move, table)
+    candidates = table.replies(inst, move)
     if not candidates:
         return CONCEDE
     if table.holds(inst.x, inst.y, move.upgrade):
@@ -321,7 +315,6 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
     Lines come from ``input_lines`` or, without them, from stdin.
     """
     table = SeparationTable(greatest_bisimulation(l1, l2))
-    board = table.board
     lines = iter(sys.stdin.readline, "") if input_lines is None else iter(input_lines)
     transcript: list[str] = []
 
@@ -374,9 +367,9 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
                 "P1 move> ",
                 "upgrade <cond>; <left|right> <action> -> <state>",
                 inst.condition,
-                list(board.attacks(inst)),
+                list(table.attacks(inst)),
                 lambda: engine_attack(inst, table) or "no move available",
-                lambda attack: _validate_attack(inst, attack, board),
+                lambda attack: _validate_attack(inst, attack, table),
             )
             if move is None:
                 return finish("quit: transcript closed")
@@ -387,7 +380,7 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
         emit("P1: %s" % (move,))
 
         if human_side == 2:
-            targets = board.replies(inst, move)
+            targets = table.replies(inst, move)
             if not targets:
                 return finish("Player 2 cannot simulate the step: Player 1 wins")
             reply = ask(
@@ -396,7 +389,7 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
                 move.upgrade,
                 [_reply(move, t).step for t in targets],
                 lambda: player2_reply(inst, move, table),
-                lambda answer: _validate_reply(inst, move, answer, board),
+                lambda answer: _validate_reply(inst, move, answer, table),
             )
             if reply is None:
                 return finish("quit: transcript closed")

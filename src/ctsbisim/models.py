@@ -26,11 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import features as ft
-from .errors import (
-    GuardNotDownwardClosed,
-    ModelError,
-    UnknownCondition,
-)
+from .errors import GuardNotDownwardClosed, ModelError
 from .features import FeatureExpr, FeatureUniverse
 from .poset import ConditionPoset, LatticeElement, iter_bits
 
@@ -106,6 +102,11 @@ class Lats:
                 continue
             closed = closures.get(bits)
             if closed is None:
+                if bits & ~poset.full_mask:
+                    raise ModelError(
+                        "guard of (%s, %s, %s) is a bitmask out of range for %d conditions"
+                        % (x, a, y, len(poset))
+                    )
                 closed = closures[bits] = poset.close_down_bits(bits)
             if closed != bits and not close:
                 # the lowest condition holding the guard, then its lowest upgrade that does not
@@ -127,9 +128,7 @@ class Lats:
 
     def instantiate(self, cond: str) -> Lts:
         """The labelled transition system active under one condition."""
-        if cond not in self.poset.index:
-            raise UnknownCondition("unknown condition %r" % (cond,))
-        bit = 1 << self.poset.index[cond]
+        bit = 1 << self.poset.element_index(cond)
         moves: dict[tuple[str, str], set] = {}
         for (x, a, y), bits in self.alpha.items():
             if bits & bit:
@@ -178,10 +177,9 @@ class Cts(Lats):
     def __init__(self, states, alphabet, poset: ConditionPoset, trans, precedence=()):
         guards: dict[tuple[str, str, str], int] = {}
         for (x, a, cond), targets in trans.items():
-            if cond not in poset.index:
-                raise UnknownCondition("unknown condition %r" % (cond,))
+            bit = 1 << poset.element_index(cond)
             for y in targets:
-                guards[(x, a, y)] = guards.get((x, a, y), 0) | 1 << poset.index[cond]
+                guards[(x, a, y)] = guards.get((x, a, y), 0) | bit
         try:
             super().__init__(states, alphabet, poset, guards, precedence)
         except GuardNotDownwardClosed as exc:

@@ -66,12 +66,7 @@ class ConditionPoset:
         for i in range(n):
             for j in iter_bits(up[i]):
                 down[j] |= 1 << i
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "up", tuple(up))
-        object.__setattr__(self, "down", tuple(down))
-        object.__setattr__(self, "full_mask", (1 << n) - 1)
-        object.__setattr__(self, "_hash", hash((elements, tuple(up))))
+        self._set_rows(elements, up, down)
 
     @classmethod
     def _from_rows(
@@ -80,14 +75,17 @@ class ConditionPoset:
         """Trusted constructor for rows already known to be a partial order
         and its converse."""
         self = object.__new__(cls)
-        elements = tuple(elements)
+        self._set_rows(tuple(elements), up, down)
+        return self
+
+    def _set_rows(self, elements: tuple[str, ...], up: Sequence[int], down: Sequence[int]):
+        up = tuple(up)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "index", {name: i for i, name in enumerate(elements)})
-        object.__setattr__(self, "up", tuple(up))
+        object.__setattr__(self, "up", up)
         object.__setattr__(self, "down", tuple(down))
         object.__setattr__(self, "full_mask", (1 << len(elements)) - 1)
-        object.__setattr__(self, "_hash", hash((elements, tuple(up))))
-        return self
+        object.__setattr__(self, "_hash", hash((elements, up)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ConditionPoset is immutable")

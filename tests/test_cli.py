@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ctsbisim
 from ctsbisim.cli import main
 from ctsbisim.engine import brute_force_oracle, greatest_bisimulation
 from ctsbisim.modelio import load_model
@@ -249,6 +253,32 @@ class TestCheck:
         assert code == 0
         assert out.read_bytes() == (DATA / ("check_routing_%s.json" % data)).read_bytes()
 
+    def test_var_order_prints_the_same_report(self, models_dir, tmp_path):
+        three = tmp_path / "three.json"
+        three.write_text(json.dumps(THREE_FEATURE_FTS))
+        routing = models_dir / "routing_fts_basic.json", models_dir / "routing_fts_modified.json"
+        for (left, right), order in ((routing, "enc"), ((three, three), "ssl,log,enc")):
+            plain, permuted = tmp_path / "plain.json", tmp_path / "permuted.json"
+            assert run("check", left, right, *BDD, "--out", plain) == 0
+            assert run("check", left, right, *BDD, "--var-order", order, "--out", permuted) == 0
+            assert permuted.read_bytes() == plain.read_bytes()
+
+    def test_var_order_that_is_not_a_permutation_exits_2(self, models_dir, tmp_path, capsys):
+        code = run(
+            "check",
+            models_dir / "routing_fts_basic.json",
+            models_dir / "routing_fts_modified.json",
+            *BDD,
+            "--var-order",
+            "enc,ssl",
+            "--out",
+            tmp_path / "r.json",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "variable order ['enc', 'ssl'] is not a permutation" in err
+
 
 @pytest.fixture
 def two_feature_files(tmp_path):
@@ -489,3 +519,16 @@ class TestBench:
             assert row["bdd"]["status"] == "ok"
         table = capsys.readouterr().out
         assert "ratio" in table
+
+
+def test_module_entry_point_prints_the_usage():
+    src = Path(ctsbisim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctsbisim", "--help"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: ctsbisim ")

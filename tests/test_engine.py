@@ -28,12 +28,15 @@ from ctsbisim.engine import (
 from ctsbisim.errors import (
     CapExceeded,
     DimensionMismatch,
+    GuardNotDownwardClosed,
     ModelMismatch,
     PrecedenceMismatch,
     PreconditionViolation,
+    SafeguardExceeded,
     UnknownElement,
+    UnknownState,
 )
-from ctsbisim.features import parse_expr
+from ctsbisim.features import FeatureUniverse, parse_expr
 from ctsbisim.modelio import load_model, model_from_dict
 from ctsbisim.models import Fts, Lats, fts_to_lats, gen_benchmark_fts, lats_to_cts
 from ctsbisim.poset import ConditionPoset, iter_bits
@@ -177,7 +180,7 @@ class TestTransferOperators:
             l1 = random_lats(rng, poset, states, ("m", "n"))
             l2 = random_lats(rng, poset, states, ("m", "n"))
             problem = build_problem(l1, l2)
-            assert problem.discrete
+            assert problem.poset.is_discrete
             R = random_relation_bits(rng, poset, len(states), len(states))
             assert apply_F_boolean_ops(problem, R) == apply_G_ops(problem, R)
 
@@ -971,7 +974,7 @@ class TestFirstImage:
         rng = random.Random(809)
         for l1, l2 in first_image_pairs(rng, 40, discrete=True):
             problem = build_problem(l1, l2, precedence=precedence)
-            assert problem.discrete
+            assert problem.poset.is_discrete
             top = top_of(problem)
             want = per_move_image(problem, top, boolean_residuum(problem))
             assert apply_F_boolean_ops(problem, top) == want
@@ -1205,3 +1208,74 @@ class TestThreeWayFtsDifferential:
                             assert len(answers) == 1
                             seen["holds" if answers.pop() else "refused"] += 1
         assert all(seen.values())  # the sweep covers each kind of answer
+
+
+class TestErrorPaths:
+    """Every refused input raises a typed error naming what was refused."""
+
+    @staticmethod
+    def fts(features, guard="enc"):
+        universe = FeatureUniverse(features, frozenset(features))
+        return Fts(universe, ("p", "q"), ("a",), {("p", "a", "q"): parse_expr(guard)})
+
+    def test_holds_with_an_unknown_left_state(self, routing_pair):
+        result = greatest_bisimulation(*routing_pair)
+        with pytest.raises(UnknownState, match="unknown left state 'nosuch'"):
+            result.holds("nosuch", "ready", "a")
+
+    def test_a_descent_that_does_not_deflate_hits_the_safeguard(self):
+        # one self-looped pair over two incomparable conditions: the step
+        # flips the entry between {c0} and {c1} and never settles
+        poset = ConditionPoset(["c0", "c1"])
+        loop = Lats(["x"], ["m"], poset, {("x", "m", "x"): 0b11})
+        problem = build_problem(loop, loop)
+
+        def flipping(problem, R, stale=None, changed=None):
+            return [[0b10 if R[0][0] == 0b01 else 0b01]]
+
+        # the bound is 1 * 1 * 2 conditions + 1 rounds
+        with pytest.raises(SafeguardExceeded, match="within 3 iterations"):
+            engine._descend(problem, flipping)
+
+    def test_unknown_backend(self, routing_pair):
+        with pytest.raises(ModelMismatch, match="unknown backend 'gpu'"):
+            build_problem(*routing_pair, backend="gpu")
+
+    def test_fts_over_different_universes(self):
+        with pytest.raises(ModelMismatch, match="feature universes differ"):
+            build_problem(self.fts(("enc",)), self.fts(("enc", "ssl")))
+
+    def test_bdd_guard_that_is_not_downward_closed(self):
+        f = self.fts(("enc",), guard="!enc")
+        with pytest.raises(GuardNotDownwardClosed, match=r"guard of \(p, a, q\)"):
+            build_problem(f, f, backend="bdd")
+
+    def test_mixed_model_kinds(self, routing_pair):
+        with pytest.raises(ModelMismatch, match="cannot compare Lats with Fts"):
+            build_problem(routing_pair[0], self.fts(("enc",)))
+
+    def test_relation_over_other_states(self, routing_pair):
+        basic, modified = routing_pair
+        rel = ConditionalRelation.top(basic.poset, ("p",), modified.states)
+        with pytest.raises(ModelMismatch, match="relation states do not match the models"):
+            is_bisimulation(rel, basic, modified)
+
+    def test_oracle_on_different_posets(self, routing_pair):
+        other = Lats(["x"], ["m"], ConditionPoset(["a"]), {})
+        with pytest.raises(ModelMismatch, match="condition posets differ"):
+            brute_force_oracle(routing_pair[0], other)
+
+    @pytest.mark.parametrize(
+        "states_x, matrix, error, message",
+        [
+            (("x", "y"), [[0]], DimensionMismatch, "does not match the state sets"),
+            (("x",), [[0b10]], GuardNotDownwardClosed, r"relation entry \{b\} is not downward-closed"),
+            (("x",), [[0b100]], UnknownElement, "bitmask out of range for poset"),
+            (("x",), [[-1]], UnknownElement, "bitmask out of range for poset"),
+        ],
+        ids=["shape", "not-closed", "above-range", "negative"],
+    )
+    def test_malformed_relation(self, states_x, matrix, error, message):
+        poset = ConditionPoset(["a", "b"], [("a", "b")])
+        with pytest.raises(error, match=message):
+            ConditionalRelation(poset, states_x, ("u",), matrix)

@@ -94,7 +94,7 @@ class TestPlayer1:
         assert table.m_of(inst) == 0
         move = table and player1_move(inst, table)
         assert (move.side, move.action, move.upgrade) == ("left", "e", "a")
-        replies = table.board.moves("right", "safe", "a")
+        replies = table.moves("right", "safe", "a")
         assert [t for a, t in replies if a == move.action] == []
 
     def test_deterministic(self, routing_game):

@@ -11,7 +11,7 @@ from ctsbisim import models
 from ctsbisim.errors import (
     GuardNotDownwardClosed,
     ModelError,
-    UnknownCondition,
+    UnknownElement,
 )
 from ctsbisim.features import FeatureUniverse, parse_expr
 from ctsbisim.modelio import (
@@ -75,8 +75,22 @@ class TestCts:
     def test_unknown_condition(self):
         poset = ConditionPoset(["a"], [])
         c = Cts(["x"], ["act"], poset, {})
-        with pytest.raises(UnknownCondition):
+        with pytest.raises(UnknownElement):
             c.instantiate("zz")
+
+    def test_successor_set_under_an_unknown_condition(self):
+        poset = ConditionPoset(["a"], [])
+        with pytest.raises(UnknownElement, match="unknown condition 'zz'"):
+            Cts(["x"], ["act"], poset, {("x", "act", "zz"): {"x"}})
+
+
+class TestLatsGuards:
+    @pytest.mark.parametrize("bits", [0b100, -1])
+    def test_guard_bits_out_of_range(self, bits):
+        poset = ConditionPoset(["a", "b"], [("a", "b")])
+        with pytest.raises(ModelError, match=r"guard of \(x, m, x\)") as err:
+            Lats(["x"], ["m"], poset, {("x", "m", "x"): bits})
+        assert type(err.value) is ModelError
 
 
 class TestConversions:

@@ -6,6 +6,10 @@ from pathlib import Path
 import pytest
 
 import ctsbisim
+from ctsbisim.bdd import BddManager
+from ctsbisim.engine import BddOps, ExplicitOps
+from ctsbisim.features import FeatureUniverse
+from ctsbisim.poset import ConditionPoset
 
 PACKAGE = Path(ctsbisim.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -265,3 +269,19 @@ def test_oracles_use_only_the_engine_lattice_ops():
         elif isinstance(node, ast.Import):
             assert "ctsbisim.engine" not in {alias.name for alias in node.names}
     assert sorted(engine_names) == ["ExplicitOps", "transpose"]
+
+
+# --- the lattice-ops protocol -----------------------------------------------------------
+
+
+def public_attributes(obj) -> set[str]:
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def test_lattice_ops_are_the_six_operations():
+    # both backends run the one transfer kernel through exactly these
+    six = {"meet", "join", "residuum", "leq", "top", "bottom"}
+    poset = ConditionPoset(["a", "b"], [("a", "b")])
+    manager = BddManager(FeatureUniverse(("f",), frozenset({"f"})))
+    assert public_attributes(ExplicitOps(poset)) == six
+    assert public_attributes(BddOps(manager, 1)) == six

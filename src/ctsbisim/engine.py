@@ -47,6 +47,7 @@ lives on a per-problem object or within one call; none outlives a check.
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -232,12 +233,15 @@ class ConditionalRelation:
             rows.append(row)
         return cls(poset, states_x, states_y, rows)
 
+    def state_index(self, side: str, state: str) -> int:
+        """The index of ``state`` among the ``side`` ("left" or "right") states."""
+        index = self._ix if side == "left" else self._iy
+        if state not in index:
+            raise UnknownState("unknown %s state %r" % (side, state))
+        return index[state]
+
     def _entry(self, x: str, y: str):
-        if x not in self._ix:
-            raise UnknownState("unknown left state %r" % (x,))
-        if y not in self._iy:
-            raise UnknownState("unknown right state %r" % (y,))
-        return self.matrix[self._ix[x]][self._iy[y]]
+        return self.matrix[self.state_index("left", x)][self.state_index("right", y)]
 
     def holds(self, x: str, y: str, cond: str) -> bool:
         return self.entry_holds(self._entry(x, y), cond)
@@ -362,22 +366,14 @@ def _poset_feature_encoding(poset: ConditionPoset, manager: BddManager):
     return minterms, diagram, configs
 
 
-def _bdd_problem(manager, diagram, left, right, guards, precedence, name_of, config_of) -> Problem:
+def _bdd_problem(manager, diagram, left, right, guards, precedence, entry_names, config_of) -> Problem:
     """A BDD problem whose conditions are the configurations in ``diagram``.
 
     ``guards(model)`` yields a system's ``((x, a, y), handle)`` items,
-    ``name_of`` names a configuration and ``config_of`` is the configuration
-    of a condition name, raising ``UnknownElement`` for any other name.
-    Each configuration is named once per problem.
+    ``entry_names`` decodes a handle to its condition names and
+    ``config_of`` is the configuration of a condition name, raising
+    ``UnknownElement`` for any other name.
     """
-    names = {}
-
-    def name_of_index(i):
-        name = names.get(i)
-        if name is None:
-            name = names[i] = name_of(manager.config_of_index(i))
-        return name
-
     return _problem(
         BddOps(manager, diagram),
         left,
@@ -386,7 +382,7 @@ def _bdd_problem(manager, diagram, left, right, guards, precedence, name_of, con
         guards(right),
         precedence,
         cond_count=manager.sat_count(diagram),
-        entry_names=lambda h: tuple(map(name_of_index, iter_bits(manager.sat_minterms(h)))),
+        entry_names=entry_names,
         entry_holds=lambda h, cond: manager.evaluate(h, config_of(cond)),
         manager=manager,
     )
@@ -447,8 +443,16 @@ def build_problem(
                 raise UnknownElement("unknown condition %r" % (cond,))
             return config
 
+        names = {}  # each configuration is named once per problem
+
+        def entry_names(h):
+            return tuple(
+                names.get(i) or names.setdefault(i, ft.config_name(manager.config_of_index(i)))
+                for i in iter_bits(manager.sat_minterms(h))
+            )
+
         return _bdd_problem(
-            manager, diagram, left, right, guards, precedence, ft.config_name, config_of
+            manager, diagram, left, right, guards, precedence, entry_names, config_of
         )
 
     if isinstance(left, Lats) and isinstance(right, Lats):
@@ -469,6 +473,9 @@ def build_problem(
                     handle = manager.disj(handle, minterms[i])
                 yield key, handle
 
+        def entry_names(h):  # k evaluations, not the 2^k minterm indices
+            return tuple(n for n, c in zip(poset.elements, configs) if manager.evaluate(h, c))
+
         return _bdd_problem(
             manager,
             diagram,
@@ -476,7 +483,7 @@ def build_problem(
             right,
             guards,
             precedence,
-            dict(zip(configs, poset.elements)).__getitem__,
+            entry_names,
             lambda cond: configs[poset.element_index(cond)],
         )
 
@@ -719,8 +726,9 @@ class BisimResult(ConditionalRelation):
     than validated again, on either backend; which one is read off
     ``problem`` (``poset`` or ``manager``).  ``history`` maps an entry's
     ``(xi, yi)`` to the ``(round, old value)`` of every round that changed
-    it, in round order (None when it was not recorded).  ``stats`` lists the
-    entries each transfer round evaluated (``stale``) and changed (``changed``)."""
+    it, in round order (None when it was not recorded); ``separation`` is
+    the one reader of that format.  ``stats`` lists the entries each
+    transfer round evaluated (``stale``) and changed (``changed``)."""
 
     def __init__(self, problem: Problem, matrix, history: dict | None, iterations: int, stats: dict):
         p = problem
@@ -729,6 +737,21 @@ class BisimResult(ConditionalRelation):
         self.history = history
         self.iterations = iterations
         self.stats = stats
+
+    def require_separation(self) -> None:
+        """Raise ``PreconditionViolation`` unless ``separation`` can answer."""
+        if self.history is None:
+            raise PreconditionViolation("separation indices need keep_trace=True")
+
+    def separation(self, x: str, y: str, cond: str) -> float:
+        """The separation index of ``cond`` at (x, y): ``math.inf`` when the
+        fixpoint holds it, else the last round whose relation held it (entries
+        shrink from top, so the entry changed and that round was recorded)."""
+        self.require_separation()
+        if self.entry_holds(self._entry(x, y), cond):
+            return math.inf
+        changes = self.history[(self._ix[x], self._iy[y])]
+        return max(rnd for rnd, old in changes if self.entry_holds(old, cond))
 
     # named in this class's own body so that tracing can wrap them here
     holds = ConditionalRelation.holds
@@ -746,8 +769,8 @@ def greatest_bisimulation(
 ) -> BisimResult:
     """Iterate the transfer operator from the all-top relation down to the
     greatest fixpoint.  With ``keep_trace`` the result records, per entry,
-    the rounds that changed it (``BisimResult.history``), from which the
-    game reads its separation indices.
+    the rounds that changed it (``BisimResult.history``), from which
+    ``BisimResult.separation`` reads the game's separation indices.
     """
     problem = build_problem(
         left, right, backend=backend, precedence=precedence, var_order=var_order, close=close

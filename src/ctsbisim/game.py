@@ -4,13 +4,14 @@ Player 1 may upgrade the current condition and then move on either board;
 Player 2 must mirror the move on the other board under the same condition.
 Player 2 wins infinite plays and positions where Player 1 is stuck.  The
 fixpoint run yields separation indices: the last round at which a condition
-survives in a pair's entry, read from the rounds that changed the entry
-(``BisimResult.history``).  Finite indices drive Player 1's attack (every
-reply strictly decreases the index); membership in the final relation
-(an infinite index) drives Player 2's defence (replies keep the condition
-inside).  Both players move on the problem's successor lists.  Under
-action precedence a move is unavailable at the conditions where its
-escape holds, i.e. where a higher action is enabled at its source.
+survives in a pair's entry, as ``BisimResult.separation`` reads them off
+the result.  Finite indices drive Player 1's attack (every reply strictly
+decreases the index); membership in the final relation (an infinite
+index) drives Player 2's defence (replies keep the condition inside).
+Both players move on the problem's successor lists, read on demand
+through the problem's ``entry_holds``.  Under action precedence a move is
+unavailable at the conditions where its escape holds, i.e. where a higher
+action is enabled at its source.
 
 Legal moves come from one place: ``SeparationTable.attacks`` yields the
 attacker's moves in (condition, side, action, target) order and
@@ -30,7 +31,6 @@ from typing import Iterator
 
 from .engine import BisimResult, greatest_bisimulation
 from .errors import IllegalMove, InvariantViolation, NotWinnable, PreconditionViolation
-from .poset import iter_bits
 
 INF = math.inf
 
@@ -74,41 +74,37 @@ def _require(holds: bool, what: str) -> None:
 
 class SeparationTable:
     """The game on one explicit fixpoint: both systems' moves, per state and
-    condition, and per (pair, condition) the last fixpoint round keeping it
-    alive, or INF when it is in the greatest bisimulation."""
+    condition, read off the result's problem, and per (pair, condition) the
+    separation index from ``BisimResult.separation``."""
 
     def __init__(self, result: BisimResult):
-        problem = result.problem
-        if problem.poset is None or result.history is None:
-            raise PreconditionViolation(
-                "the game needs an explicit-backend result computed with keep_trace=True"
-            )
+        if result.poset is None:
+            raise PreconditionViolation("the game needs an explicit-backend result")
+        result.require_separation()
         self.result = result
-        self.poset = problem.poset
-        self._ix = {x: i for i, x in enumerate(problem.states_x)}
-        self._iy = {y: i for i, y in enumerate(problem.states_y)}
-        self._moves: dict[tuple[str, str, str], list[tuple[str, str]]] = {}
-        for side, succ, esc, states in (
-            ("left", problem.succ_x, problem.esc_x, problem.states_x),
-            ("right", problem.succ_y, problem.esc_y, problem.states_y),
-        ):
-            per_state: dict[tuple[str, int], list] = {}
-            for a, per_source in succ.items():
-                for i, moves in enumerate(per_source):
-                    for j, bits in moves:
-                        # a move is disabled where a higher action is enabled
-                        for ci in iter_bits(bits & ~esc[a][i]):
-                            per_state.setdefault((states[i], ci), []).append((a, states[j]))
-            for (x, ci), moves in per_state.items():
-                self._moves[(side, x, self.poset.elements[ci])] = sorted(moves)
 
     def moves(self, side: str, state: str, cond: str) -> list[tuple[str, str]]:
-        return self._moves.get((side, state, cond), [])
+        """The sorted (action, target) moves of ``state`` on ``side`` under
+        ``cond``: those whose guard holds and whose escape does not (a move
+        is disabled where a higher action is enabled)."""
+        p = self.result.problem
+        i = self.result.state_index(side, state)
+        if side == "left":
+            states, succ, esc = p.states_x, p.succ_x, p.esc_x
+        else:
+            states, succ, esc = p.states_y, p.succ_y, p.esc_y
+        return sorted(
+            (a, states[j])
+            for a in p.alphabet
+            if not p.entry_holds(esc[a][i], cond)
+            for j, guard in succ[a][i]
+            if p.entry_holds(guard, cond)
+        )
 
     def upgrades(self, cond: str) -> list[str]:
         """Conditions reachable by upgrading (including staying), by name."""
-        down = self.poset.down[self.poset.element_index(cond)]
-        return sorted(self.poset.names_of_bits(down))
+        poset = self.result.poset
+        return sorted(poset.names_of_bits(poset.down[poset.element_index(cond)]))
 
     def state_of(self, inst: GameInstance, side: str) -> str:
         return inst.x if side == "left" else inst.y
@@ -128,24 +124,10 @@ class SeparationTable:
         return [t for a, t in moves if a == move.action]
 
     def m(self, x: str, y: str, cond: str) -> float:
-        if x not in self._ix:
-            raise IllegalMove("unknown left state %r" % (x,))
-        if y not in self._iy:
-            raise IllegalMove("unknown right state %r" % (y,))
-        xi, yi = self._ix[x], self._iy[y]
-        bit = 1 << self.poset.element_index(cond)
-        if self.result.matrix[xi][yi] & bit:
-            return INF
-        # entries only shrink from top, so the entry changed at least once
-        # and the last recorded value holding the bit is the last round it
-        # survived
-        return max(rnd for rnd, old in self.result.history[(xi, yi)] if old & bit)
+        return self.result.separation(x, y, cond)
 
     def m_of(self, inst: GameInstance) -> float:
         return self.m(inst.x, inst.y, inst.condition)
-
-    def holds(self, x: str, y: str, cond: str) -> bool:
-        return self.m(x, y, cond) == INF
 
 
 def _pair_after(move: Move, reply_target: str) -> tuple[str, str]:
@@ -187,9 +169,10 @@ def engine_attack(inst: GameInstance, table: SeparationTable) -> Move | None:
 
 
 def _validate_attack(inst: GameInstance, move: Move, table: SeparationTable) -> None:
-    if move.upgrade not in table.poset.index:
+    poset = table.result.poset
+    if move.upgrade not in poset.index:
         raise IllegalMove("unknown condition %r" % (move.upgrade,))
-    if not table.poset.leq(move.upgrade, inst.condition):
+    if not poset.leq(move.upgrade, inst.condition):
         raise IllegalMove(
             "%r is not an upgrade of the current condition %r" % (move.upgrade, inst.condition)
         )
@@ -227,8 +210,9 @@ def player2_reply(inst: GameInstance, move: Move, table: SeparationTable):
     candidates = table.replies(inst, move)
     if not candidates:
         return CONCEDE
-    if table.holds(inst.x, inst.y, move.upgrade):
-        candidates = [t for t in candidates if table.holds(*_pair_after(move, t), move.upgrade)]
+    holds = table.result.holds
+    if holds(inst.x, inst.y, move.upgrade):
+        candidates = [t for t in candidates if holds(*_pair_after(move, t), move.upgrade)]
         _require(bool(candidates), "transfer property violated")
     return _reply(move, candidates[0])
 
@@ -254,12 +238,10 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
         result = greatest_bisimulation(l1, l2)
     table = SeparationTable(result)
     inst = GameInstance(x, y, cond)
-    table.m_of(inst)  # validates names
     lines = []
     visited = set()
     rounds = 0
-    problem = result.problem
-    limit = len(problem.states_x) * len(problem.states_y) * max(len(table.poset), 1) + 2
+    limit = len(result.states_x) * len(result.states_y) * max(len(result.poset), 1) + 2
     while True:
         if inst in visited:
             return PlayResult(2, rounds, "instance repeated: play is infinite", lines)
@@ -278,7 +260,7 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
         lines.append("P2: %s" % reply.step)
         nxt = GameInstance(*_pair_after(move, reply.target), move.upgrade)
         if m0 == INF:
-            _require(table.holds(nxt.x, nxt.y, nxt.condition), "membership lost")
+            _require(result.holds(nxt.x, nxt.y, nxt.condition), "membership lost")
         else:
             _require(table.m_of(nxt) < m0, "separation index did not descend")
         inst = nxt

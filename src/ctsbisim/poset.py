@@ -160,15 +160,9 @@ class ConditionPoset:
         return self.close_down_bits(bits) == bits
 
     def residuum_bits(self, l: int, m: int) -> int:
-        """l -> m in the lattice of downward-closed sets.
-
-        A condition is in the residuum iff none of its lower bounds lies in
-        l but outside m, i.e. the complement of the up-closure of l \\ m.
-        """
-        viol = l & ~m
-        if not viol:
-            return self.full_mask
-        return self.full_mask & ~self.up_closure_bits(viol)
+        """l -> m in the lattice of downward-closed sets: the approximation
+        of the Boolean residuum, as ``BddManager.residuum`` is."""
+        return self.approx_bits(self.full_mask & (~l | m))
 
     def names_of_bits(self, bits: int) -> tuple[str, ...]:
         return tuple(self.elements[i] for i in iter_bits(bits))

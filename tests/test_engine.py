@@ -640,6 +640,32 @@ class TestBackendAgreement:
                 expected = {rename[c] for c in poset_res.conditions(x, y)}
                 assert set(fts_res.conditions(x, y)) == expected
 
+    def test_lats_entries_decode_without_minterm_indices(self, monkeypatch, routing_pair):
+        # one feature per condition: the minterm bitset of k conditions has 2^k bits
+        def refuse(manager, u):
+            raise AssertionError("sat_minterms enumerates 2^k configurations")
+
+        monkeypatch.setattr(BddManager, "sat_minterms", refuse)
+        for l1, l2 in (routing_pair, chain_poset_lats_pair(40)):
+            symbolic = greatest_bisimulation(l1, l2, backend="bdd")
+            assert symbolic.report() == greatest_bisimulation(l1, l2).report()
+        # on the chain the a-moves match below the right guard, c0 .. c13
+        assert symbolic.conditions("x0", "y0") == tuple(sorted("c%d" % i for i in range(14)))
+
+
+def chain_poset_lats_pair(k):
+    """Two two-state LaTS over the chain c0 < c1 < ... < c(k-1), each guard
+    the down-closure of one condition."""
+    names = ["c%d" % i for i in range(k)]
+    poset = ConditionPoset(names, zip(names, names[1:]))
+
+    def lats(states, a_below, b_below):
+        x0, x1 = states
+        alpha = {(x0, "a", x1): [names[a_below]], (x1, "b", x0): [names[b_below]]}
+        return Lats(states, ["a", "b"], poset, alpha, close=True)
+
+    return lats(("x0", "x1"), k * 2 // 3, k - 1), lats(("y0", "y1"), k // 3, k * 3 // 4)
+
 
 class TestExplicitFtsBuild:
     def test_one_configuration_poset_per_pair(self, monkeypatch):

@@ -7,7 +7,13 @@ from pathlib import Path
 import pytest
 
 from ctsbisim.engine import greatest_bisimulation
-from ctsbisim.errors import IllegalMove, InvariantViolation, NotWinnable, PreconditionViolation
+from ctsbisim.errors import (
+    IllegalMove,
+    InvariantViolation,
+    NotWinnable,
+    PreconditionViolation,
+    UnknownState,
+)
 from ctsbisim.game import (
     CONCEDE,
     GameInstance,
@@ -54,18 +60,22 @@ class TestSeparationTable:
                 assert table.m(x, x, c) == INF
 
     def test_unknown_names_rejected(self, routing_game):
+        # the error of ``BisimResult.holds`` for the same name
         _, _, _, table = routing_game
-        with pytest.raises(IllegalMove):
+        with pytest.raises(UnknownState, match="^unknown left state 'nope'$"):
             table.m("nope", "ready", "a")
 
-    def test_rounds_equal_the_stored_matrix_scan(self, routing_pair):
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_rounds_equal_the_stored_matrix_scan(self, routing_pair, backend):
+        # the game plays explicit results; ``separation`` reads both backends
         rng = random.Random(202)
         pairs = [routing_pair]
         pairs += [random_lats_pair(rng, max_states=5, max_conds=4) for _ in range(40)]
         for l1, l2 in pairs:
-            table = SeparationTable(greatest_bisimulation(l1, l2))
+            result = greatest_bisimulation(l1, l2, backend=backend)
+            rounds = SeparationTable(result).m if backend == "explicit" else result.separation
             expected = separation_rounds(l1, l2)
-            assert {key: table.m(*key) for key in expected} == expected
+            assert {key: rounds(*key) for key in expected} == expected
 
     @pytest.mark.parametrize(
         "options", [{"backend": "bdd"}, {"keep_trace": False}], ids=["bdd", "no-history"]

@@ -237,6 +237,49 @@ def test_raise_check_flags_what_it_should(source, scopes):
     assert raising_scopes(ast.parse(source), "E") == scopes
 
 
+# --- the engine alone reads a fixpoint's history -----------------------------------------
+
+
+def attribute_uses(tree: ast.Module, names: set[str]) -> list[tuple[str, int]]:
+    """(attribute, line) of every read or store of an attribute named in ``names``."""
+    return [
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in names
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "engine.py"])
+def test_only_the_engine_reads_history(module):
+    # ``BisimResult.separation`` is the one reader of the (round, old value) format
+    tree = ast.parse((PACKAGE / module).read_text())
+    assert attribute_uses(tree, {"history"}) == []
+
+
+def test_the_game_keeps_no_copy_of_the_result():
+    # moves come from the problem's lists, indices and membership from the result
+    tree = ast.parse((PACKAGE / "game.py").read_text())
+    assert attribute_uses(tree, {"history", "matrix", "_ix", "_iy", "_moves"}) == []
+    table = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "SeparationTable"
+    )
+    assert "holds" not in definitions(ast.Module(body=table.body, type_ignores=[]))
+
+
+@pytest.mark.parametrize(
+    "source, uses",
+    [
+        ("result.history\n", [("history", 1)]),
+        ("x = 1\nself.history = {}\n", [("history", 2)]),
+        ("f(r.problem.history[k])\n", [("history", 1)]),
+        ("history = result.separation(x, y, c)\n", []),
+        ("r.histories\n", []),
+    ],
+)
+def test_attribute_check_flags_what_it_should(source, uses):
+    assert attribute_uses(ast.parse(source), {"history"}) == uses
+
+
 # --- the public API and the oracles' reach into the engine -----------------------------
 
 PUBLIC_API = [

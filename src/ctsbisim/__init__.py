@@ -1,40 +1,47 @@
-"""Conditional bisimilarity for conditional, lattice, and featured transition systems."""
+"""Conditional bisimilarity for conditional, lattice, and featured transition systems.
 
-from .bdd import BddManager
-from .engine import (
-    BisimResult,
-    ConditionalRelation,
-    boolean_vs_lattice,
-    brute_force_oracle,
-    check_transfer,
-    fitting_check,
-    greatest_bisimulation,
-    is_bisimulation,
-)
-from .errors import CtsBisimError
-from .features import FeatureUniverse, parse_expr, upgrade_leq
-from .game import (
-    GameInstance,
-    Move,
-    SeparationTable,
-    interactive_play,
-    player1_move,
-    player2_reply,
-    self_play,
-)
-from .modelio import convert_model, load_model, model_to_dict
-from .models import (
-    Cts,
-    Fts,
-    Lats,
-    cts_to_lats,
-    fts_to_lats,
-    gen_benchmark,
-    gen_benchmark_fts,
-    lats_to_cts,
-)
-from .poset import BoolElement, ConditionPoset, LatticeElement
+The exports load on first use: ``import ctsbisim`` runs no submodule, and
+reading a name below imports only its home module and what that imports
+(PEP 562).  A check, from the library or through ``ctsbisim check``, loads
+``engine``, ``modelio``, ``models``, ``features``, ``poset``, ``bdd`` and
+``errors``; the game (``game``) and the scaling benchmark (``bench``) load
+only when used.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the exports of each submodule
+_EXPORTS = {
+    "bdd": ("BddManager",),
+    "engine": (
+        "BisimResult", "ConditionalRelation", "boolean_vs_lattice", "brute_force_oracle",
+        "fitting_check", "greatest_bisimulation", "is_bisimulation",
+    ),
+    "errors": ("CtsBisimError",),
+    "features": ("FeatureUniverse", "parse_expr", "upgrade_leq"),
+    "game": (
+        "GameInstance", "Move", "SeparationTable", "interactive_play", "player1_move",
+        "player2_reply", "self_play",
+    ),
+    "modelio": ("convert_model", "load_model", "model_to_dict"),
+    "models": (
+        "Cts", "Fts", "Lats", "cts_to_lats", "fts_to_lats", "gen_benchmark",
+        "gen_benchmark_fts", "lats_to_cts",
+    ),
+    "poset": ("BoolElement", "ConditionPoset", "LatticeElement"),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOMES])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module("." + name, __name__)
+    if name not in _HOMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + _HOMES[name], __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value

@@ -1,4 +1,7 @@
-"""Command-line interface: check, oracle, convert, approx, game, bench."""
+"""Command-line interface: check, oracle, convert, approx, game, bench.
+
+The game and bench handlers import their modules when called, so the other
+commands do not load them."""
 
 from __future__ import annotations
 
@@ -7,11 +10,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import bench as bench_mod
 from .bdd import BddManager
 from .engine import brute_force_oracle, greatest_bisimulation, report_bytes
 from .errors import CtsBisimError, ModelError
-from .game import GameInstance, interactive_play, self_play
 from .modelio import convert_model, load_approx_input, load_model, model_to_dict
 
 
@@ -110,6 +111,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_game(args) -> int:
+    from .game import GameInstance, interactive_play, self_play
+
     left, right = _load_lats(args.left, args.close), _load_lats(args.right, args.close)
     x, y, cond = _parse_pair(args.start)
     if args.self_play:
@@ -127,14 +130,16 @@ def cmd_game(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = bench_mod.run_benchmark(
+    from .bench import format_table, run_benchmark
+
+    report = run_benchmark(
         n_min=args.n_min,
         n_max=args.n_max,
         budget=args.budget,
         repeats=args.repeats,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
-    print(bench_mod.format_table(report))
+    print(format_table(report))
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

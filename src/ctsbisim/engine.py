@@ -46,12 +46,10 @@ lives on a per-problem object or within one call; none outlives a check.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import features as ft
 from . import models
@@ -253,45 +251,50 @@ class ConditionalRelation:
         return relation_report(self.states_x, self.states_y, self.matrix, self.entry_names)
 
     def checksum(self) -> str:
+        import hashlib  # only checksums need it; a check does not load it
+
         return hashlib.sha256(report_bytes(self.report())).hexdigest()
 
 
 # --- problem preparation ---------------------------------------------------------------
 
 
-@dataclass
 class Problem:
     """Both systems' moves with guards in the backend's lattice, per action.
 
-    ``succ_x[a][i]`` lists the ``(target index, guard)`` moves of left state
-    i under a, ``targets_x[a][i]`` is the bitmask of their targets, and
+    Built from the two models, their ``((x, a, y), guard)`` items in the
+    backend's lattice ``ops`` and the precedence switch.  ``succ_x[a][i]``
+    lists the ``(target index, guard)`` moves of left state i under a,
+    ``targets_x[a][i]`` is the bitmask of their targets, and
     ``esc_x[a][i]`` is the join of the guards on strictly higher actions at
     i (bottom when precedence is off); ``succ_y``, ``targets_y`` and
-    ``esc_y`` are the same for the right system.  ``entry_names`` decodes an
-    entry to its condition names and ``entry_holds(entry, cond)`` tests one
-    condition, raising ``UnknownElement`` for a name that is not a
-    condition; ``ConditionalRelation`` reads relations through these two.
-    On BDD problems ``entry_holds`` evaluates the entry on the condition's
-    one configuration instead of enumerating the entry.  ``poset`` is set on
+    ``esc_y`` are the same for the right system.  ``cond_count`` is the
+    number of conditions.  ``entry_names`` decodes an entry to its
+    condition names and ``entry_holds(entry, cond)`` tests one condition,
+    raising ``UnknownElement`` for a name that is not a condition;
+    ``ConditionalRelation`` reads relations through these two.  On BDD
+    problems ``entry_holds`` evaluates the entry on the condition's one
+    configuration instead of enumerating the entry.  ``poset`` is set on
     explicit problems and ``manager`` on BDD ones, so the backend and, on
     explicit problems, the discreteness of the order are read off them.
     """
 
-    ops: object
-    alphabet: tuple[str, ...]
-    states_x: tuple[str, ...]
-    states_y: tuple[str, ...]
-    succ_x: dict
-    succ_y: dict
-    esc_x: dict
-    esc_y: dict
-    targets_x: dict
-    targets_y: dict
-    cond_count: int
-    entry_names: Callable[[object], tuple[str, ...]]
-    entry_holds: Callable[[object, str], bool]
-    poset: ConditionPoset | None = None
-    manager: BddManager | None = None
+    def __init__(
+        self, ops, mx, my, guards_x, guards_y, precedence: bool,
+        cond_count: int, entry_names, entry_holds, poset=None, manager=None,
+    ):
+        higher = mx.precedence if precedence else ()
+        self.ops = ops
+        self.alphabet = tuple(mx.alphabet)
+        self.states_x = mx.states
+        self.states_y = my.states
+        self.succ_x, self.esc_x, self.targets_x = _move_lists(ops, mx, guards_x, higher)
+        self.succ_y, self.esc_y, self.targets_y = _move_lists(ops, my, guards_y, higher)
+        self.cond_count = cond_count
+        self.entry_names = entry_names
+        self.entry_holds = entry_holds
+        self.poset: ConditionPoset | None = poset
+        self.manager: BddManager | None = manager
 
 
 def _move_lists(ops, model, guards, higher):
@@ -309,25 +312,6 @@ def _move_lists(ops, model, guards, higher):
                 esc[lo][i] = ops.join(esc[lo][i], g)
     targets = {a: [sum({1 << t for t, _ in moves}) for moves in lists] for a, lists in succ.items()}
     return succ, esc, targets
-
-
-def _problem(ops, mx, my, guards_x, guards_y, precedence: bool, **fields) -> Problem:
-    higher = mx.precedence if precedence else ()
-    succ_x, esc_x, targets_x = _move_lists(ops, mx, guards_x, higher)
-    succ_y, esc_y, targets_y = _move_lists(ops, my, guards_y, higher)
-    return Problem(
-        ops=ops,
-        alphabet=tuple(mx.alphabet),
-        states_x=mx.states,
-        states_y=my.states,
-        succ_x=succ_x,
-        succ_y=succ_y,
-        esc_x=esc_x,
-        esc_y=esc_y,
-        targets_x=targets_x,
-        targets_y=targets_y,
-        **fields,
-    )
 
 
 def _check_common(left, right, precedence):
@@ -374,7 +358,7 @@ def _bdd_problem(manager, diagram, left, right, guards, precedence, entry_names,
     ``config_of`` is the configuration of a condition name, raising
     ``UnknownElement`` for any other name.
     """
-    return _problem(
+    return Problem(
         BddOps(manager, diagram),
         left,
         right,
@@ -494,7 +478,7 @@ def build_problem(
 
 def _explicit_problem(l1: Lats, l2: Lats, precedence: bool) -> Problem:
     poset = l1.poset
-    return _problem(
+    return Problem(
         ExplicitOps(poset),
         l1,
         l2,
@@ -801,40 +785,6 @@ def is_bisimulation(R: ConditionalRelation, l1, l2, precedence: bool = False) ->
     """Post-fixpoint test: R is a bisimulation iff R is below its own image."""
     problem, rows = _explicit_check(R, l1, l2, precedence)
     return mats_leq(problem.ops, rows, apply_G_ops(problem, rows))
-
-
-@dataclass(frozen=True)
-class TransferViolation:
-    left: str
-    right: str
-    action: str
-    condition: str
-    direction: str  # "left-to-right" | "right-to-left"
-
-
-def check_transfer(R: ConditionalRelation, l1, l2) -> list[TransferViolation]:
-    """Enumerate failures of the irreducible-indexed transfer properties."""
-    problem, rows = _explicit_check(R, l1, l2)
-    cols = transpose(rows)
-    violations = []
-    for xi, x in enumerate(problem.states_x):
-        for yi, y in enumerate(problem.states_y):
-            for ci in iter_bits(rows[xi][yi]):
-                bit = 1 << ci
-                for a in problem.alphabet:
-                    xs, ys = problem.succ_x[a][xi], problem.succ_y[a][yi]
-                    for moves, replies, rel, direction in (
-                        (xs, ys, rows, "left-to-right"),
-                        (ys, xs, cols, "right-to-left"),
-                    ):
-                        if any(
-                            g & bit and not any(h & bit and rel[t][u] & bit for u, h in replies)
-                            for t, g in moves
-                        ):
-                            violations.append(
-                                TransferViolation(x, y, a, problem.poset.elements[ci], direction)
-                            )
-    return violations
 
 
 # --- brute-force oracle (per-condition, no lattice machinery) ------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Iterable, Iterator
 
@@ -19,19 +18,65 @@ from .errors import ExprError, UnknownFeature
 Config = frozenset
 
 
-@dataclass(frozen=True)
-class FeatureUniverse:
-    features: tuple[str, ...]
-    upgrade: frozenset[str] = frozenset()
+class Record:
+    """An immutable value with equality, hash and repr by class and fields.
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", tuple(self.features))
-        object.__setattr__(self, "upgrade", frozenset(self.upgrade))
-        if len(set(self.features)) != len(self.features):
-            raise UnknownFeature("duplicate feature names: %r" % (self.features,))
-        stray = self.upgrade - set(self.features)
+    A subclass lists its fields in ``__slots__``; the constructor takes them
+    in that order.  Equal records have equal hashes, ``repr`` reads like
+    ``Atom(name='f1')`` and assigning or deleting a field raises
+    ``AttributeError``.  This is what a frozen dataclass would give, without
+    generating code when the module loads.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                "%s takes %d fields, got %d"
+                % (type(self).__name__, len(self.__slots__), len(values))
+            )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((self.__class__, self._fields()))
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable: cannot set %r" % (type(self).__name__, name))
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable: cannot delete %r" % (type(self).__name__, name))
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class FeatureUniverse(Record):
+    """The feature names, in default BDD variable order, and the upgrade subset."""
+
+    __slots__ = ("features", "upgrade")
+
+    def __init__(self, features, upgrade=frozenset()):
+        features, upgrade = tuple(features), frozenset(upgrade)
+        if len(set(features)) != len(features):
+            raise UnknownFeature("duplicate feature names: %r" % (features,))
+        stray = upgrade - set(features)
         if stray:
             raise UnknownFeature("upgrade features not declared: %s" % sorted(stray))
+        super().__init__(features, upgrade)
 
     def configurations(self) -> Iterator[Config]:
         """All subsets of the features in ``sort_configs`` order (exponential;
@@ -64,37 +109,28 @@ def sort_configs(configs: Iterable[Config]) -> list[Config]:
 # --- expression AST -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: bool
+class Const(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "FeatureExpr"
+class Not(Record):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "FeatureExpr"
-    right: "FeatureExpr"
+class And(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "FeatureExpr"
-    right: "FeatureExpr"
+class Or(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "FeatureExpr"
-    right: "FeatureExpr"
+class Imp(Record):
+    __slots__ = ("left", "right")
 
 
 FeatureExpr = Atom | Const | Not | And | Or | Imp

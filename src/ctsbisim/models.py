@@ -62,13 +62,14 @@ def close_precedence(pairs: Iterable[tuple[str, str]], alphabet: Iterable[str]) 
     return frozenset(closed)
 
 
-@dataclass(frozen=True)
 class Lts:
-    """A plain labelled transition system (one instantiated condition)."""
+    """A plain labelled transition system (one instantiated condition):
+    ``moves`` maps ``(state, action)`` to the frozenset of its targets."""
 
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    moves: Mapping[tuple[str, str], frozenset]
+    def __init__(self, states, alphabet, moves: Mapping[tuple[str, str], frozenset]):
+        self.states = states
+        self.alphabet = alphabet
+        self.moves = moves
 
     def successors(self, x: str, a: str) -> frozenset:
         return self.moves.get((x, a), frozenset())

@@ -6,14 +6,16 @@ The paper's residuated matrix products live here, and ``matrix_transfer``
 builds the matrix form of the transfer operator on them; they evaluate
 entries with the explicit backend's ``ExplicitOps``.  ``per_move_image``
 reads a built ``Problem`` and its lattice ops, and referees only how the
-kernel evaluates the operator on them.
+kernel evaluates the operator on them.  ``check_transfer`` tests the
+transfer property one condition at a time on the instantiated systems.
 """
 
+from dataclasses import dataclass
 from itertools import chain, combinations
 
 from ctsbisim import features as ft
 from ctsbisim.engine import ExplicitOps, transpose
-from ctsbisim.errors import DimensionMismatch, GuardNotDownwardClosed
+from ctsbisim.errors import DimensionMismatch, GuardNotDownwardClosed, ModelMismatch
 from ctsbisim.models import Lats
 from ctsbisim.poset import ConditionPoset, iter_bits
 
@@ -138,6 +140,46 @@ def per_move_image(problem, R, residuum):
 
     ny = len(problem.states_y)
     return [[entry(xi, yi) for yi in range(ny)] for xi in range(len(problem.states_x))]
+
+
+@dataclass(frozen=True)
+class TransferViolation:
+    left: str
+    right: str
+    action: str
+    condition: str
+    direction: str  # "left-to-right" | "right-to-left"
+
+
+def check_transfer(R, l1, l2) -> list[TransferViolation]:
+    """Every failure of the transfer property, one condition at a time.
+
+    Under each condition c, each pair (x, y) that R relates at c must match
+    every a-move of either state under c with an a-move of the other state
+    under c into a pair R relates at c.  The moves under c are the guards of
+    each ``Lats`` that hold c; no lattice operation is used.  A relation
+    over other states or another poset (a BDD result's has none) raises
+    ``ModelMismatch``.
+    """
+    if (R.states_x, R.states_y) != (l1.states, l2.states):
+        raise ModelMismatch("relation states do not match the models")
+    if not R.poset == l1.poset == l2.poset:
+        raise ModelMismatch("relation poset does not match the models")
+    alphabet = sorted(set(l1.alphabet) | set(l2.alphabet))
+    violations = []
+    for cond in l1.poset.elements:
+        lts1, lts2 = l1.instantiate(cond), l2.instantiate(cond)
+        for x in l1.states:
+            for y in l2.states:
+                if not R.holds(x, y, cond):
+                    continue
+                for a in alphabet:
+                    xs, ys = lts1.successors(x, a), lts2.successors(y, a)
+                    if any(not any(R.holds(t, u, cond) for u in ys) for t in xs):
+                        violations.append(TransferViolation(x, y, a, cond, "left-to-right"))
+                    if any(not any(R.holds(t, u, cond) for t in xs) for u in ys):
+                        violations.append(TransferViolation(x, y, a, cond, "right-to-left"))
+    return violations
 
 
 def separation_rounds(l1, l2) -> dict:

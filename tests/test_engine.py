@@ -16,7 +16,6 @@ from ctsbisim.engine import (
     boolean_vs_lattice,
     brute_force_oracle,
     build_problem,
-    check_transfer,
     fitting_check,
     greatest_bisimulation,
     is_bisimulation,
@@ -53,6 +52,7 @@ from conftest import (
 )
 from oracles import (
     brute_residuum,
+    check_transfer,
     classical_bisim_pairs,
     matrix_transfer,
     otimes_mul_ops,

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -63,6 +65,65 @@ class TestParser:
 
     def test_atoms_collection(self):
         assert ft.atoms(parse_expr("a & (b -> !c)")) == frozenset({"a", "b", "c"})
+
+
+class TestRecords:
+    """The guard-AST nodes and ``FeatureUniverse`` share one immutable-record
+    base: equality and hash by class and fields, a dataclass-style repr."""
+
+    def test_equality_is_by_class_and_fields(self):
+        a, b = ft.Atom("a"), ft.Atom("b")
+        assert ft.And(a, b) == ft.And(ft.Atom("a"), ft.Atom("b"))
+        assert ft.And(a, b) != ft.Or(a, b)
+        assert ft.And(a, b) != ft.And(b, a)
+        assert ft.Atom("a") != "a"
+
+    def test_equal_records_hash_equal_and_work_as_keys(self):
+        e1, e2 = parse_expr("a & !b -> c"), parse_expr("(a & !b) -> c")
+        assert e1 is not e2 and hash(e1) == hash(e2)
+        table = {e1: 1, parse_expr("a | b"): 2, FeatureUniverse(("a",)): 3}
+        assert table[e2] == 1
+        assert table[ft.Or(ft.Atom("a"), ft.Atom("b"))] == 2
+        assert table[FeatureUniverse(["a"], [])] == 3
+        assert len({ft.And(ft.TRUE, ft.TRUE), ft.Or(ft.TRUE, ft.TRUE), ft.Imp(ft.TRUE, ft.TRUE)}) == 3
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(ft.Atom("a"), "name"), (ft.Not(ft.TRUE), "arg"), (FeatureUniverse(("a",)), "features")],
+    )
+    def test_fields_cannot_change(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_repr(self):
+        assert repr(ft.Atom("f1")) == "Atom(name='f1')"
+        assert repr(parse_expr("!f1 & (f2 -> true)")) == (
+            "And(left=Not(arg=Atom(name='f1')), "
+            "right=Imp(left=Atom(name='f2'), right=Const(value=True)))"
+        )
+        assert repr(FeatureUniverse(("a",), ("a",))) == (
+            "FeatureUniverse(features=('a',), upgrade=frozenset({'a'}))"
+        )
+
+    def test_universe_normalises_its_fields(self):
+        u = FeatureUniverse(["a", "b"], ["b", "b"])
+        assert u.features == ("a", "b") and type(u.features) is tuple
+        assert u.upgrade == frozenset({"b"}) and type(u.upgrade) is frozenset
+        assert FeatureUniverse(iter(["a"])).upgrade == frozenset()
+
+    def test_copies_and_pickles_are_equal(self):
+        for record in (parse_expr("a -> !(b | false)"), FeatureUniverse(("a", "b"), ("b",))):
+            assert copy.copy(record) == record
+            assert copy.deepcopy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_wrong_field_count_raises(self):
+        with pytest.raises(TypeError):
+            ft.And(ft.TRUE)
 
 
 class TestUniverse:

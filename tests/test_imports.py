@@ -1,0 +1,92 @@
+"""What a check imports: the package exports load on first use, so a check
+loads only the modules it runs."""
+
+import json
+import os
+import subprocess
+import sys
+import types
+
+import pytest
+
+import ctsbisim
+
+from conftest import MODELS
+from test_sources import CHECK_MODULES, PACKAGE
+
+CHECK_SCRIPT = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "ctsbisim" or m.startswith("ctsbisim."))
+
+import ctsbisim
+after_package = loaded()
+import ctsbisim.engine, ctsbisim.modelio
+left, right, out = sys.argv[1:]
+reports = {}
+for backend in ("explicit", "bdd"):
+    result = ctsbisim.engine.greatest_bisimulation(
+        ctsbisim.modelio.load_model(left), ctsbisim.modelio.load_model(right), backend=backend
+    )
+    reports[backend] = ctsbisim.engine.report_bytes(result.report()).decode()
+after_library = loaded()
+from ctsbisim import cli
+code = cli.main(["check", left, right, "--backend", "bdd", "--out", out])
+print(json.dumps({
+    "after_package": after_package,
+    "after_library": after_library,
+    "after_cli": loaded(),
+    "reports": reports,
+    "code": code,
+}))
+"""
+
+
+def module_name(filename: str) -> str:
+    stem = filename[: -len(".py")]
+    return "ctsbisim" if stem == "__init__" else "ctsbisim." + stem
+
+
+def test_a_check_loads_neither_the_game_nor_the_bench(tmp_path):
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", CHECK_SCRIPT,
+            str(MODELS / "routing_basic.json"), str(MODELS / "routing_modified.json"), str(out),
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["after_package"] == ["ctsbisim"]
+    for stage in ("after_library", "after_cli"):
+        assert not {"ctsbisim.game", "ctsbisim.bench"} & set(seen[stage])
+    # the exact module set of a check is what the dataclass source test scans
+    assert seen["after_cli"] == sorted(map(module_name, CHECK_MODULES))
+    assert seen["after_library"] == sorted(set(seen["after_cli"]) - {"ctsbisim.cli"})
+    assert seen["reports"]["explicit"] == seen["reports"]["bdd"]
+    assert seen["code"] == 0
+    assert out.read_text() == seen["reports"]["bdd"]
+
+
+@pytest.mark.parametrize("name", ctsbisim.__all__)
+def test_every_export_is_its_home_module_object(name):
+    value = getattr(ctsbisim, name)
+    if isinstance(value, types.ModuleType):
+        assert value is sys.modules["ctsbisim." + name]
+    else:
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("ctsbisim.")
+        assert getattr(home, name) is value
+
+
+def test_an_unknown_name_raises():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ctsbisim.no_such_name
+    with pytest.raises(ImportError):
+        from ctsbisim import no_such_name  # noqa: F401
+    assert not hasattr(ctsbisim, "check_transfer")

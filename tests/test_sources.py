@@ -280,13 +280,61 @@ def test_attribute_check_flags_what_it_should(source, uses):
     assert attribute_uses(ast.parse(source), {"history"}) == uses
 
 
+# --- a check loads no generated code ---------------------------------------------------
+
+# what a library check on either backend, or ``ctsbisim check``, imports
+CHECK_MODULES = [
+    "__init__.py", "bdd.py", "cli.py", "engine.py", "errors.py",
+    "features.py", "modelio.py", "models.py", "poset.py",
+]
+
+
+def dataclass_uses(tree: ast.Module) -> list[str]:
+    """Names of the classes decorated with ``dataclass``, with or without
+    arguments, by name or as ``dataclasses.dataclass``."""
+    used = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name == "dataclass":
+                    used.append(node.name)
+    return used
+
+
+def test_a_check_loads_no_dataclass_but_fts():
+    # each dataclass generates and compiles its methods when its module loads;
+    # ``Fts`` stays one because callers build variants with ``dataclasses.replace``
+    used = [
+        "%s:%s" % (module, name)
+        for module in CHECK_MODULES
+        for name in dataclass_uses(ast.parse((PACKAGE / module).read_text()))
+    ]
+    assert used == ["models.py:Fts"]
+
+
+@pytest.mark.parametrize(
+    "source, used",
+    [
+        ("@dataclass\nclass A: pass\n", ["A"]),
+        ("@dataclass(frozen=True)\nclass A: pass\n", ["A"]),
+        ("@dataclasses.dataclass(slots=True)\nclass A: pass\n", ["A"]),
+        ("class A:\n    @dataclass\n    class B: pass\n", ["B"]),
+        ("@total_ordering\nclass A: pass\nx = dataclass\n", []),
+    ],
+)
+def test_dataclass_check_flags_what_it_should(source, used):
+    assert dataclass_uses(ast.parse(source)) == used
+
+
 # --- the public API and the oracles' reach into the engine -----------------------------
 
 PUBLIC_API = [
     "BddManager", "BisimResult", "BoolElement", "ConditionPoset", "ConditionalRelation",
     "Cts", "CtsBisimError", "FeatureUniverse", "Fts", "GameInstance", "Lats",
     "LatticeElement", "Move", "SeparationTable", "bdd", "boolean_vs_lattice",
-    "brute_force_oracle", "check_transfer", "convert_model", "cts_to_lats", "engine",
+    "brute_force_oracle", "convert_model", "cts_to_lats", "engine",
     "errors", "features", "fitting_check", "fts_to_lats", "game", "gen_benchmark",
     "gen_benchmark_fts", "greatest_bisimulation", "interactive_play", "is_bisimulation",
     "lats_to_cts", "load_model", "model_to_dict", "modelio", "models", "parse_expr",

@@ -80,6 +80,13 @@ class BddManager:
             raise UnknownFeature("unknown feature %r" % (name,))
         return self.mk(self.level_of[name], TRUE, FALSE)
 
+    def cube(self, config: Collection[str]) -> int:
+        """The minterm of one configuration: true on it and nowhere else."""
+        u = TRUE
+        for level in reversed(range(self.n_levels)):
+            u = self.mk(level, u, FALSE) if self.order[level] in config else self.mk(level, FALSE, u)
+        return u
+
     def from_expr(self, expr: FeatureExpr) -> int:
         ft.check_atoms(expr, self.universe)
         return ft.interpret(expr, self.var, self.neg, self.conj, self.disj, TRUE, FALSE)

@@ -21,7 +21,7 @@ from .models import gen_benchmark_fts
 
 def _timed_run(fts_pair, backend):
     start = time.perf_counter()
-    result = greatest_bisimulation(fts_pair[0], fts_pair[1], backend=backend, keep_trace=False)
+    result = greatest_bisimulation(fts_pair[0], fts_pair[1], backend=backend)
     elapsed = time.perf_counter() - start
     return elapsed, result
 

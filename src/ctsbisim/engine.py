@@ -30,10 +30,10 @@ into a bottom entry adds nothing to the join and is skipped.
 
 A relation is read in one place, ``ConditionalRelation``, on both
 backends.  ``build_problem`` supplies the backend's part once per problem:
-decoding an entry to its condition names, and testing one condition in an
-entry (on BDD problems by evaluating the entry on the condition's one
-configuration, without enumerating the entry).  ``BisimResult`` is the
-fixpoint matrix read through these two.
+decoding an entry to its condition names, testing one condition in it (on
+BDD problems on the condition's one configuration, without enumerating the
+entry) and a condition's down-set.  ``BisimResult`` is the fixpoint matrix
+read through these; it replays the descent for the history it is asked for.
 
 Work that depends only on a value is done once per distinct value: the
 explicit ops memoize the residuum by its arguments (as ``BddManager`` does
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -58,6 +59,7 @@ from .errors import (
     CapExceeded,
     DimensionMismatch,
     GuardNotDownwardClosed,
+    InvariantViolation,
     ModelMismatch,
     PrecedenceMismatch,
     PreconditionViolation,
@@ -274,14 +276,15 @@ class Problem:
     raising ``UnknownElement`` for a name that is not a condition;
     ``ConditionalRelation`` reads relations through these two.  On BDD
     problems ``entry_holds`` evaluates the entry on the condition's one
-    configuration instead of enumerating the entry.  ``poset`` is set on
-    explicit problems and ``manager`` on BDD ones, so the backend and, on
-    explicit problems, the discreteness of the order are read off them.
+    configuration instead of enumerating the entry; ``down_of(cond)`` is the
+    entry of the conditions at or below cond.  ``poset`` is set on explicit
+    problems and ``manager`` on BDD ones: the backend and, on explicit
+    problems, the discreteness of the order are read off them.
     """
 
     def __init__(
         self, ops, mx, my, guards_x, guards_y, precedence: bool,
-        cond_count: int, entry_names, entry_holds, poset=None, manager=None,
+        cond_count: int, entry_names, entry_holds, down_of, poset=None, manager=None,
     ):
         higher = mx.precedence if precedence else ()
         self.ops = ops
@@ -293,6 +296,7 @@ class Problem:
         self.cond_count = cond_count
         self.entry_names = entry_names
         self.entry_holds = entry_holds
+        self.down_of = down_of
         self.poset: ConditionPoset | None = poset
         self.manager: BddManager | None = manager
 
@@ -331,22 +335,11 @@ def _poset_feature_encoding(poset: ConditionPoset, manager: BddManager):
     set inclusion, so the configuration order restricted to the image is
     order-isomorphic to the poset.
     """
-    n = len(poset.elements)
-    minterms = []
-    for i in range(n):
-        absent = poset.down[i]
-        handle = 1
-        for name in manager.order:
-            v = manager.var(name)
-            handle = manager.conj(handle, manager.neg(v) if absent & (1 << poset.index[name]) else v)
-        minterms.append(handle)
+    configs = [frozenset(poset.names_of_bits(poset.full_mask & ~down)) for down in poset.down]
+    minterms = [manager.cube(config) for config in configs]
     diagram = 0
     for handle in minterms:
         diagram = manager.disj(diagram, handle)
-    configs = [
-        frozenset(poset.elements[j] for j in range(n) if not poset.down[i] & (1 << j))
-        for i in range(n)
-    ]
     return minterms, diagram, configs
 
 
@@ -368,6 +361,7 @@ def _bdd_problem(manager, diagram, left, right, guards, precedence, entry_names,
         cond_count=manager.sat_count(diagram),
         entry_names=entry_names,
         entry_holds=lambda h, cond: manager.evaluate(h, config_of(cond)),
+        down_of=lambda cond: manager.close_down_within(manager.cube(config_of(cond)), diagram),
         manager=manager,
     )
 
@@ -488,6 +482,7 @@ def _explicit_problem(l1: Lats, l2: Lats, precedence: bool) -> Problem:
         cond_count=len(poset),
         entry_names=poset.names_of_bits,
         entry_holds=poset.has_bits,
+        down_of=lambda cond: poset.down[poset.element_index(cond)],
         poset=poset,
     )
 
@@ -710,28 +705,30 @@ class BisimResult(ConditionalRelation):
     than validated again, on either backend; which one is read off
     ``problem`` (``poset`` or ``manager``).  ``history`` maps an entry's
     ``(xi, yi)`` to the ``(round, old value)`` of every round that changed
-    it, in round order (None when it was not recorded); ``separation`` is
-    the one reader of that format.  ``stats`` lists the entries each
-    transfer round evaluated (``stale``) and changed (``changed``)."""
+    it, in round order; its first read replays the descent with the solve's
+    step.  ``separation`` is the one reader of that format.  ``stats`` lists
+    the entries each transfer round evaluated (``stale``) and changed."""
 
-    def __init__(self, problem: Problem, matrix, history: dict | None, iterations: int, stats: dict):
+    def __init__(self, problem: Problem, matrix, iterations: int, stats: dict, step):
         p = problem
         self._bind(p.poset, p.states_x, p.states_y, matrix, p.entry_names, p.entry_holds)
         self.problem = problem
-        self.history = history
         self.iterations = iterations
         self.stats = stats
+        self._step = step
 
-    def require_separation(self) -> None:
-        """Raise ``PreconditionViolation`` unless ``separation`` can answer."""
-        if self.history is None:
-            raise PreconditionViolation("separation indices need keep_trace=True")
+    @cached_property
+    def history(self) -> dict:
+        history = {}
+        matrix, iterations, _ = _descend(self.problem, self._step, history)
+        if (matrix, iterations) != (self.matrix, self.iterations):
+            raise InvariantViolation("replayed descent differs from the stored fixpoint (engine bug)")
+        return history
 
     def separation(self, x: str, y: str, cond: str) -> float:
         """The separation index of ``cond`` at (x, y): ``math.inf`` when the
         fixpoint holds it, else the last round whose relation held it (entries
         shrink from top, so the entry changed and that round was recorded)."""
-        self.require_separation()
         if self.entry_holds(self._entry(x, y), cond):
             return math.inf
         changes = self.history[(self._ix[x], self._iy[y])]
@@ -752,9 +749,9 @@ def greatest_bisimulation(
     keep_trace: bool = True,
 ) -> BisimResult:
     """Iterate the transfer operator from the all-top relation down to the
-    greatest fixpoint.  With ``keep_trace`` the result records, per entry,
-    the rounds that changed it (``BisimResult.history``), from which
-    ``BisimResult.separation`` reads the game's separation indices.
+    greatest fixpoint, recording no history: ``BisimResult.history``, which
+    the game's separation indices read, is computed on its first read.
+    ``keep_trace`` has no effect; ``perfbench/test_perfbench.py`` passes it.
     """
     problem = build_problem(
         left, right, backend=backend, precedence=precedence, var_order=var_order, close=close
@@ -762,9 +759,8 @@ def greatest_bisimulation(
     # on a discrete order the residuum is complement-join, so both operators agree
     poset = problem.poset
     step = apply_F_boolean_ops if poset is not None and poset.is_discrete else apply_G_ops
-    history = {} if keep_trace else None
-    matrix, iterations, stats = _descend(problem, step, history)
-    return BisimResult(problem, matrix, history, iterations, stats)
+    matrix, iterations, stats = _descend(problem, step)
+    return BisimResult(problem, matrix, iterations, stats, step)
 
 
 # --- checks against the definitions ---------------------------------------------------------

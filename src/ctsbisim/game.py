@@ -5,13 +5,14 @@ Player 2 must mirror the move on the other board under the same condition.
 Player 2 wins infinite plays and positions where Player 1 is stuck.  The
 fixpoint run yields separation indices: the last round at which a condition
 survives in a pair's entry, as ``BisimResult.separation`` reads them off
-the result.  Finite indices drive Player 1's attack (every reply strictly
-decreases the index); membership in the final relation (an infinite
-index) drives Player 2's defence (replies keep the condition inside).
-Both players move on the problem's successor lists, read on demand
-through the problem's ``entry_holds``.  Under action precedence a move is
-unavailable at the conditions where its escape holds, i.e. where a higher
-action is enabled at its source.
+the history that the result replays on first use.  Finite indices drive
+Player 1's attack (every reply strictly decreases the index); membership
+in the final relation (an infinite index) drives Player 2's defence
+(replies keep the condition inside).  Both players move on the problem's
+successor lists and upgrade within its ``down_of``, read through its
+``entry_holds``, so the game plays the results of both backends.  Under
+action precedence a move is unavailable at the conditions where its escape
+holds, i.e. where a higher action is enabled at its source.
 
 Legal moves come from one place: ``SeparationTable.attacks`` yields the
 attacker's moves in (condition, side, action, target) order and
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .engine import BisimResult, greatest_bisimulation
-from .errors import IllegalMove, InvariantViolation, NotWinnable, PreconditionViolation
+from .errors import IllegalMove, InvariantViolation, NotWinnable, UnknownElement
 
 INF = math.inf
 
@@ -73,14 +74,11 @@ def _require(holds: bool, what: str) -> None:
 
 
 class SeparationTable:
-    """The game on one explicit fixpoint: both systems' moves, per state and
-    condition, read off the result's problem, and per (pair, condition) the
-    separation index from ``BisimResult.separation``."""
+    """The game on one fixpoint of either backend: both systems' moves, per
+    state and condition, read off the result's problem, and per (pair,
+    condition) the separation index from ``BisimResult.separation``."""
 
     def __init__(self, result: BisimResult):
-        if result.poset is None:
-            raise PreconditionViolation("the game needs an explicit-backend result")
-        result.require_separation()
         self.result = result
 
     def moves(self, side: str, state: str, cond: str) -> list[tuple[str, str]]:
@@ -103,8 +101,8 @@ class SeparationTable:
 
     def upgrades(self, cond: str) -> list[str]:
         """Conditions reachable by upgrading (including staying), by name."""
-        poset = self.result.poset
-        return sorted(poset.names_of_bits(poset.down[poset.element_index(cond)]))
+        p = self.result.problem
+        return sorted(p.entry_names(p.down_of(cond)))
 
     def state_of(self, inst: GameInstance, side: str) -> str:
         return inst.x if side == "left" else inst.y
@@ -169,10 +167,13 @@ def engine_attack(inst: GameInstance, table: SeparationTable) -> Move | None:
 
 
 def _validate_attack(inst: GameInstance, move: Move, table: SeparationTable) -> None:
-    poset = table.result.poset
-    if move.upgrade not in poset.index:
-        raise IllegalMove("unknown condition %r" % (move.upgrade,))
-    if not poset.leq(move.upgrade, inst.condition):
+    p = table.result.problem
+    below = p.down_of(inst.condition)
+    try:
+        is_upgrade = p.entry_holds(below, move.upgrade)
+    except UnknownElement:
+        raise IllegalMove("unknown condition %r" % (move.upgrade,)) from None
+    if not is_upgrade:
         raise IllegalMove(
             "%r is not an upgrade of the current condition %r" % (move.upgrade, inst.condition)
         )
@@ -241,7 +242,7 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
     lines = []
     visited = set()
     rounds = 0
-    limit = len(result.states_x) * len(result.states_y) * max(len(result.poset), 1) + 2
+    limit = len(result.states_x) * len(result.states_y) * max(result.problem.cond_count, 1) + 2
     while True:
         if inst in visited:
             return PlayResult(2, rounds, "instance repeated: play is infinite", lines)

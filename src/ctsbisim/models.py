@@ -22,7 +22,6 @@ feature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import features as ft
@@ -202,35 +201,31 @@ class Cts(Lats):
         return self.instantiate(cond).successors(x, a)
 
 
-@dataclass(frozen=True)
-class Fts:
+class Fts(ft.Record):
     """Featured transition system plus its feature diagram."""
 
-    universe: FeatureUniverse
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    trans: Mapping[tuple[str, str, str], FeatureExpr]
-    diagram: FeatureExpr = ft.TRUE
-    precedence: frozenset = frozenset()
+    __slots__ = ("universe", "states", "alphabet", "trans", "diagram", "precedence")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", _check_names("states", self.states))
-        object.__setattr__(self, "alphabet", _check_names("alphabet", self.alphabet))
-        object.__setattr__(self, "trans", dict(self.trans))
-        object.__setattr__(
-            self, "precedence", close_precedence(self.precedence, self.alphabet)
-        )
-        for name in self.universe.features:
+    def __init__(
+        self, universe: FeatureUniverse, states, alphabet,
+        trans: Mapping[tuple[str, str, str], FeatureExpr], diagram: FeatureExpr = ft.TRUE, precedence=(),
+    ):
+        states = _check_names("states", states)
+        alphabet = _check_names("alphabet", alphabet)
+        trans = dict(trans)
+        precedence = close_precedence(precedence, alphabet)
+        for name in universe.features:
             if not ft.is_atom_name(name):
                 raise ModelError("%r is not a feature name (a guard atom)" % (name,))
-        state_set = set(self.states)
-        ft.check_atoms(self.diagram, self.universe)
-        for (x, a, y), expr in self.trans.items():
+        state_set = set(states)
+        ft.check_atoms(diagram, universe)
+        for (x, a, y), expr in trans.items():
             if x not in state_set or y not in state_set:
                 raise ModelError("transition (%r, %r, %r) references unknown states" % (x, a, y))
-            if a not in self.alphabet:
+            if a not in alphabet:
                 raise ModelError("unknown action %r" % (a,))
-            ft.check_atoms(expr, self.universe)
+            ft.check_atoms(expr, universe)
+        super().__init__(universe, states, alphabet, trans, diagram, precedence)
 
     def admissible_configs(self) -> list[ft.Config]:
         """Configurations satisfying the diagram, in canonical order."""

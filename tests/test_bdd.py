@@ -136,6 +136,14 @@ class TestEvaluate:
             for c in u.configurations():
                 assert m.evaluate(h, c) == ft.evaluate(e, c)
 
+    def test_cube_holds_on_its_configuration_alone(self):
+        u = FeatureUniverse(("f0", "f1", "f2"))
+        m = BddManager(u, ("f2", "f0", "f1"))
+        for config in u.configurations():
+            cube = m.cube(config)
+            assert cube == m.from_expr(parse_expr(minterm_text(config, u)))
+            assert m.sat_configs(cube) == [config]
+
 
 class TestDownwardClosure:
     def test_terminals_are_closed(self):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -28,6 +27,7 @@ from ctsbisim.errors import (
     CapExceeded,
     DimensionMismatch,
     GuardNotDownwardClosed,
+    InvariantViolation,
     ModelMismatch,
     PrecedenceMismatch,
     PreconditionViolation,
@@ -685,9 +685,12 @@ class TestExplicitFtsBuild:
     @pytest.mark.parametrize("backend", ["explicit", "bdd"])
     def test_diagrams_compare_by_their_configurations(self, backend):
         left, right = gen_benchmark_fts(2)
-        same = dataclasses.replace(right, diagram=parse_expr("f1 | !f1"))
+        def with_diagram(text):
+            return Fts(right.universe, right.states, right.alphabet, right.trans, parse_expr(text))
+
+        same = with_diagram("f1 | !f1")
         assert build_problem(left, same, backend=backend).cond_count == 4
-        narrower = dataclasses.replace(right, diagram=parse_expr("f1 | f2"))
+        narrower = with_diagram("f1 | f2")
         with pytest.raises(ModelMismatch, match="different configurations"):
             build_problem(left, narrower, backend=backend)
 
@@ -886,6 +889,43 @@ class TestIncrementalRounds:
                     changed[r] += 1
             assert res.stats["changed"] == changed
             assert changed[-1] == 0 and all(changed[:-1])
+
+
+class TestHistoryOnDemand:
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_keep_trace_changes_nothing(self, backend):
+        rng = random.Random(1327)
+        for _ in range(4):
+            left, right = precedence_shaped_pair(rng, n=8)
+            runs = [
+                greatest_bisimulation(left, right, precedence=True, backend=backend, keep_trace=keep)
+                for keep in (True, False)
+            ]
+            kept, dropped = ((r.matrix, r.iterations, r.stats, r.history) for r in runs)
+            assert kept == dropped
+
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_history_is_replayed_on_first_read_only(self, backend, evaluated_per_round):
+        left, right = chain_pair(6)
+        res = greatest_bisimulation(left, right, backend=backend)
+        solve = res.iterations + 1
+        assert len(evaluated_per_round) == solve
+        assert "history" not in vars(res)  # the solve recorded none
+        history = res.history
+        assert len(evaluated_per_round) == 2 * solve
+        assert res.history is history
+        assert res.separation("s0", "s0", "c1") == res.iterations - 1
+        assert len(evaluated_per_round) == 2 * solve
+
+    @pytest.mark.parametrize("tamper", ["matrix", "iterations"])
+    def test_a_replay_off_the_stored_fixpoint_raises(self, routing_pair, tamper):
+        res = greatest_bisimulation(*routing_pair)
+        if tamper == "matrix":
+            res.matrix = [[res.problem.ops.top] * len(row) for row in res.matrix]
+        else:
+            res.iterations += 1
+        with pytest.raises(InvariantViolation, match="replayed descent"):
+            res.history
 
 
 class TestTransferWork:

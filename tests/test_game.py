@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -11,7 +12,6 @@ from ctsbisim.errors import (
     IllegalMove,
     InvariantViolation,
     NotWinnable,
-    PreconditionViolation,
     UnknownState,
 )
 from ctsbisim.game import (
@@ -26,10 +26,10 @@ from ctsbisim.game import (
     self_play,
 )
 from ctsbisim.modelio import load_model
-from ctsbisim.models import Lats
+from ctsbisim.models import Lats, fts_to_lats
 from ctsbisim.poset import ConditionPoset
 
-from conftest import GAME_SESSIONS, make_routing, random_lats, random_lats_pair, random_poset
+from conftest import GAME_SESSIONS, MODELS, make_routing, random_lats, random_lats_pair, random_poset
 from oracles import exhaustive_p1_wins, separation_rounds
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -67,26 +67,25 @@ class TestSeparationTable:
 
     @pytest.mark.parametrize("backend", ["explicit", "bdd"])
     def test_rounds_equal_the_stored_matrix_scan(self, routing_pair, backend):
-        # the game plays explicit results; ``separation`` reads both backends
         rng = random.Random(202)
         pairs = [routing_pair]
         pairs += [random_lats_pair(rng, max_states=5, max_conds=4) for _ in range(40)]
         for l1, l2 in pairs:
-            result = greatest_bisimulation(l1, l2, backend=backend)
-            rounds = SeparationTable(result).m if backend == "explicit" else result.separation
+            rounds = SeparationTable(greatest_bisimulation(l1, l2, backend=backend)).m
             expected = separation_rounds(l1, l2)
             assert {key: rounds(*key) for key in expected} == expected
 
     @pytest.mark.parametrize(
         "options", [{"backend": "bdd"}, {"keep_trace": False}], ids=["bdd", "no-history"]
     )
-    def test_result_without_history_is_rejected(self, routing_pair, options):
+    def test_every_result_plays(self, routing_pair, options):
+        # the history a play reads is replayed from the result's problem
         basic, modified = routing_pair
+        want = greatest_bisimulation(basic, modified)
         result = greatest_bisimulation(basic, modified, **options)
-        with pytest.raises(PreconditionViolation):
-            SeparationTable(result)
-        with pytest.raises(PreconditionViolation):
-            self_play(basic, modified, "ready", "ready", "b", result=result)
+        for cond in ("a", "b"):
+            play = self_play(basic, modified, "ready", "ready", cond, result=result)
+            assert play == self_play(basic, modified, "ready", "ready", cond, result=want)
 
 
 class TestPlayer1:
@@ -312,6 +311,53 @@ class TestPrecedence:
                         play = self_play(l1, l2, x, y, c, result=result)
                         assert p1_wins == (play.winner == 1)
         assert changed >= 10
+
+
+class TestBddResults:
+    """Criterion 6's checks on results of the BDD backend: each self-play
+    equals the one on the explicit result, transcript and all, and the
+    unedited referee agrees with its winner."""
+
+    @staticmethod
+    def check_plays(l1, l2, explicit, symbolic, wins) -> int:
+        conditions = explicit.problem.poset.elements
+        for x, y, cond in itertools.product(l1.states, l2.states, conditions):
+            play = self_play(l1, l2, x, y, cond, result=symbolic)
+            assert play == self_play(l1, l2, x, y, cond, result=explicit)
+            assert (play.winner == 1) == ((x, y, cond) in wins)
+        return len(l1.states) * len(l2.states) * len(conditions)
+
+    @pytest.mark.parametrize("precedence", [False, True], ids=["plain", "precedence"])
+    def test_plays_equal_the_explicit_ones_and_the_referee(self, precedence):
+        rng = random.Random(20_06)
+        fts_pair = tuple(
+            fts_to_lats(load_model(MODELS / name))
+            for name in ("routing_fts_basic.json", "routing_fts_modified.json")
+        )
+        basic, modified = make_routing(), make_routing(check_unsafe_guard=("a",))
+        pairs = [(basic, modified), (basic, basic), (modified, modified), fts_pair]
+        pairs += [
+            random_lats_pair(rng, max_states=4, max_conds=3, with_precedence=precedence)
+            for _ in range(50)
+        ]
+        plays = 0
+        for l1, l2 in pairs:
+            explicit = greatest_bisimulation(l1, l2, precedence=precedence)
+            symbolic = greatest_bisimulation(l1, l2, precedence=precedence, backend="bdd")
+            plays += self.check_plays(l1, l2, explicit, symbolic, exhaustive_p1_wins(l1, l2, precedence))
+        assert plays > 500
+
+    @pytest.mark.parametrize("precedence", [False, True], ids=["plain", "precedence"])
+    def test_raw_fts_solved_on_bdd(self, precedence):
+        # conditions are the admissible configurations, named as the explicit build names them
+        f1, f2 = (
+            load_model(MODELS / name) for name in ("routing_fts_basic.json", "routing_fts_modified.json")
+        )
+        explicit = greatest_bisimulation(f1, f2, precedence=precedence)
+        symbolic = greatest_bisimulation(f1, f2, precedence=precedence, backend="bdd")
+        assert symbolic.report() == explicit.report()
+        wins = exhaustive_p1_wins(fts_to_lats(f1), fts_to_lats(f2), precedence)
+        assert self.check_plays(f1, f2, explicit, symbolic, wins) > 0
 
 
 class TestInteractive:

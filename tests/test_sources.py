@@ -15,6 +15,17 @@ PACKAGE = Path(ctsbisim.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level package of every module a module imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def imported_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):
@@ -256,6 +267,43 @@ def test_only_the_engine_reads_history(module):
     assert attribute_uses(tree, {"history"}) == []
 
 
+def test_the_game_reads_no_backend():
+    # conditions come from the problem (``down_of``, ``entry_holds``,
+    # ``cond_count``), so the game refuses no result for its backend or history
+    tree = ast.parse((PACKAGE / "game.py").read_text())
+    assert attribute_uses(tree, {"poset"}) == []
+    assert "PreconditionViolation" not in referenced_names(tree)
+
+
+def keyword_uses(tree: ast.Module, name: str) -> list[int]:
+    """Lines of the calls that pass the keyword argument ``name``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(kw.arg == name for kw in node.keywords)
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_passes_keep_trace(module):
+    # a solve records no history; ``BisimResult.history`` replays the descent
+    tree = ast.parse((PACKAGE / module).read_text())
+    assert keyword_uses(tree, "keep_trace") == []
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("f(keep_trace=False)\n", [1]),
+        ("x = 1\ng(a, b=2, keep_trace=True)\n", [2]),
+        ("def f(keep_trace=True): pass\n", []),
+        ("f(keep=False)\n", []),
+    ],
+)
+def test_keyword_check_flags_what_it_should(source, lines):
+    assert keyword_uses(ast.parse(source), "keep_trace") == lines
+
+
 def test_the_game_keeps_no_copy_of_the_result():
     # moves come from the problem's lists, indices and membership from the result
     tree = ast.parse((PACKAGE / "game.py").read_text())
@@ -303,15 +351,12 @@ def dataclass_uses(tree: ast.Module) -> list[str]:
     return used
 
 
-def test_a_check_loads_no_dataclass_but_fts():
-    # each dataclass generates and compiles its methods when its module loads;
-    # ``Fts`` stays one because callers build variants with ``dataclasses.replace``
-    used = [
-        "%s:%s" % (module, name)
-        for module in CHECK_MODULES
-        for name in dataclass_uses(ast.parse((PACKAGE / module).read_text()))
-    ]
-    assert used == ["models.py:Fts"]
+def test_a_check_loads_no_dataclass():
+    # each dataclass generates and compiles its methods when its module loads,
+    # and ``dataclasses`` imports ``inspect``; records (``features.Record``) do neither
+    trees = {module: ast.parse((PACKAGE / module).read_text()) for module in CHECK_MODULES}
+    assert [(m, name) for m, tree in trees.items() for name in dataclass_uses(tree)] == []
+    assert [m for m, tree in trees.items() if "dataclasses" in imported_modules(tree)] == []
 
 
 @pytest.mark.parametrize(
@@ -326,6 +371,19 @@ def test_a_check_loads_no_dataclass_but_fts():
 )
 def test_dataclass_check_flags_what_it_should(source, used):
     assert dataclass_uses(ast.parse(source)) == used
+
+
+@pytest.mark.parametrize(
+    "source, modules",
+    [
+        ("import dataclasses\n", {"dataclasses"}),
+        ("from dataclasses import dataclass\n", {"dataclasses"}),
+        ("import os.path as p\n", {"os"}),
+        ("from . import dataclasses\nfrom .models import x\n", set()),
+    ],
+)
+def test_import_check_flags_what_it_should(source, modules):
+    assert imported_modules(ast.parse(source)) == modules
 
 
 # --- the public API and the oracles' reach into the engine -----------------------------

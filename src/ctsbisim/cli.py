@@ -51,34 +51,26 @@ def _write_relation(relation, args) -> int:
     return 0
 
 
+def _load_pair(args):
+    """Both models, closed as they are loaded when ``--close`` is given."""
+    return load_model(args.left, close=args.close), load_model(args.right, close=args.close)
+
+
 def cmd_check(args) -> int:
-    left = load_model(args.left, close=args.close)
-    right = load_model(args.right, close=args.close)
+    left, right = _load_pair(args)
     result = greatest_bisimulation(
-        left,
-        right,
-        precedence=args.precedence,
-        backend=args.backend,
-        var_order=_var_order(args.var_order),
-        close=args.close,
+        left, right, precedence=args.precedence, backend=args.backend, var_order=_var_order(args.var_order)
     )
     return _write_relation(result, args)
 
 
-def _load_lats(path: str, close: bool):
-    """A model as a lattice system; with ``close``, an FTS's guards are closed
-    downward as in ``convert --close``."""
-    return convert_model(load_model(path, close=close), "lats", close=close)
-
-
 def cmd_oracle(args) -> int:
-    left, right = _load_lats(args.left, args.close), _load_lats(args.right, args.close)
+    left, right = _load_pair(args)
     return _write_relation(brute_force_oracle(left, right, precedence=args.precedence), args)
 
 
 def cmd_convert(args) -> int:
-    model = load_model(args.input, close=args.close)
-    converted = convert_model(model, args.to, close=args.close)
+    converted = convert_model(load_model(args.input, close=args.close), args.to)
     _write_output(json.dumps(model_to_dict(converted), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -113,7 +105,7 @@ def cmd_approx(args) -> int:
 def cmd_game(args) -> int:
     from .game import GameInstance, interactive_play, self_play
 
-    left, right = _load_lats(args.left, args.close), _load_lats(args.right, args.close)
+    left, right = _load_pair(args)
     x, y, cond = _parse_pair(args.start)
     if args.self_play:
         play = self_play(left, right, x, y, cond)
@@ -155,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, models=True):
         p.add_argument("--out", help="write the report/output to this file")
         if models:
-            p.add_argument("--close", action="store_true", help="take downward closures of offending guards instead of rejecting them")
+            p.add_argument("--close", action="store_true", help="close offending guards downward as any model is loaded, instead of rejecting them")
 
     p = sub.add_parser("check", help="compute the greatest conditional bisimulation")
     p.add_argument("left")

@@ -68,7 +68,7 @@ from .errors import (
     UnknownState,
 )
 from .features import FeatureUniverse
-from .models import Fts, Lats, fts_to_lats
+from .models import Fts, Lats, check_names, fts_to_lats
 from .poset import ConditionPoset, iter_bits
 
 
@@ -186,13 +186,14 @@ class ConditionalRelation:
     or ROBDD handles (``poset`` is None).  ``entry_names`` decodes an entry
     to its condition names and ``entry_holds`` tests one condition in an
     entry, so every read of a relation, on both backends, is a method of
-    this class.  The constructor takes bitsets over ``poset`` and validates
-    them; ``BisimResult`` binds a computed matrix to its problem's decoders
-    without validating it again.
+    this class.  The constructor takes distinct state names and bitsets
+    over ``poset`` and validates both; ``BisimResult`` binds a computed
+    matrix to its problem's decoders without validating it again.
     """
 
     def __init__(self, poset, states_x, states_y, matrix):
         matrix = [list(r) for r in matrix]
+        states_x, states_y = check_names("left states", states_x), check_names("right states", states_y)
         self._bind(poset, states_x, states_y, matrix, poset.names_of_bits, poset.has_bits)
         if len(matrix) != len(self.states_x) or any(len(r) != len(self.states_y) for r in matrix):
             raise DimensionMismatch("relation matrix does not match the state sets")
@@ -223,15 +224,15 @@ class ConditionalRelation:
 
     @classmethod
     def from_mapping(cls, poset, states_x, states_y, mapping, close=False):
-        states_x, states_y = tuple(states_x), tuple(states_y)
-        rows = []
-        for x in states_x:
-            row = []
-            for y in states_y:
-                bits = poset.bits_of_names(mapping.get((x, y), ()))
-                row.append(poset.close_down_bits(bits) if close else bits)
-            rows.append(row)
-        return cls(poset, states_x, states_y, rows)
+        """Entry (x, y) holds the conditions ``mapping[(x, y)]`` names, closed
+        downward with ``close``; a key naming another state is refused."""
+        top = cls.top(poset, states_x, states_y)  # checks the state names
+        rows = [[0] * len(top.states_y) for _ in top.states_x]
+        for (x, y), names in mapping.items():
+            xi, yi = top.state_index("left", x), top.state_index("right", y)
+            bits = poset.bits_of_names(names)
+            rows[xi][yi] = poset.close_down_bits(bits) if close else bits
+        return cls(poset, top.states_x, top.states_y, rows)
 
     def state_index(self, side: str, state: str) -> int:
         """The index of ``state`` among the ``side`` ("left" or "right") states."""
@@ -372,7 +373,6 @@ def build_problem(
     backend: str = "explicit",
     precedence: bool = False,
     var_order: Sequence[str] | None = None,
-    close: bool = False,
 ) -> Problem:
     if backend not in ("explicit", "bdd"):
         raise ModelMismatch("unknown backend %r" % (backend,))
@@ -386,8 +386,8 @@ def build_problem(
                 raise ModelMismatch("feature diagrams carve out different configurations")
             # one set of feature masks and one configuration poset for both systems
             masks = models.feature_masks(configs, left.universe)
-            over = configs, masks, models.config_poset(configs, left.universe)
-            l1, l2 = (fts_to_lats(f, close=close, over=over) for f in (left, right))
+            over = masks, models.config_poset(configs, left.universe)
+            l1, l2 = (fts_to_lats(f, over=over) for f in (left, right))
             return _explicit_problem(l1, l2, precedence)
         manager = BddManager(left.universe, var_order)
         diagram = manager.from_expr(left.diagram)
@@ -398,7 +398,7 @@ def build_problem(
             for (x, a, y), expr in model.trans.items():
                 g = manager.conj(manager.from_expr(expr), diagram)
                 if not manager.is_downward_closed_within(g, diagram):
-                    if close:
+                    if model.close:
                         g = manager.close_down_within(g, diagram)
                     else:
                         raise GuardNotDownwardClosed(
@@ -745,17 +745,15 @@ def greatest_bisimulation(
     precedence: bool = False,
     backend: str = "explicit",
     var_order: Sequence[str] | None = None,
-    close: bool = False,
     keep_trace: bool = True,
 ) -> BisimResult:
     """Iterate the transfer operator from the all-top relation down to the
     greatest fixpoint, recording no history: ``BisimResult.history``, which
     the game's separation indices read, is computed on its first read.
+    An FTS's guards are closed downward if it was built with ``close``.
     ``keep_trace`` has no effect; ``perfbench/test_perfbench.py`` passes it.
     """
-    problem = build_problem(
-        left, right, backend=backend, precedence=precedence, var_order=var_order, close=close
-    )
+    problem = build_problem(left, right, backend=backend, precedence=precedence, var_order=var_order)
     # on a discrete order the residuum is complement-join, so both operators agree
     poset = problem.poset
     step = apply_F_boolean_ops if poset is not None and poset.is_discrete else apply_G_ops
@@ -825,9 +823,9 @@ def brute_force_oracle(c1, c2, precedence: bool = False, cap: int = 250_000) -> 
     independent per-condition refinement would be too weak: removing a pair
     at an upgrade can invalidate its matches at larger conditions.
 
-    An FTS is converted with ``fts_to_lats`` and so must have downward-closed
-    guards; callers who want the closure convert first, with
-    ``fts_to_lats(f, close=True)``, as ``oracle --close`` does.
+    An FTS is converted with ``fts_to_lats``, so its guards are closed
+    downward if it was built with ``close`` and rejected if they are not
+    downward-closed otherwise.
     """
     if isinstance(c1, Fts):
         c1 = fts_to_lats(c1)

@@ -6,8 +6,9 @@ differ only in how a guard is written.  For conditional systems the guard
 lists name the maximal enabling conditions and the loader closes them
 downward (figures usually omit transitions implied by monotonicity); for
 lattice systems the guard is the exact downward-closed set and violations
-are rejected unless closure is requested.  A malformed file raises only
-``ModelError``, naming the offending field.
+are rejected unless closure is requested.  A featured system keeps that
+request as its ``close`` field, for when its guards become condition sets.
+A malformed file raises only ``ModelError``, naming the offending field.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def model_from_dict(raw: dict, close: bool = False) -> Model:
                 raise ModelError("%s: duplicate transition (%s, %s, %s)" % (where, x, a, y))
             trans[(x, a, y)] = expr
         try:
-            return Fts(universe, states, alphabet, trans, diagram, frozenset(precedence))
+            return Fts(universe, states, alphabet, trans, diagram, frozenset(precedence), close)
         except Exception as exc:
             raise ModelError("model: %s" % exc) from exc
 
@@ -234,8 +235,9 @@ def poset_to_dict(poset: ConditionPoset) -> dict:
     return {"elements": list(poset.elements), "leq": pairs}
 
 
-def convert_model(model: Model, to_kind: str, close: bool = False) -> Model:
-    """Translate between kinds where the translation exists."""
+def convert_model(model: Model, to_kind: str) -> Model:
+    """Translate between kinds where the translation exists; an FTS's guards
+    are closed downward if it was loaded with ``close``."""
     kind = {Cts: "cts", Lats: "lats", Fts: "fts"}[type(model)]
     if to_kind == kind:
         return model
@@ -244,8 +246,8 @@ def convert_model(model: Model, to_kind: str, close: bool = False) -> Model:
     if isinstance(model, Lats) and to_kind == "cts":
         return lats_to_cts(model)
     if isinstance(model, Fts) and to_kind == "lats":
-        return fts_to_lats(model, close=close)
+        return fts_to_lats(model)
     if isinstance(model, Fts) and to_kind == "cts":
-        return lats_to_cts(fts_to_lats(model, close=close))
+        return lats_to_cts(fts_to_lats(model))
     raise ModelError("conversion %s -> %s is not defined" % (kind, to_kind))
 

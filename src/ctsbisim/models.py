@@ -30,7 +30,7 @@ from .features import FeatureExpr, FeatureUniverse
 from .poset import ConditionPoset, LatticeElement, iter_bits
 
 
-def _check_names(kind: str, names) -> tuple[str, ...]:
+def check_names(kind: str, names) -> tuple[str, ...]:
     names = tuple(names)
     if not all(isinstance(n, str) and n for n in names):
         raise ModelError("%s must be non-empty strings: %r" % (kind, names))
@@ -78,8 +78,8 @@ class Lats:
     """Lattice transition system: guards are downward-closed condition sets."""
 
     def __init__(self, states, alphabet, poset: ConditionPoset, alpha, precedence=(), close=False):
-        self.states = _check_names("states", states)
-        self.alphabet = _check_names("alphabet", alphabet)
+        self.states = check_names("states", states)
+        self.alphabet = check_names("alphabet", alphabet)
         self.poset = poset
         self.precedence = close_precedence(precedence, self.alphabet)
         state_set = set(self.states)
@@ -202,16 +202,23 @@ class Cts(Lats):
 
 
 class Fts(ft.Record):
-    """Featured transition system plus its feature diagram."""
+    """Featured transition system plus its feature diagram.
 
-    __slots__ = ("universe", "states", "alphabet", "trans", "diagram", "precedence")
+    ``close`` is decided when the system is built or loaded: every consumer
+    (``fts_to_lats``, both backends of a check, the oracle) closes a guard
+    that is not downward-closed under the upgrade order if it is set, and
+    rejects the guard with ``GuardNotDownwardClosed`` if not.
+    """
+
+    __slots__ = ("universe", "states", "alphabet", "trans", "diagram", "precedence", "close")
 
     def __init__(
         self, universe: FeatureUniverse, states, alphabet,
         trans: Mapping[tuple[str, str, str], FeatureExpr], diagram: FeatureExpr = ft.TRUE, precedence=(),
+        close=False,
     ):
-        states = _check_names("states", states)
-        alphabet = _check_names("alphabet", alphabet)
+        states = check_names("states", states)
+        alphabet = check_names("alphabet", alphabet)
         trans = dict(trans)
         precedence = close_precedence(precedence, alphabet)
         for name in universe.features:
@@ -225,7 +232,7 @@ class Fts(ft.Record):
             if a not in alphabet:
                 raise ModelError("unknown action %r" % (a,))
             ft.check_atoms(expr, universe)
-        super().__init__(universe, states, alphabet, trans, diagram, precedence)
+        super().__init__(universe, states, alphabet, trans, diagram, precedence, bool(close))
 
     def admissible_configs(self) -> list[ft.Config]:
         """Configurations satisfying the diagram, in canonical order."""
@@ -299,35 +306,32 @@ def config_poset(configs: list[ft.Config], universe: FeatureUniverse) -> Conditi
     return ConditionPoset._from_rows([ft.config_name(c) for c in configs], up, down)
 
 
-def fts_to_lats(
-    f: Fts, close: bool = False, over: tuple[list[ft.Config], dict, ConditionPoset] | None = None
-) -> Lats:
+def fts_to_lats(f: Fts, over: tuple[dict, ConditionPoset] | None = None) -> Lats:
     """Conditions are the admissible configurations under the upgrade order;
     the guard of a transition collects the configurations satisfying its
     expression.  ``Lats`` rejects a guard that is not downward-closed (more
     upgrades cannot lose a transition), naming the lowest configuration that
     holds it and its lowest upgrade that does not, or closes it downward
-    when ``close`` is set.
+    when the system was built with ``close``.
 
     Each guard is interpreted once on per-feature masks over the admissible
     configurations (an atom is its mask; negation, conjunction and
     disjunction are the complement within them, ``&`` and ``|``).
 
-    ``over`` is ``(f.admissible_configs(), their feature_masks, their
-    config_poset)`` when the caller has them already, as for two systems
-    over one diagram.
+    ``over`` is ``(feature_masks, config_poset)`` of ``f.admissible_configs()``
+    when the caller has them already, as for two systems over one diagram.
     """
     if over is None:
         configs = f.admissible_configs()
-        over = configs, feature_masks(configs, f.universe), config_poset(configs, f.universe)
-    configs, masks, poset = over
+        over = feature_masks(configs, f.universe), config_poset(configs, f.universe)
+    masks, poset = over
     full = poset.full_mask
     complement = lambda bits: full & ~bits
     alpha = {
         key: ft.interpret(expr, masks.__getitem__, complement, int.__and__, int.__or__, full, 0)
         for key, expr in f.trans.items()
     }
-    return Lats(f.states, f.alphabet, poset, alpha, precedence=f.precedence, close=close)
+    return Lats(f.states, f.alphabet, poset, alpha, precedence=f.precedence, close=f.close)
 
 
 # --- benchmark family ---------------------------------------------------------------

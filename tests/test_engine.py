@@ -28,6 +28,7 @@ from ctsbisim.errors import (
     DimensionMismatch,
     GuardNotDownwardClosed,
     InvariantViolation,
+    ModelError,
     ModelMismatch,
     PrecedenceMismatch,
     PreconditionViolation,
@@ -36,7 +37,8 @@ from ctsbisim.errors import (
     UnknownState,
 )
 from ctsbisim.features import FeatureUniverse, parse_expr
-from ctsbisim.modelio import load_model, model_from_dict
+from ctsbisim.game import self_play
+from ctsbisim.modelio import convert_model, load_model, model_from_dict
 from ctsbisim.models import Fts, Lats, fts_to_lats, gen_benchmark_fts, lats_to_cts
 from ctsbisim.poset import ConditionPoset, iter_bits
 
@@ -59,7 +61,8 @@ from oracles import (
     per_move_image,
     std_mul_ops,
 )
-from test_models import random_expr, random_fts, random_monotone_guard
+from test_cli import NOT_ENC_FTS
+from test_models import random_expr, random_fts, random_monotone_guard, with_close
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -1255,13 +1258,11 @@ class TestThreeWayFtsDifferential:
         rng = random.Random(2526)
         seen = {"holds": 0, "refused": 0, "no conditions": 0}
         for _ in range(100):
-            left, right = random_fts_pair(rng)
+            left, right = map(with_close, random_fts_pair(rng))
             for precedence in (False, True):
-                oracle = brute_force_oracle(
-                    fts_to_lats(left, close=True), fts_to_lats(right, close=True), precedence=precedence
-                )
+                oracle = brute_force_oracle(fts_to_lats(left), fts_to_lats(right), precedence=precedence)
                 results = [oracle] + [
-                    greatest_bisimulation(left, right, precedence=precedence, backend=backend, close=True)
+                    greatest_bisimulation(left, right, precedence=precedence, backend=backend)
                     for backend in ("explicit", "bdd")
                 ]
                 assert all(res.report() == oracle.report() for res in results)
@@ -1274,6 +1275,44 @@ class TestThreeWayFtsDifferential:
                             assert len(answers) == 1
                             seen["holds" if answers.pop() else "refused"] += 1
         assert all(seen.values())  # the sweep covers each kind of answer
+
+
+class TestCloseDecidedAtLoad:
+    """An FTS loaded with ``close`` is closed wherever it becomes a lattice
+    system, with no further argument; loaded without it, every path refuses
+    its guard ``!enc``, which an upgrade to ``{enc}`` falsifies."""
+
+    PATHS = {
+        "explicit": lambda f: greatest_bisimulation(f, f),
+        "bdd": lambda f: greatest_bisimulation(f, f, backend="bdd"),
+        "oracle": lambda f: brute_force_oracle(f, f),
+        "convert": lambda f: greatest_bisimulation(convert_model(f, "lats"), convert_model(f, "lats")),
+    }
+
+    def test_load_model_keeps_close(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(NOT_ENC_FTS))
+        assert load_model(path, close=True) == model_from_dict(NOT_ENC_FTS, close=True)
+        assert load_model(path, close=True).close is True
+        assert load_model(path).close is False
+        assert with_close(load_model(path), 1).close is True  # normalised to bool
+
+    def test_every_path_closes_a_model_loaded_with_close(self):
+        f = model_from_dict(NOT_ENC_FTS, close=True)
+        reports = {report_bytes(solve(f).report()) for solve in self.PATHS.values()}
+        assert len(reports) == 1
+        assert json.loads(reports.pop())["pairs"][0]["conditions"] == ["{enc}", "{}"]
+        lats = convert_model(f, "lats")
+        play = self_play(f, f, "p", "p", "{}")
+        assert play.winner == 2
+        assert play.transcript == self_play(lats, lats, "p", "p", "{}").transcript
+
+    @pytest.mark.parametrize("path", [*PATHS, "game"])
+    def test_every_path_refuses_a_model_loaded_without_close(self, path):
+        f = model_from_dict(NOT_ENC_FTS)
+        solve = self.PATHS.get(path, lambda f: self_play(f, f, "p", "p", "{}"))
+        with pytest.raises(GuardNotDownwardClosed):
+            solve(f)
 
 
 class TestErrorPaths:
@@ -1332,16 +1371,33 @@ class TestErrorPaths:
             brute_force_oracle(routing_pair[0], other)
 
     @pytest.mark.parametrize(
-        "states_x, matrix, error, message",
+        "states_x, states_y, matrix, error, message",
         [
-            (("x", "y"), [[0]], DimensionMismatch, "does not match the state sets"),
-            (("x",), [[0b10]], GuardNotDownwardClosed, r"relation entry \{b\} is not downward-closed"),
-            (("x",), [[0b100]], UnknownElement, "bitmask out of range for poset"),
-            (("x",), [[-1]], UnknownElement, "bitmask out of range for poset"),
+            (("x", "y"), ("u",), [[0]], DimensionMismatch, "does not match the state sets"),
+            (("x",), ("u",), [[0b10]], GuardNotDownwardClosed, r"relation entry \{b\} is not downward-closed"),
+            (("x",), ("u",), [[0b100]], UnknownElement, "bitmask out of range for poset"),
+            (("x",), ("u",), [[-1]], UnknownElement, "bitmask out of range for poset"),
+            (("x", "x"), ("u",), [[0], [0b11]], ModelError, r"duplicate left states: \('x', 'x'\)"),
+            (("x",), ("u", "u"), [[0, 0]], ModelError, r"duplicate right states: \('u', 'u'\)"),
+            (("",), ("u",), [[0]], ModelError, "left states must be non-empty strings"),
+            (("x",), (None,), [[0]], ModelError, r"right states must be non-empty strings: \(None,\)"),
         ],
-        ids=["shape", "not-closed", "above-range", "negative"],
+        ids=[
+            "shape", "not-closed", "above-range", "negative",
+            "repeated-left", "repeated-right", "empty-left", "not-a-name-right",
+        ],
     )
-    def test_malformed_relation(self, states_x, matrix, error, message):
+    def test_malformed_relation(self, states_x, states_y, matrix, error, message):
         poset = ConditionPoset(["a", "b"], [("a", "b")])
         with pytest.raises(error, match=message):
-            ConditionalRelation(poset, states_x, ("u",), matrix)
+            ConditionalRelation(poset, states_x, states_y, matrix)
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [(("x", "v"), "unknown right state 'v'"), (("w", "u"), "unknown left state 'w'")],
+        ids=["right", "left"],
+    )
+    def test_mapping_key_outside_the_relation(self, key, message):
+        poset = ConditionPoset(["a", "b"], [("a", "b")])
+        with pytest.raises(UnknownState, match=message):
+            ConditionalRelation.from_mapping(poset, ("x",), ("u",), {key: ["a"]})

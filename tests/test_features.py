@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from ctsbisim import features as ft
 from ctsbisim.errors import ExprError, UnknownFeature
 from ctsbisim.features import FeatureUniverse, config_name, parse_expr, upgrade_leq
+from ctsbisim.models import Fts
 
 from oracles import brute_config_leq, powerset
+
+# an FTS is a record too; ``close`` is its last field
+CLOSED_FTS = Fts(FeatureUniverse(("a",), ("a",)), ("p",), ("x",), {("p", "x", "p"): parse_expr("!a")}, close=True)
 
 
 class TestParser:
@@ -89,7 +93,10 @@ class TestRecords:
 
     @pytest.mark.parametrize(
         "record, field",
-        [(ft.Atom("a"), "name"), (ft.Not(ft.TRUE), "arg"), (FeatureUniverse(("a",)), "features")],
+        [
+            (ft.Atom("a"), "name"), (ft.Not(ft.TRUE), "arg"), (FeatureUniverse(("a",)), "features"),
+            (CLOSED_FTS, "close"),
+        ],
     )
     def test_fields_cannot_change(self, record, field):
         with pytest.raises(AttributeError):
@@ -116,7 +123,7 @@ class TestRecords:
         assert FeatureUniverse(iter(["a"])).upgrade == frozenset()
 
     def test_copies_and_pickles_are_equal(self):
-        for record in (parse_expr("a -> !(b | false)"), FeatureUniverse(("a", "b"), ("b",))):
+        for record in (parse_expr("a -> !(b | false)"), FeatureUniverse(("a", "b"), ("b",)), CLOSED_FTS):
             assert copy.copy(record) == record
             assert copy.deepcopy(record) == record
             assert pickle.loads(pickle.dumps(record)) == record

@@ -241,14 +241,14 @@ class TestFts:
         f = Fts(u, ("s",), ("act",), {("s", "act", "s"): parse_expr("!enc")}, diagram)
         with pytest.raises(GuardNotDownwardClosed, match=r"holds at \{\} but not at the upgrade \{enc,ssl\}"):
             fts_to_lats(f)
-        poset = fts_to_lats(f, close=True).poset
+        poset = fts_to_lats(with_close(f)).poset
         assert poset.elements == ("{}", "{enc,ssl}")
         assert poset.leq("{enc,ssl}", "{}")
 
     def test_violating_guard_closed_on_request(self):
         u = FeatureUniverse(("x",), {"x"})
-        f = Fts(u, ("s",), ("act",), {("s", "act", "s"): parse_expr("!x")}, ft.TRUE)
-        lats = fts_to_lats(f, close=True)
+        f = Fts(u, ("s",), ("act",), {("s", "act", "s"): parse_expr("!x")}, ft.TRUE, close=True)
+        lats = fts_to_lats(f)
         assert set(lats.guard("s", "act", "s").members()) == {"{}", "{x}"}
 
     @pytest.mark.parametrize("name", ["true", "x y", "{a}", "a,b", "!a"])
@@ -344,9 +344,14 @@ def random_fts(rng) -> Fts:
     return Fts(universe, states, alphabet, trans, diagram, precedence)
 
 
-def build_or_error(build, f, close):
+def with_close(f: Fts, close=True) -> Fts:
+    """The same system, with its guards closed downward or not as it is built."""
+    return Fts(f.universe, f.states, f.alphabet, f.trans, f.diagram, f.precedence, close)
+
+
+def build_or_error(build, *args):
     try:
-        return build(f, close)
+        return build(*args)
     except GuardNotDownwardClosed as exc:
         return exc
 
@@ -359,7 +364,7 @@ class TestFtsBuildReferee:
             f = random_fts(rng)
             for close in (False, True):
                 expected = build_or_error(per_config_fts_to_lats, f, close)
-                got = build_or_error(fts_to_lats, f, close)
+                got = build_or_error(fts_to_lats, with_close(f, close))
                 if isinstance(expected, GuardNotDownwardClosed):
                     assert isinstance(got, GuardNotDownwardClosed)
                     assert str(got) == str(expected)

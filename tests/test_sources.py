@@ -1,14 +1,17 @@
 """Static checks on the package sources (stdlib ``ast``; no linter needed)."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import ctsbisim
 from ctsbisim.bdd import BddManager
-from ctsbisim.engine import BddOps, ExplicitOps
+from ctsbisim.engine import BddOps, ExplicitOps, build_problem, greatest_bisimulation
 from ctsbisim.features import FeatureUniverse
+from ctsbisim.modelio import convert_model
+from ctsbisim.models import fts_to_lats
 from ctsbisim.poset import ConditionPoset
 
 PACKAGE = Path(ctsbisim.__file__).resolve().parent
@@ -302,6 +305,22 @@ def test_no_module_passes_keep_trace(module):
 )
 def test_keyword_check_flags_what_it_should(source, lines):
     assert keyword_uses(ast.parse(source), "keep_trace") == lines
+
+
+# --- a loaded model carries its closure ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "func", [greatest_bisimulation, build_problem, fts_to_lats, convert_model], ids=lambda f: f.__name__
+)
+def test_close_is_read_off_the_model(func):
+    # ``load_model(path, close=True)`` decides it once; ``Fts.close`` carries it
+    assert "close" not in inspect.signature(func).parameters
+
+
+def test_no_caller_passes_close_along():
+    assert "_load_lats" not in definitions(ast.parse((PACKAGE / "cli.py").read_text()))
+    assert keyword_uses(ast.parse((PACKAGE / "engine.py").read_text()), "close") == []
 
 
 def test_the_game_keeps_no_copy_of_the_result():

@@ -4,8 +4,9 @@ The exports load on first use: ``import ctsbisim`` runs no submodule, and
 reading a name below imports only its home module and what that imports
 (PEP 562).  A check, from the library or through ``ctsbisim check``, loads
 ``engine``, ``modelio``, ``models``, ``features``, ``poset``, ``bdd`` and
-``errors``; the game (``game``) and the scaling benchmark (``bench``) load
-only when used.
+``errors``.  The definitions it is checked against (``referee``, read
+through ``engine``), the game (``game``) and the scaling benchmark
+(``bench``) load only when used.
 """
 
 from importlib import import_module

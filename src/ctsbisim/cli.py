@@ -1,7 +1,7 @@
 """Command-line interface: check, oracle, convert, approx, game, bench.
 
-The game and bench handlers import their modules when called, so the other
-commands do not load them."""
+The oracle, game and bench handlers import their modules (``referee``,
+``game``, ``bench``) when called, so ``check`` loads none of them."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .bdd import BddManager
-from .engine import brute_force_oracle, greatest_bisimulation, report_bytes
+from .engine import greatest_bisimulation, report_bytes
 from .errors import CtsBisimError, ModelError
 from .modelio import convert_model, load_approx_input, load_model, model_to_dict
 
@@ -37,18 +37,14 @@ def _var_order(raw: str | None):
     return [name.strip() for name in raw.split(",") if name.strip()]
 
 
-def _write_relation(relation, args) -> int:
-    """Write the relation report; with ``--pair``, exit 0 iff the pair is related."""
-    _write_output(report_bytes(relation.report()).decode(), args.out)
-    if args.pair:
-        x, y, cond = _parse_pair(args.pair)
-        verdict = relation.holds(x, y, cond)
-        print(
-            "%s ~ %s under %s: %s" % (x, y, cond, "bisimilar" if verdict else "not bisimilar"),
-            file=sys.stderr,
-        )
-        return 0 if verdict else 1
-    return 0
+def _write_relation(relation, pair, out) -> int:
+    """Answer a ``pair`` (x, y, cond) first, then write the report; exit 0 iff it is related."""
+    verdict = relation.holds(*pair) if pair else None
+    _write_output(report_bytes(relation.report()).decode(), out)
+    if pair is None:
+        return 0
+    print("%s ~ %s under %s: %s" % (*pair, "bisimilar" if verdict else "not bisimilar"), file=sys.stderr)
+    return 0 if verdict else 1
 
 
 def _load_pair(args):
@@ -57,16 +53,20 @@ def _load_pair(args):
 
 
 def cmd_check(args) -> int:
+    pair = _parse_pair(args.pair) if args.pair else None  # a malformed pair loads nothing
     left, right = _load_pair(args)
     result = greatest_bisimulation(
         left, right, precedence=args.precedence, backend=args.backend, var_order=_var_order(args.var_order)
     )
-    return _write_relation(result, args)
+    return _write_relation(result, pair, args.out)
 
 
 def cmd_oracle(args) -> int:
+    from .referee import brute_force_oracle
+
+    pair = _parse_pair(args.pair) if args.pair else None
     left, right = _load_pair(args)
-    return _write_relation(brute_force_oracle(left, right, precedence=args.precedence), args)
+    return _write_relation(brute_force_oracle(left, right, precedence=args.precedence), pair, args.out)
 
 
 def cmd_convert(args) -> int:

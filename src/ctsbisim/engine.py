@@ -42,6 +42,9 @@ for handles), a BDD problem decodes each configuration's name once,
 ``report_bytes`` renders each distinct condition list once.  ROBDDs are
 canonical, so equal entries are equal keys on both backends.  Each memo
 lives on a per-problem object or within one call; none outlives a check.
+
+The definitions the kernel is checked against are in ``referee``, which a
+check neither loads nor compiles; ``__getattr__`` resolves their names here.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from .errors import (
     InvariantViolation,
     ModelMismatch,
     PrecedenceMismatch,
-    PreconditionViolation,
     SafeguardExceeded,
     UnknownElement,
     UnknownState,
@@ -116,11 +118,6 @@ class BddOps:
 
 def transpose(M):
     return [list(col) for col in zip(*M)] if M else []
-
-
-def mats_leq(ops, A, B) -> bool:
-    leq = ops.leq
-    return all(leq(a, b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def top_matrix(ops, nx: int, ny: int):
@@ -319,13 +316,41 @@ def _move_lists(ops, model, guards, higher):
     return succ, esc, targets
 
 
-def _check_common(left, right, precedence):
+def _check_pair(left, right, precedence):
+    """Refuse two models a check cannot compare: different kinds, feature
+    universes, condition posets or alphabets, or precedence orders if used."""
+    if isinstance(left, Fts) and isinstance(right, Fts):
+        if left.universe != right.universe:
+            raise ModelMismatch("feature universes differ")
+    elif isinstance(left, Lats) and isinstance(right, Lats):
+        if left.poset != right.poset:
+            raise ModelMismatch("condition posets differ")
+    else:
+        raise ModelMismatch("cannot compare %s with %s" % (type(left).__name__, type(right).__name__))
     if set(left.alphabet) != set(right.alphabet):
         raise ModelMismatch(
             "alphabets differ: %r vs %r" % (sorted(left.alphabet), sorted(right.alphabet))
         )
     if precedence and left.precedence != right.precedence:
         raise PrecedenceMismatch("the two models carry different precedence orders")
+
+
+def _explicit_pair(left, right, precedence: bool, cap: int | None = None):
+    """Two models ``_check_pair`` accepts, as lattice systems over one poset:
+    two FTS must carve out the same admissible configurations, which give one
+    poset and one set of feature masks.  A pair of more than ``cap`` states x
+    states x conditions raises ``CapExceeded`` before any poset is built."""
+    _check_pair(left, right, precedence)
+    fts = isinstance(left, Fts)
+    conds = left.admissible_configs() if fts else left.poset.elements
+    if fts and right.diagram != left.diagram and right.admissible_configs() != conds:
+        raise ModelMismatch("feature diagrams carve out different configurations")
+    if cap is not None and (size := len(left.states) * len(right.states) * max(len(conds), 1)) > cap:
+        raise CapExceeded("instance size %d exceeds the oracle cap %d" % (size, cap))
+    if not fts:
+        return left, right
+    over = models.feature_masks(conds, left.universe), models.config_poset(conds, left.universe)
+    return fts_to_lats(left, over=over), fts_to_lats(right, over=over)
 
 
 def _poset_feature_encoding(poset: ConditionPoset, manager: BddManager):
@@ -376,19 +401,10 @@ def build_problem(
 ) -> Problem:
     if backend not in ("explicit", "bdd"):
         raise ModelMismatch("unknown backend %r" % (backend,))
-    if isinstance(left, Fts) and isinstance(right, Fts):
-        if left.universe != right.universe:
-            raise ModelMismatch("feature universes differ")
-        _check_common(left, right, precedence)
-        if backend == "explicit":
-            configs = left.admissible_configs()
-            if right.diagram != left.diagram and right.admissible_configs() != configs:
-                raise ModelMismatch("feature diagrams carve out different configurations")
-            # one set of feature masks and one configuration poset for both systems
-            masks = models.feature_masks(configs, left.universe)
-            over = masks, models.config_poset(configs, left.universe)
-            l1, l2 = (fts_to_lats(f, over=over) for f in (left, right))
-            return _explicit_problem(l1, l2, precedence)
+    if backend == "explicit":
+        return _explicit_problem(*_explicit_pair(left, right, precedence), precedence)
+    _check_pair(left, right, precedence)
+    if isinstance(left, Fts):
         manager = BddManager(left.universe, var_order)
         diagram = manager.from_expr(left.diagram)
         if manager.from_expr(right.diagram) != diagram:
@@ -433,40 +449,24 @@ def build_problem(
             manager, diagram, left, right, guards, precedence, entry_names, config_of
         )
 
-    if isinstance(left, Lats) and isinstance(right, Lats):
-        if left.poset != right.poset:
-            raise ModelMismatch("condition posets differ")
-        _check_common(left, right, precedence)
-        if backend == "explicit":
-            return _explicit_problem(left, right, precedence)
-        poset = left.poset
-        universe = FeatureUniverse(poset.elements, frozenset(poset.elements))
-        manager = BddManager(universe, var_order)
-        minterms, diagram, configs = _poset_feature_encoding(poset, manager)
+    poset = left.poset
+    universe = FeatureUniverse(poset.elements, frozenset(poset.elements))
+    manager = BddManager(universe, var_order)
+    minterms, diagram, configs = _poset_feature_encoding(poset, manager)
 
-        def guards(lats: Lats):
-            for key, bits in lats.alpha.items():
-                handle = 0
-                for i in iter_bits(bits):
-                    handle = manager.disj(handle, minterms[i])
-                yield key, handle
+    def guards(lats: Lats):
+        for key, bits in lats.alpha.items():
+            handle = 0
+            for i in iter_bits(bits):
+                handle = manager.disj(handle, minterms[i])
+            yield key, handle
 
-        def entry_names(h):  # k evaluations, not the 2^k minterm indices
-            return tuple(n for n, c in zip(poset.elements, configs) if manager.evaluate(h, c))
+    def entry_names(h):  # k evaluations, not the 2^k minterm indices
+        return tuple(n for n, c in zip(poset.elements, configs) if manager.evaluate(h, c))
 
-        return _bdd_problem(
-            manager,
-            diagram,
-            left,
-            right,
-            guards,
-            precedence,
-            entry_names,
-            lambda cond: configs[poset.element_index(cond)],
-        )
-
-    raise ModelMismatch(
-        "cannot compare %s with %s" % (type(left).__name__, type(right).__name__)
+    return _bdd_problem(
+        manager, diagram, left, right, guards, precedence, entry_names,
+        lambda cond: configs[poset.element_index(cond)],
     )
 
 
@@ -761,181 +761,14 @@ def greatest_bisimulation(
     return BisimResult(problem, matrix, iterations, stats, step)
 
 
-# --- checks against the definitions ---------------------------------------------------------
+_REFEREE = ("_classical_gfp", "_explicit_check", "boolean_vs_lattice", "brute_force_oracle",
+            "fitting_check", "is_bisimulation", "mats_leq")
 
 
-def _explicit_check(R: ConditionalRelation, l1, l2, precedence: bool = False):
-    """The explicit problem of the two models and R's matrix, once R is
-    known to relate their states over their poset."""
-    problem = build_problem(l1, l2, backend="explicit", precedence=precedence)
-    if R.states_x != problem.states_x or R.states_y != problem.states_y:
-        raise ModelMismatch("relation states do not match the models")
-    if R.poset != problem.poset:
-        raise ModelMismatch("relation poset does not match the models")
-    return problem, R.matrix
+def __getattr__(name: str):
+    if name not in _REFEREE:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import referee
 
-
-def is_bisimulation(R: ConditionalRelation, l1, l2, precedence: bool = False) -> bool:
-    """Post-fixpoint test: R is a bisimulation iff R is below its own image."""
-    problem, rows = _explicit_check(R, l1, l2, precedence)
-    return mats_leq(problem.ops, rows, apply_G_ops(problem, rows))
-
-
-# --- brute-force oracle (per-condition, no lattice machinery) ------------------------------
-
-
-def _classical_gfp(rel: set, lts1, lts2, alphabet) -> set:
-    """Greatest bisimulation between two plain transition systems, by
-    repeated removal of pairs violating the transfer property."""
-    rel = set(rel)
-    while True:
-        keep = set()
-        for x, y in rel:
-            ok = True
-            for a in alphabet:
-                for x2 in lts1.successors(x, a):
-                    if not any((x2, y2) in rel for y2 in lts2.successors(y, a)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-                for y2 in lts2.successors(y, a):
-                    if not any((x2, y2) in rel for x2 in lts1.successors(x, a)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                keep.add((x, y))
-        if keep == rel:
-            return rel
-        rel = keep
-
-
-def brute_force_oracle(c1, c2, precedence: bool = False, cap: int = 250_000) -> ConditionalRelation:
-    """Conditional bisimilarity straight from its definition.
-
-    Works per condition on the instantiated plain transition systems and
-    computes the greatest anti-monotone family of classical bisimulations:
-    classical refinement at every condition is interleaved with pruning a
-    pair from a condition whenever it is gone from some smaller condition,
-    until the family is simultaneously stable.  A single pruning pass after
-    independent per-condition refinement would be too weak: removing a pair
-    at an upgrade can invalidate its matches at larger conditions.
-
-    An FTS is converted with ``fts_to_lats``, so its guards are closed
-    downward if it was built with ``close`` and rejected if they are not
-    downward-closed otherwise.
-    """
-    if isinstance(c1, Fts):
-        c1 = fts_to_lats(c1)
-    if isinstance(c2, Fts):
-        c2 = fts_to_lats(c2)
-    if c1.poset != c2.poset:
-        raise ModelMismatch("condition posets differ")
-    _check_common(c1, c2, precedence)
-    poset = c1.poset
-    size = len(c1.states) * len(c2.states) * max(len(poset), 1)
-    if size > cap:
-        raise CapExceeded("instance size %d exceeds the oracle cap %d" % (size, cap))
-
-    conds = poset.elements
-    instantiate = (lambda m, c: m.instantiate_prec(c)) if precedence else (lambda m, c: m.instantiate(c))
-    lts1 = {c: instantiate(c1, c) for c in conds}
-    lts2 = {c: instantiate(c2, c) for c in conds}
-    below = {
-        c: [conds[j] for j in iter_bits(poset.down[poset.index[c]])] for c in conds
-    }
-    full = {(x, y) for x in c1.states for y in c2.states}
-    family = {c: set(full) for c in conds}
-    changed = True
-    while changed:
-        changed = False
-        for c in conds:
-            refined = _classical_gfp(family[c], lts1[c], lts2[c], c1.alphabet)
-            if refined != family[c]:
-                family[c] = refined
-                changed = True
-        for c in conds:
-            pruned = family[c]
-            for smaller in below[c]:
-                pruned = pruned & family[smaller]
-            if pruned != family[c]:
-                family[c] = pruned
-                changed = True
-
-    rows = []
-    for x in c1.states:
-        row = []
-        for y in c2.states:
-            bits = 0
-            for i, c in enumerate(conds):
-                if (x, y) in family[c]:
-                    bits |= 1 << i
-            row.append(bits)
-        rows.append(row)
-    return ConditionalRelation(poset, c1.states, c2.states, rows)
-
-
-# --- cross-check operators -------------------------------------------------------------------
-
-
-def boolean_vs_lattice(R: ConditionalRelation, l1, l2) -> dict:
-    """Relate the lattice transfer operator with its Boolean counterpart:
-    the approximation of the Boolean image must equal the lattice image,
-    and the greatest Boolean bisimulation may strictly exceed the lattice
-    one (witnesses are reported when it does)."""
-    problem, rows = _explicit_check(R, l1, l2)
-    poset = problem.poset
-
-    f_l = apply_G_ops(problem, rows)
-    f_b = apply_F_boolean_ops(problem, rows)
-    approx_f_b = [[poset.approx_bits(e) for e in row] for row in f_b]
-    matches = approx_f_b == f_l
-
-    lattice_star = _descend(problem, apply_G_ops)[0]
-    bool_star = _descend(problem, apply_F_boolean_ops)[0]
-
-    witnesses = []
-    for xi in range(len(problem.states_x)):
-        for yi in range(len(problem.states_y)):
-            extra = bool_star[xi][yi] & ~lattice_star[xi][yi]
-            for ci in iter_bits(extra):
-                witnesses.append(
-                    (problem.states_x[xi], problem.states_y[yi], poset.elements[ci])
-                )
-    return {
-        "approximation_matches": matches,
-        "boolean_strictly_coarser": bool(witnesses),
-        "witnesses": witnesses[:20],
-    }
-
-
-def fitting_check(l: Lats, R: ConditionalRelation) -> bool:
-    """Matrix-inequality characterization for single-label systems over a
-    Boolean (discrete) condition algebra: R.alpha <= alpha.R and
-    R^T.alpha <= alpha.R^T, with the products taken over alpha's successor
-    lists."""
-    if len(l.alphabet) != 1:
-        raise PreconditionViolation("fitting_check requires a single-label system")
-    if not l.poset.is_discrete:
-        raise PreconditionViolation("fitting_check requires a discrete condition order")
-    problem, rows = _explicit_check(R, l, l)
-    succ = problem.succ_x[l.alphabet[0]]
-
-    def fits(S) -> bool:
-        for x, row in enumerate(S):
-            # row x of S.alpha and of alpha.S
-            s_alpha = [0] * len(S)
-            for y, s in enumerate(row):
-                for z, g in succ[y]:
-                    s_alpha[z] |= s & g
-            alpha_s = [0] * len(S)
-            for y, g in succ[x]:
-                for z, s in enumerate(S[y]):
-                    alpha_s[z] |= g & s
-            if any(a & ~b for a, b in zip(s_alpha, alpha_s)):
-                return False
-        return True
-
-    return fits(rows) and fits(transpose(rows))
+    value = globals()[name] = getattr(referee, name)  # later reads skip this hook
+    return value

@@ -211,11 +211,15 @@ class TestCheck:
                 "check", "ready,ready,zzz", "'zzz'", "routing_fts", BDD,
                 id="bdd-fts-ready,ready,zzz-'zzz'",
             ),
+            pytest.param("check", "nosuch", "got 'nosuch'", "routing", (), id="check-malformed"),
+            pytest.param("oracle", "badpair", "got 'badpair'", "routing", (), id="oracle-malformed"),
         ],
     )
     def test_unknown_pair_names_exit_2(
         self, models_dir, tmp_path, capsys, command, pair, unknown, stem, options
     ):
+        # the pair is read and answered before the report is written
+        out = tmp_path / "r.json"
         code = run(
             command,
             models_dir / (stem + "_basic.json"),
@@ -223,13 +227,15 @@ class TestCheck:
             "--pair",
             pair,
             "--out",
-            tmp_path / "r.json",
+            out,
             *options,
         )
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert unknown in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert unknown in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     # tests/data holds these reports as the json.dumps(indent=2) rendering wrote them
     @pytest.mark.parametrize("stem, data", [("routing", "cts"), ("routing_fts", "fts")])

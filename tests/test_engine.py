@@ -18,7 +18,6 @@ from ctsbisim.engine import (
     fitting_check,
     greatest_bisimulation,
     is_bisimulation,
-    mats_leq,
     report_bytes,
     top_matrix,
     transpose,
@@ -41,6 +40,7 @@ from ctsbisim.game import self_play
 from ctsbisim.modelio import convert_model, load_model, model_from_dict
 from ctsbisim.models import Fts, Lats, fts_to_lats, gen_benchmark_fts, lats_to_cts
 from ctsbisim.poset import ConditionPoset, iter_bits
+from ctsbisim.referee import _classical_gfp, mats_leq
 
 from conftest import (
     make_routing,
@@ -431,6 +431,16 @@ class TestOracleAgreement:
         with pytest.raises(CapExceeded):
             brute_force_oracle(basic, modified, cap=3)
 
+    def test_cap_refuses_before_the_poset_is_built(self, monkeypatch):
+        # 30 x 30 states x 1024 configurations = 921 600 > 250 000; the poset
+        # has 1024 rows of 1024 bits, and doubles both per feature
+        def refused(configs, universe):
+            raise AssertionError("config_poset ran for a refused pair")
+
+        monkeypatch.setattr(models, "config_poset", refused)
+        with pytest.raises(CapExceeded, match="instance size 921600 exceeds the oracle cap 250000"):
+            brute_force_oracle(*gen_benchmark_fts(10))
+
     def test_family_condition_is_stronger_than_per_level_bisimilarity(self):
         # (x, y) is classically bisimilar at both conditions, yet no
         # anti-monotone family of bisimulations contains it at the larger
@@ -470,8 +480,6 @@ class TestOracleAgreement:
         )
         c1, c2 = lats_to_cts(l1), lats_to_cts(l2)
         full = {(x, y) for x in c1.states for y in c2.states}
-        from ctsbisim.engine import _classical_gfp
-
         for cond in ("a", "b"):
             per_level = _classical_gfp(
                 full, c1.instantiate(cond), c2.instantiate(cond), c1.alphabet
@@ -685,17 +693,25 @@ class TestExplicitFtsBuild:
         assert built == [16]
         assert problem.poset == fts_to_lats(left).poset
 
-    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    # the oracle compares two models as a check does, in the same words
+    CONDITIONS = {
+        "explicit": lambda l, r: build_problem(l, r).cond_count,
+        "bdd": lambda l, r: build_problem(l, r, backend="bdd").cond_count,
+        "oracle": lambda l, r: len(brute_force_oracle(l, r).poset),
+    }
+
+    @pytest.mark.parametrize("backend", CONDITIONS)
     def test_diagrams_compare_by_their_configurations(self, backend):
         left, right = gen_benchmark_fts(2)
         def with_diagram(text):
             return Fts(right.universe, right.states, right.alphabet, right.trans, parse_expr(text))
 
+        conditions = self.CONDITIONS[backend]
         same = with_diagram("f1 | !f1")
-        assert build_problem(left, same, backend=backend).cond_count == 4
+        assert conditions(left, same) == 4
         narrower = with_diagram("f1 | f2")
-        with pytest.raises(ModelMismatch, match="different configurations"):
-            build_problem(left, narrower, backend=backend)
+        with pytest.raises(ModelMismatch, match="feature diagrams carve out different configurations"):
+            conditions(left, narrower)
 
 
 class TestBenchChecksums:
@@ -1347,8 +1363,9 @@ class TestErrorPaths:
             build_problem(*routing_pair, backend="gpu")
 
     def test_fts_over_different_universes(self):
-        with pytest.raises(ModelMismatch, match="feature universes differ"):
-            build_problem(self.fts(("enc",)), self.fts(("enc", "ssl")))
+        for solve in (build_problem, brute_force_oracle):
+            with pytest.raises(ModelMismatch, match="feature universes differ"):
+                solve(self.fts(("enc",)), self.fts(("enc", "ssl")))
 
     def test_bdd_guard_that_is_not_downward_closed(self):
         f = self.fts(("enc",), guard="!enc")

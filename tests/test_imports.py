@@ -73,6 +73,42 @@ def test_a_check_loads_neither_the_game_nor_the_bench(tmp_path):
     assert out.read_text() == seen["reports"]["bdd"]
 
 
+ORACLE_SCRIPT = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("ctsbisim"))
+
+from ctsbisim import cli, engine
+# a name the engine neither defines nor moved loads nothing
+unknown = getattr(engine, "std_mul_ops", None)
+before = loaded()
+code = cli.main(["oracle", *sys.argv[1:]])
+print(json.dumps({"unknown": unknown, "before": before, "code": code, "after": loaded()}))
+"""
+
+
+def test_the_oracle_loads_the_referee(tmp_path):
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", ORACLE_SCRIPT,
+            str(MODELS / "routing_basic.json"), str(MODELS / "routing_modified.json"), "--out", str(out),
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["unknown"] is None
+    assert seen["before"] == sorted(map(module_name, CHECK_MODULES))
+    assert seen["code"] == 0
+    assert seen["after"] == sorted([*seen["before"], "ctsbisim.referee"])
+    assert out.exists()
+
+
 @pytest.mark.parametrize("name", ctsbisim.__all__)
 def test_every_export_is_its_home_module_object(name):
     value = getattr(ctsbisim, name)

@@ -439,6 +439,50 @@ def test_oracles_use_only_the_engine_lattice_ops():
     assert sorted(engine_names) == ["ExplicitOps", "transpose"]
 
 
+# --- the kernel and its referee -----------------------------------------------------------
+
+MOVED_TO_REFEREE = {
+    "_classical_gfp", "_explicit_check", "boolean_vs_lattice", "brute_force_oracle",
+    "fitting_check", "is_bisimulation", "mats_leq",
+}
+KERNEL = {
+    "_transfer", "_descend", "apply_G_ops", "apply_F_boolean_ops", "ExplicitOps", "BddOps", "BddManager",
+}
+
+
+def function_reads(tree: ast.Module, name: str) -> set[str]:
+    """Every name the top-level function ``name`` reads as a ``Name`` or an ``Attribute``."""
+    func = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+    return referenced_names(func)
+
+
+def test_the_engine_defines_no_referee_name():
+    # a check loads and compiles ``engine``; the definitions load with ``referee``
+    assert definitions(ast.parse((PACKAGE / "engine.py").read_text())) & MOVED_TO_REFEREE == set()
+    assert MOVED_TO_REFEREE <= definitions(ast.parse((PACKAGE / "referee.py").read_text()))
+    assert set(ctsbisim.engine._REFEREE) == MOVED_TO_REFEREE  # the names the engine resolves
+
+
+@pytest.mark.parametrize("name", ["brute_force_oracle", "_classical_gfp"])
+def test_the_oracle_reads_no_kernel(name):
+    # the per-condition definition referees the kernel, so it runs none of it
+    tree = ast.parse((PACKAGE / "referee.py").read_text())
+    assert function_reads(tree, name) & KERNEL == set()
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        ("def f(p):\n    return _descend(p, apply_G_ops)\n", {"_descend", "apply_G_ops"}),
+        ("def f(p):\n    return p.ops.residuum\n", set()),
+        ("def f(m):\n    return engine.BddManager(m)\n", {"BddManager"}),
+        ("def f(p):\n    return g(p)\ndef g(p):\n    return _transfer(p)\n", set()),
+    ],
+)
+def test_kernel_check_flags_what_it_should(source, reads):
+    assert function_reads(ast.parse(source), "f") & KERNEL == reads
+
+
 # --- the lattice-ops protocol -----------------------------------------------------------
 
 

@@ -225,6 +225,26 @@ class BddManager:
         self._minterm_memo[key] = result
         return result
 
+    def first_config(self, u: int) -> ft.Config:
+        """The first configuration of u (not false) in ``sort_configs`` order: the
+        fewest features on, then each feature in name order on if that count remains."""
+        fewest = {FALSE: self.n_levels + 1, TRUE: 0}
+
+        def count(h: int) -> int:  # the fewest features on in a configuration of h
+            if h not in fewest:
+                fewest[h] = min(count(self._lo[h]), count(self._hi[h]) + 1)
+            return fewest[h]
+
+        least, config = count(u), []
+        for name in sorted(self.universe.features):
+            on = self.conj(u, self.var(name))
+            if count(on) == least:
+                u = on
+                config.append(name)
+            else:
+                u = self.conj(u, self.neg(self.var(name)))
+        return frozenset(config)
+
     def config_of_index(self, i: int) -> ft.Config:
         n = self.n_levels
         return frozenset(self.order[k] for k in range(n) if i >> (n - 1 - k) & 1)
@@ -282,6 +302,14 @@ class BddManager:
     def is_downward_closed_within(self, u: int, d: int) -> bool:
         """Downward-closed w.r.t. the order restricted to the diagram d."""
         return self.conj(self.approx(self.disj(u, self.neg(d))), d) == u
+
+    def unclosed_witness(self, u: int, d: int) -> tuple[ft.Config, ft.Config]:
+        """Why u, within d, is not downward-closed within d, named as ``Lats`` names
+        it: the first configuration c of u with a configuration of d below it
+        outside u, and the first such configuration below c."""
+        c = self.first_config(self.conj(u, self.neg(self.approx(self.disj(u, self.neg(d))))))
+        below = self.close_down_within(self.cube(c), d)
+        return c, self.first_config(self.conj(below, self.neg(u)))
 
     def residuum(self, b1: int, b2: int, d: int) -> int:
         """The residuum b1 -> b2 inside the lattice of d's configurations.

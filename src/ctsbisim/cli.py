@@ -23,11 +23,11 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_pair(raw: str) -> tuple[str, str, str]:
+def _parse_instance(option: str, raw: str) -> tuple[str, str, str]:
     # the condition comes last and may hold commas, as in ``{enc,ssl}``
     parts = raw.split(",", 2)
     if len(parts) != 3:
-        raise ModelError("--pair expects 'left-state,right-state,condition', got %r" % raw)
+        raise ModelError("%s expects 'left-state,right-state,condition', got %r" % (option, raw))
     return parts[0].strip(), parts[1].strip(), parts[2].strip()
 
 
@@ -53,7 +53,7 @@ def _load_pair(args):
 
 
 def cmd_check(args) -> int:
-    pair = _parse_pair(args.pair) if args.pair else None  # a malformed pair loads nothing
+    pair = None if args.pair is None else _parse_instance("--pair", args.pair)  # a malformed pair loads nothing
     left, right = _load_pair(args)
     result = greatest_bisimulation(
         left, right, precedence=args.precedence, backend=args.backend, var_order=_var_order(args.var_order)
@@ -64,7 +64,7 @@ def cmd_check(args) -> int:
 def cmd_oracle(args) -> int:
     from .referee import brute_force_oracle
 
-    pair = _parse_pair(args.pair) if args.pair else None
+    pair = None if args.pair is None else _parse_instance("--pair", args.pair)
     left, right = _load_pair(args)
     return _write_relation(brute_force_oracle(left, right, precedence=args.precedence), pair, args.out)
 
@@ -105,8 +105,8 @@ def cmd_approx(args) -> int:
 def cmd_game(args) -> int:
     from .game import GameInstance, interactive_play, self_play
 
+    x, y, cond = _parse_instance("--start", args.start)
     left, right = _load_pair(args)
-    x, y, cond = _parse_pair(args.start)
     if args.self_play:
         play = self_play(left, right, x, y, cond)
         transcript = "\n".join(play.transcript) + "\n"

@@ -220,15 +220,14 @@ class ConditionalRelation:
         return cls(poset, states_x, states_y, [[poset.full_mask] * len(states_y) for _ in states_x])
 
     @classmethod
-    def from_mapping(cls, poset, states_x, states_y, mapping, close=False):
-        """Entry (x, y) holds the conditions ``mapping[(x, y)]`` names, closed
-        downward with ``close``; a key naming another state is refused."""
+    def from_mapping(cls, poset, states_x, states_y, mapping):
+        """Entry (x, y) holds the conditions ``mapping[(x, y)]`` names; a key
+        naming another state is refused."""
         top = cls.top(poset, states_x, states_y)  # checks the state names
         rows = [[0] * len(top.states_y) for _ in top.states_x]
         for (x, y), names in mapping.items():
             xi, yi = top.state_index("left", x), top.state_index("right", y)
-            bits = poset.bits_of_names(names)
-            rows[xi][yi] = poset.close_down_bits(bits) if close else bits
+            rows[xi][yi] = poset.bits_of_names(names)
         return cls(poset, top.states_x, top.states_y, rows)
 
     def state_index(self, side: str, state: str) -> int:
@@ -316,9 +315,11 @@ def _move_lists(ops, model, guards, higher):
     return succ, esc, targets
 
 
-def _check_pair(left, right, precedence):
+def _check_pair(left, right, precedence, var_order=None):
     """Refuse two models a check cannot compare: different kinds, feature
-    universes, condition posets or alphabets, or precedence orders if used."""
+    universes, condition posets or alphabets, precedence orders if used, or
+    feature diagrams, compared as BDDs.  Returns an FTS pair's manager (in
+    ``var_order``) and diagram handle, or ``(None, None)`` for lattice systems."""
     if isinstance(left, Fts) and isinstance(right, Fts):
         if left.universe != right.universe:
             raise ModelMismatch("feature universes differ")
@@ -328,27 +329,29 @@ def _check_pair(left, right, precedence):
     else:
         raise ModelMismatch("cannot compare %s with %s" % (type(left).__name__, type(right).__name__))
     if set(left.alphabet) != set(right.alphabet):
-        raise ModelMismatch(
-            "alphabets differ: %r vs %r" % (sorted(left.alphabet), sorted(right.alphabet))
-        )
+        raise ModelMismatch("alphabets differ: %r vs %r" % (sorted(left.alphabet), sorted(right.alphabet)))
     if precedence and left.precedence != right.precedence:
         raise PrecedenceMismatch("the two models carry different precedence orders")
+    if isinstance(left, Lats):
+        return None, None
+    manager = BddManager(left.universe, var_order)
+    diagram = manager.from_expr(left.diagram)
+    if manager.from_expr(right.diagram) != diagram:
+        raise ModelMismatch("feature diagrams carve out different configurations")
+    return manager, diagram
 
 
 def _explicit_pair(left, right, precedence: bool, cap: int | None = None):
-    """Two models ``_check_pair`` accepts, as lattice systems over one poset:
-    two FTS must carve out the same admissible configurations, which give one
-    poset and one set of feature masks.  A pair of more than ``cap`` states x
-    states x conditions raises ``CapExceeded`` before any poset is built."""
-    _check_pair(left, right, precedence)
-    fts = isinstance(left, Fts)
-    conds = left.admissible_configs() if fts else left.poset.elements
-    if fts and right.diagram != left.diagram and right.admissible_configs() != conds:
-        raise ModelMismatch("feature diagrams carve out different configurations")
-    if cap is not None and (size := len(left.states) * len(right.states) * max(len(conds), 1)) > cap:
+    """Two models ``_check_pair`` accepts, as lattice systems over one poset.
+    The cap reads a count: a pair of more than ``cap`` states x states x
+    conditions raises ``CapExceeded`` before any configuration is listed."""
+    manager, diagram = _check_pair(left, right, precedence)
+    count = len(left.poset) if manager is None else manager.sat_count(diagram)
+    if cap is not None and (size := len(left.states) * len(right.states) * max(count, 1)) > cap:
         raise CapExceeded("instance size %d exceeds the oracle cap %d" % (size, cap))
-    if not fts:
+    if manager is None:
         return left, right
+    conds = left.admissible_configs()  # listed once, for the order of the conditions
     over = models.feature_masks(conds, left.universe), models.config_poset(conds, left.universe)
     return fts_to_lats(left, over=over), fts_to_lats(right, over=over)
 
@@ -403,24 +406,18 @@ def build_problem(
         raise ModelMismatch("unknown backend %r" % (backend,))
     if backend == "explicit":
         return _explicit_problem(*_explicit_pair(left, right, precedence), precedence)
-    _check_pair(left, right, precedence)
-    if isinstance(left, Fts):
-        manager = BddManager(left.universe, var_order)
-        diagram = manager.from_expr(left.diagram)
-        if manager.from_expr(right.diagram) != diagram:
-            raise ModelMismatch("feature diagrams carve out different configurations")
-
+    manager, diagram = _check_pair(left, right, precedence, var_order)
+    if manager is not None:
         def guards(model: Fts):
             for (x, a, y), expr in model.trans.items():
                 g = manager.conj(manager.from_expr(expr), diagram)
                 if not manager.is_downward_closed_within(g, diagram):
-                    if model.close:
-                        g = manager.close_down_within(g, diagram)
-                    else:
+                    if not model.close:
                         raise GuardNotDownwardClosed(
-                            "guard of (%s, %s, %s) is not downward-closed under the upgrade order"
-                            % (x, a, y)
+                            "guard of (%s, %s, %s) holds at %s but not at the upgrade %s"
+                            % (x, a, y, *map(ft.config_name, manager.unclosed_witness(g, diagram)))
                         )
+                    g = manager.close_down_within(g, diagram)
                 yield (x, a, y), g
 
         features = frozenset(left.universe.features)

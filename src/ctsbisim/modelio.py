@@ -83,13 +83,13 @@ def _expr(raw, key, where, default=None) -> ft.FeatureExpr:
         raise ModelError("%s.%s: %s" % (where, key, exc)) from exc
 
 
-def load_poset(raw, where="model.poset") -> ConditionPoset:
-    elements = _names(raw, "elements", where)
-    leq = _pairs(raw, "leq", where)
+def load_poset(raw) -> ConditionPoset:
+    elements = _names(raw, "elements", "model.poset")
+    leq = _pairs(raw, "leq", "model.poset")
     try:
         return ConditionPoset(elements, leq)
     except (CycleError, UnknownElement) as exc:
-        raise ModelError("%s.leq: %s" % (where, exc)) from exc
+        raise ModelError("model.poset.leq: %s" % exc) from exc
 
 
 def model_from_dict(raw: dict, close: bool = False) -> Model:

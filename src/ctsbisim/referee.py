@@ -3,8 +3,8 @@
 The paper characterises conditional bisimilarity as the greatest fixpoint
 of the transfer operator, which ``engine`` computes, and per condition on
 the instantiated systems, which ``brute_force_oracle`` computes without the
-kernel, lattice ops or BDDs.  ``is_bisimulation``, ``boolean_vs_lattice``
-and ``fitting_check`` test a relation against the operator.  All take their
+kernel or lattice ops.  ``is_bisimulation``, ``boolean_vs_lattice`` and
+``fitting_check`` test a relation against the operator.  All take their
 models through ``engine._explicit_pair``, so they refuse what a check
 refuses, in its words.  ``engine`` resolves these names on first read.
 """
@@ -84,10 +84,10 @@ def brute_force_oracle(c1, c2, precedence: bool = False, cap: int = 250_000) -> 
     at an upgrade can invalidate its matches at larger conditions.
 
     A pair whose states x states x conditions exceeds ``cap`` raises
-    ``CapExceeded`` before any configuration poset is built.  An FTS pair
-    is converted with ``fts_to_lats`` over one poset, so its guards are
-    closed downward if it was built with ``close`` and rejected if they
-    are not downward-closed otherwise.
+    ``CapExceeded`` before any configuration is listed: the cap reads a
+    count, an FTS diagram BDD's ``sat_count``.  An FTS pair is converted with
+    ``fts_to_lats`` over one poset, so its guards are closed downward if it
+    was built with ``close`` and rejected if they are not downward-closed.
     """
     c1, c2 = _explicit_pair(c1, c2, precedence, cap)
     poset = c1.poset

@@ -8,6 +8,9 @@ entries with the explicit backend's ``ExplicitOps``.  ``per_move_image``
 reads a built ``Problem`` and its lattice ops, and referees only how the
 kernel evaluates the operator on them.  ``check_transfer`` tests the
 transfer property one condition at a time on the instantiated systems.
+``local_oracle`` cuts two FTS down to one condition's down-set and runs
+the per-condition ``brute_force_oracle`` there, which referees the BDD
+backend at universes too large to enumerate.
 """
 
 from dataclasses import dataclass
@@ -265,6 +268,43 @@ def per_config_fts_to_lats(f, close=False) -> Lats:
         if sat:
             alpha[(x, a, y)] = sum(1 << i for i in sat)
     return Lats(f.states, f.alphabet, poset, alpha, precedence=f.precedence)
+
+
+def local_oracle(f1, f2, cond: str, precedence=False) -> set:
+    """The state pairs that two FTS relate at the configuration named
+    ``cond``, computed on its down-set alone.
+
+    The answer at a condition reads only the conditions at or below it, so
+    ``brute_force_oracle`` on the two systems cut down to down(cond) gives
+    cond's row.  down(cond) is the admissible configurations with more
+    upgrade features on and the same static ones: 2^k of them for k upgrade
+    features off, whatever the size of the universe.  Each guard is
+    evaluated on each of them with ``features.evaluate``; no BDD and no
+    kernel is used.  The guards must be downward-closed as written: a guard
+    closed downward at c' would read the configurations above c'.
+    """
+    from ctsbisim.referee import brute_force_oracle
+
+    universe = f1.universe
+    top = frozenset(cond[1:-1].split(",")) - {""}
+    configs = ft.sort_configs(
+        c for c in (top | frozenset(on) for on in powerset(sorted(universe.upgrade - top)))
+        if ft.evaluate(f1.diagram, c)
+    )
+    names = [ft.config_name(c) for c in configs]
+    if cond not in names:
+        raise ValueError("%r is not an admissible configuration" % (cond,))
+    order = [(names[i], names[j]) for i, c in enumerate(configs) for j in range(i)
+             if ft.upgrade_leq(c, configs[j], universe)]
+    poset = ConditionPoset(names, order)
+
+    def cut(f) -> Lats:
+        alpha = {key: sum(1 << i for i, c in enumerate(configs) if ft.evaluate(expr, c))
+                 for key, expr in f.trans.items()}
+        return Lats(f.states, f.alphabet, poset, alpha, precedence=f.precedence)
+
+    relation = brute_force_oracle(cut(f1), cut(f2), precedence=precedence)
+    return {(x, y) for x in f1.states for y in f2.states if relation.holds(x, y, cond)}
 
 
 def classical_bisim_pairs(lts1, lts2, alphabet) -> set:

@@ -145,6 +145,21 @@ class TestEvaluate:
             assert m.sat_configs(cube) == [config]
 
 
+    def test_first_config_is_the_first_in_canonical_order(self):
+        # names that sort apart from their variable order: f10 sorts before f2
+        names = ("f2", "f10", "f1", "f3", "g")
+        rng = random.Random(2208)
+        for _ in range(200):
+            u = FeatureUniverse(names[: rng.randint(1, 5)])
+            order = list(u.features)
+            rng.shuffle(order)
+            m = BddManager(u, order)
+            e = random_expr(rng, list(u.features))
+            sat = sat_by_enumeration(e, u)
+            if sat:
+                assert m.first_config(m.from_expr(e)) == ft.sort_configs(sat)[0]
+
+
 class TestDownwardClosure:
     def test_terminals_are_closed(self):
         m = BddManager(FeatureUniverse(("f0",), {"f0"}))

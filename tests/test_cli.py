@@ -115,19 +115,23 @@ class TestCheck:
 
     def test_unclosed_lats_guard_exits_2_naming_the_witness(self, tmp_path, capsys):
         # a <= b, and the guard holds at b but not at its upgrade a
-        model = {
+        lats = {
             "kind": "lats",
             "states": ["x"],
             "alphabet": ["act"],
             "poset": {"elements": ["a", "b"], "leq": [["a", "b"]]},
             "transitions": [{"from": "x", "action": "act", "to": "x", "guard": ["b"]}],
         }
+        # a LaTS is refused as it is loaded, an FTS as its guards are built
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(model))
-        for backend in ("explicit", "bdd"):
-            assert run("check", path, path, "--backend", backend, "--out", tmp_path / "r.json") == 2
-            witness = "guard of (x, act, x) holds at b but not at the upgrade a"
-            assert capsys.readouterr().err == "error: %s: %s\n" % (path, witness)
+        for model, witness in (
+            (lats, "%s: guard of (x, act, x) holds at b but not at the upgrade a" % path),
+            (NOT_ENC_FTS, "guard of (p, a, q) holds at {} but not at the upgrade {enc}"),
+        ):
+            path.write_text(json.dumps(model))
+            for backend in ("explicit", "bdd"):
+                assert run("check", path, path, "--backend", backend, "--out", tmp_path / "r.json") == 2
+                assert capsys.readouterr().err == "error: %s\n" % witness
 
     def test_unreadable_file_exits_2(self, tmp_path):
         assert run("check", tmp_path / "missing.json", tmp_path / "missing.json") == 2
@@ -213,6 +217,10 @@ class TestCheck:
             ),
             pytest.param("check", "nosuch", "got 'nosuch'", "routing", (), id="check-malformed"),
             pytest.param("oracle", "badpair", "got 'badpair'", "routing", (), id="oracle-malformed"),
+            pytest.param("check", "", "--pair expects 'left-state,right-state,condition', got ''",
+                         "routing", (), id="check-empty"),
+            pytest.param("oracle", "", "--pair expects 'left-state,right-state,condition', got ''",
+                         "routing", (), id="oracle-empty"),
         ],
     )
     def test_unknown_pair_names_exit_2(
@@ -476,18 +484,15 @@ class TestGame:
         assert code == 0
         assert out.read_bytes() == (DATA / "game_attacker.txt").read_bytes()
 
-    def test_bad_start_pair_exits_2(self, models_dir, capsys):
-        assert (
-            run(
-                "game",
-                models_dir / "routing_basic.json",
-                models_dir / "routing_basic.json",
-                "--start",
-                "nonsense",
-                "--self-play",
-            )
-            == 2
-        )
+    def test_bad_start_pair_exits_2(self, tmp_path, capsys):
+        # the instance is read before the models, so a missing file goes unread
+        missing, out = tmp_path / "missing.json", tmp_path / "t.txt"
+        for start in ("nonsense", ""):
+            assert run("game", missing, missing, "--start", start, "--self-play", "--out", out) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: --start expects 'left-state,right-state,condition', got %r\n" % start
+            assert captured.out == ""
+            assert not out.exists()
 
 
 class TestClose:

@@ -1,11 +1,13 @@
 import copy
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from ctsbisim import engine, models
+from ctsbisim import features as ft
 from ctsbisim.bdd import BddManager
 from ctsbisim.engine import (
     ConditionalRelation,
@@ -56,6 +58,7 @@ from oracles import (
     brute_residuum,
     check_transfer,
     classical_bisim_pairs,
+    local_oracle,
     matrix_transfer,
     otimes_mul_ops,
     per_move_image,
@@ -432,14 +435,22 @@ class TestOracleAgreement:
             brute_force_oracle(basic, modified, cap=3)
 
     def test_cap_refuses_before_the_poset_is_built(self, monkeypatch):
-        # 30 x 30 states x 1024 configurations = 921 600 > 250 000; the poset
-        # has 1024 rows of 1024 bits, and doubles both per feature
-        def refused(configs, universe):
-            raise AssertionError("config_poset ran for a refused pair")
+        # 3n x 3n states x 2^n configurations, counted on the diagram's BDD:
+        # neither the configurations nor the poset (2^n rows of 2^n bits) are built
+        def refused(*args):
+            raise AssertionError("a refused pair listed its configurations")
 
         monkeypatch.setattr(models, "config_poset", refused)
-        with pytest.raises(CapExceeded, match="instance size 921600 exceeds the oracle cap 250000"):
-            brute_force_oracle(*gen_benchmark_fts(10))
+        monkeypatch.setattr(Fts, "admissible_configs", refused)
+        for n, size in ((10, 921_600), (14, 28_901_376), (20, 3_774_873_600)):
+            pair = gen_benchmark_fts(n)
+            seconds = []
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(CapExceeded, match="instance size %d exceeds the oracle cap 250000" % size):
+                    brute_force_oracle(*pair)
+                seconds.append(time.perf_counter() - start)
+            assert min(seconds) < 0.005  # listing the configurations first took 0.03 s at n = 14
 
     def test_family_condition_is_stronger_than_per_level_bisimilarity(self):
         # (x, y) is classically bisimilar at both conditions, yet no
@@ -1219,8 +1230,8 @@ class TestRelationArguments:
     def test_state_sets_may_be_one_shot_iterables(self, routing_pair):
         basic, modified = routing_pair
         poset, xs, ys = basic.poset, basic.states, modified.states
-        mapping = {("ready", "ready"): ["b"], ("unsafe", "safe"): ["a"]}
-        for build, args in ((ConditionalRelation.top, ()), (ConditionalRelation.from_mapping, (mapping, True))):
+        mapping = {("ready", "ready"): ["a", "b"], ("unsafe", "safe"): ["a"]}
+        for build, args in ((ConditionalRelation.top, ()), (ConditionalRelation.from_mapping, (mapping,))):
             once = build(poset, (x for x in xs), (y for y in ys), *args)
             assert once.report() == build(poset, xs, ys, *args).report()
 
@@ -1291,6 +1302,98 @@ class TestThreeWayFtsDifferential:
                             assert len(answers) == 1
                             seen["holds" if answers.pop() else "refused"] += 1
         assert all(seen.values())  # the sweep covers each kind of answer
+
+
+class TestUnclosedGuardWitness:
+    """Both backends refuse an FTS guard that is not downward-closed in the
+    words of ``Lats``: the first configuration holding it with an upgrade in
+    the diagram that does not, then the first such upgrade.  The BDD backend
+    finds both on the guard's BDD, in any variable order."""
+
+    @staticmethod
+    def refusal(f, **options):
+        try:
+            build_problem(f, f, **options)
+        except GuardNotDownwardClosed as exc:
+            return str(exc)
+        return None
+
+    def test_random_fts(self):
+        rng = random.Random(2209)
+        refused = 0
+        for _ in range(300):
+            f = random_fts(rng)
+            order = list(f.universe.features)
+            rng.shuffle(order)
+            expected = self.refusal(f)
+            assert self.refusal(f, backend="bdd") == expected
+            assert self.refusal(f, backend="bdd", var_order=order) == expected
+            refused += expected is not None
+        assert refused > 20
+
+
+class TestLocalOracle:
+    """``local_oracle`` answers one condition on its down-set: it equals the
+    whole oracle where that runs, and past the oracle's cap it referees the
+    BDD backend on conditions with at most four upgrade features off."""
+
+    def test_equals_the_oracle_at_every_condition(self):
+        rng = random.Random(2210)
+        compared = 0
+        for _ in range(40):
+            left, right = random_fts_pair(rng)
+            for precedence in (False, True):
+                try:
+                    oracle = brute_force_oracle(left, right, precedence=precedence)
+                except GuardNotDownwardClosed:
+                    break  # out of the local oracle's scope
+                for cond in oracle.poset.elements:
+                    related = {(x, y) for x in left.states for y in right.states if oracle.holds(x, y, cond)}
+                    assert local_oracle(left, right, cond, precedence) == related
+                    compared += 1
+        assert compared > 200
+
+    @staticmethod
+    def random_closed_fts_pair(rng, n):
+        """Two FTS over n features, a fifth of them static, whose guards are
+        downward-closed as written, under a diagram of two implications; the
+        right system has the left's moves with some of the guards drawn again."""
+        names = tuple("f%d" % i for i in range(n))
+        universe = FeatureUniverse(names, frozenset(f for f in names if rng.random() < 0.8))
+        diagram = parse_expr("(%s -> %s) & (%s -> %s)" % tuple(rng.sample(names, 4)))
+        states = tuple("s%d" % i for i in range(5))
+        moves = [(x, a, y) for x in states for a in "ab" for y in states if rng.random() < 0.3]
+        left = {move: random_monotone_guard(rng, universe) for move in moves}
+        right = {move: random_monotone_guard(rng, universe) if rng.random() < 0.15 else g
+                 for move, g in left.items()}
+        return tuple(Fts(universe, states, ("a", "b"), trans, diagram, precedence=[("b", "a")])
+                     for trans in (left, right))
+
+    @staticmethod
+    def conditions(rng, f, count):
+        """``count`` admissible configurations with at most four upgrade features off."""
+        upgrade = sorted(f.universe.upgrade)
+        static = sorted(set(f.universe.features) - f.universe.upgrade)
+        found = []
+        while len(found) < count:
+            off = rng.sample(upgrade, rng.randint(0, 4))
+            config = set(upgrade) - set(off) | {s for s in static if rng.random() < 0.5}
+            if ft.evaluate(f.diagram, config):
+                found.append(ft.config_name(config))
+        return found
+
+    @pytest.mark.parametrize("n", [16, 20, 24])
+    def test_referees_the_bdd_backend_past_the_cap(self, n):
+        rng = random.Random(2211 + n)
+        for left, right, precedence in (
+            (*gen_benchmark_fts(n), False),
+            (*self.random_closed_fts_pair(rng, n), False),
+            (*self.random_closed_fts_pair(rng, n), True),
+        ):
+            result = greatest_bisimulation(left, right, precedence=precedence, backend="bdd")
+            for cond in self.conditions(rng, left, 2):
+                related = {(x, y) for x in left.states for y in right.states if result.holds(x, y, cond)}
+                assert local_oracle(left, right, cond, precedence) == related
 
 
 class TestCloseDecidedAtLoad:

@@ -26,18 +26,19 @@ FALSE = 0
 TRUE = 1
 
 
+def check_order(var_order: Sequence[str], features: Sequence[str]) -> tuple[str, ...]:
+    """``var_order`` as a tuple; ``UnknownFeature`` unless it permutes ``features``."""
+    if sorted(var_order) != sorted(features):
+        raise UnknownFeature(
+            "variable order %r is not a permutation of the universe %r" % (list(var_order), list(features))
+        )
+    return tuple(var_order)
+
+
 class BddManager:
     def __init__(self, universe: FeatureUniverse, var_order: Sequence[str] | None = None):
         self.universe = universe
-        if var_order is None:
-            order = tuple(universe.features)
-        else:
-            order = tuple(var_order)
-            if sorted(order) != sorted(universe.features):
-                raise UnknownFeature(
-                    "variable order %r is not a permutation of the universe %r"
-                    % (list(order), list(universe.features))
-                )
+        order = tuple(universe.features) if var_order is None else check_order(var_order, universe.features)
         self.order = order
         self.level_of = {name: i for i, name in enumerate(order)}
         self.n_levels = len(order)

@@ -103,19 +103,18 @@ def cmd_approx(args) -> int:
 
 
 def cmd_game(args) -> int:
+    """Play on the pair's result, solved once on the explicit backend without precedence."""
     from .game import GameInstance, interactive_play, self_play
 
     x, y, cond = _parse_instance("--start", args.start)
-    left, right = _load_pair(args)
+    result = greatest_bisimulation(*_load_pair(args))
     if args.self_play:
-        play = self_play(left, right, x, y, cond)
+        play = self_play(result, x, y, cond)
         transcript = "\n".join(play.transcript) + "\n"
         transcript += "winner: Player %d (%s)\n" % (play.winner, play.reason)
         _write_output(transcript, args.out)
         return 0
-    transcript = interactive_play(
-        left, right, GameInstance(x, y, cond), human_side=args.human, out=sys.stdout
-    )
+    transcript = interactive_play(result, GameInstance(x, y, cond), human_side=args.human, out=sys.stdout)
     if args.out:
         Path(args.out).write_text(transcript)
     return 0
@@ -179,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, models=False)
     p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("game", help="play the conditional bisimulation game")
+    p = sub.add_parser("game", help="play the conditional bisimulation game",
+                       description="Play the game on the pair, solved once on the explicit backend without precedence.")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--start", required=True, help="initial instance 'x,y,cond'")

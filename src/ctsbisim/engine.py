@@ -57,7 +57,7 @@ from typing import Sequence
 
 from . import features as ft
 from . import models
-from .bdd import BddManager
+from .bdd import BddManager, check_order
 from .errors import (
     CapExceeded,
     DimensionMismatch,
@@ -317,9 +317,10 @@ def _move_lists(ops, model, guards, higher):
 
 def _check_pair(left, right, precedence, var_order=None):
     """Refuse two models a check cannot compare: different kinds, feature
-    universes, condition posets or alphabets, precedence orders if used, or
-    feature diagrams, compared as BDDs.  Returns an FTS pair's manager (in
-    ``var_order``) and diagram handle, or ``(None, None)`` for lattice systems."""
+    universes, condition posets or alphabets, precedence orders if used,
+    feature diagrams, compared as BDDs, or a ``var_order`` (on any backend)
+    that does not permute the features, or a LaTS's conditions.  Returns an
+    FTS pair's manager (in ``var_order``) and diagram, or ``(None, None)``."""
     if isinstance(left, Fts) and isinstance(right, Fts):
         if left.universe != right.universe:
             raise ModelMismatch("feature universes differ")
@@ -332,6 +333,8 @@ def _check_pair(left, right, precedence, var_order=None):
         raise ModelMismatch("alphabets differ: %r vs %r" % (sorted(left.alphabet), sorted(right.alphabet)))
     if precedence and left.precedence != right.precedence:
         raise PrecedenceMismatch("the two models carry different precedence orders")
+    if var_order is not None:
+        check_order(var_order, left.poset.elements if isinstance(left, Lats) else left.universe.features)
     if isinstance(left, Lats):
         return None, None
     manager = BddManager(left.universe, var_order)
@@ -341,11 +344,11 @@ def _check_pair(left, right, precedence, var_order=None):
     return manager, diagram
 
 
-def _explicit_pair(left, right, precedence: bool, cap: int | None = None):
-    """Two models ``_check_pair`` accepts, as lattice systems over one poset.
-    The cap reads a count: a pair of more than ``cap`` states x states x
-    conditions raises ``CapExceeded`` before any configuration is listed."""
-    manager, diagram = _check_pair(left, right, precedence)
+def _explicit_pair(left, right, manager, diagram, cap: int | None = None):
+    """Two models ``_check_pair`` accepted, returning ``manager`` and
+    ``diagram``, as lattice systems over one poset.  The cap reads a count:
+    a pair of more than ``cap`` states x states x conditions raises
+    ``CapExceeded`` before any configuration is listed."""
     count = len(left.poset) if manager is None else manager.sat_count(diagram)
     if cap is not None and (size := len(left.states) * len(right.states) * max(count, 1)) > cap:
         raise CapExceeded("instance size %d exceeds the oracle cap %d" % (size, cap))
@@ -404,9 +407,9 @@ def build_problem(
 ) -> Problem:
     if backend not in ("explicit", "bdd"):
         raise ModelMismatch("unknown backend %r" % (backend,))
-    if backend == "explicit":
-        return _explicit_problem(*_explicit_pair(left, right, precedence), precedence)
     manager, diagram = _check_pair(left, right, precedence, var_order)
+    if backend == "explicit":
+        return _explicit_problem(*_explicit_pair(left, right, manager, diagram), precedence)
     if manager is not None:
         def guards(model: Fts):
             for (x, a, y), expr in model.trans.items():

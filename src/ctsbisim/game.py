@@ -1,4 +1,7 @@
-"""The conditional bisimulation game.
+"""The conditional bisimulation game, played on a solved result.
+
+The game's one input is a ``BisimResult`` of either backend, solved with or
+without action precedence; the game solves nothing itself.
 
 Player 1 may upgrade the current condition and then move on either board;
 Player 2 must mirror the move on the other board under the same condition.
@@ -27,28 +30,21 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Iterator
 
-from .engine import BisimResult, greatest_bisimulation
+from .engine import BisimResult
 from .errors import IllegalMove, InvariantViolation, NotWinnable, UnknownElement
+from .features import Record
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class GameInstance:
-    x: str
-    y: str
-    condition: str
+class GameInstance(Record):
+    __slots__ = ("x", "y", "condition")
 
 
-@dataclass(frozen=True)
-class Move:
-    upgrade: str
-    side: str  # "left" | "right"
-    action: str
-    target: str
+class Move(Record):
+    __slots__ = ("upgrade", "side", "action", "target")  # side: "left" | "right"
 
     @property
     def step(self) -> str:
@@ -218,16 +214,13 @@ def player2_reply(inst: GameInstance, move: Move, table: SeparationTable):
     return _reply(move, candidates[0])
 
 
-@dataclass
-class PlayResult:
-    winner: int
-    rounds: int
-    reason: str
-    transcript: list[str] = field(default_factory=list)
+class PlayResult(Record):
+    __slots__ = ("winner", "rounds", "reason", "transcript")
 
 
-def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = None) -> PlayResult:
-    """Engine vs engine from (x, y, cond).
+def self_play(result: BisimResult, x: str, y: str, cond: str) -> PlayResult:
+    """Engine vs engine from (x, y, cond) on ``result``, the greatest
+    bisimulation of either backend, solved with or without precedence.
 
     Player 1's winning lines are bounded by the strict descent of the
     separation index; Player 2's wins surface either as a stuck attacker or
@@ -235,8 +228,6 @@ def self_play(l1, l2, x: str, y: str, cond: str, result: BisimResult | None = No
     proves the play is infinite).  Descent and membership preservation are
     checked every round; a violation raises ``InvariantViolation``.
     """
-    if result is None:
-        result = greatest_bisimulation(l1, l2)
     table = SeparationTable(result)
     inst = GameInstance(x, y, cond)
     lines = []
@@ -280,24 +271,24 @@ def _parse_move(line: str, default_upgrade: str) -> Move | None:
     match = _MOVE_RE.match(line)
     if not match:
         return None
-    return Move(
-        upgrade=match.group("upgrade") or default_upgrade,
-        side=match.group("side"),
-        action=match.group("action"),
-        target=match.group("target"),
-    )
+    return Move(match.group("upgrade") or default_upgrade, *match.group("side", "action", "target"))
 
 
-def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lines=None, out=None) -> str:
-    """Terminal loop around the game; the human plays Player 1 (attacker)
-    or Player 2 (defender) against the engine strategies.
+def interactive_play(
+    result: BisimResult, start: GameInstance, human_side: int = 1, input_lines=None, out=None
+) -> str:
+    """Terminal loop around the game on ``result``, the greatest
+    bisimulation of either backend, solved with or without precedence; the
+    human plays Player 1 (attacker) or Player 2 (defender) against the
+    engine strategies.
 
-    Commands: ``moves`` lists the legal options, ``hint`` shows the
-    engine-recommended move, ``quit`` ends the session, as does the end of
-    the input.  Illegal input is rejected with a reason and prompted again.
-    Lines come from ``input_lines`` or, without them, from stdin.
+    Commands: ``moves`` lists the legal options (worked out only then),
+    ``hint`` shows the engine-recommended move, ``quit`` ends the session,
+    as does the end of the input.  Illegal input is rejected with a reason
+    and prompted again.  Lines come from ``input_lines`` or, without them,
+    from stdin.
     """
-    table = SeparationTable(greatest_bisimulation(l1, l2))
+    table = SeparationTable(result)
     lines = iter(sys.stdin.readline, "") if input_lines is None else iter(input_lines)
     transcript: list[str] = []
 
@@ -312,7 +303,7 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
 
     def ask(prompt: str, usage: str, condition: str, options, hint, validate) -> Move | None:
         """Read lines until one is a legal move; None when the human quits
-        or the input runs out."""
+        or the input runs out.  ``options()`` lists the moves for ``moves``."""
         while True:
             if out is not None:
                 out.write(prompt)
@@ -325,7 +316,7 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
             if line == "quit":
                 return None
             if line == "moves":
-                for option in options:
+                for option in options():
                     emit("  %s" % option)
             elif line == "hint":
                 emit("hint: %s" % hint())
@@ -350,7 +341,7 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
                 "P1 move> ",
                 "upgrade <cond>; <left|right> <action> -> <state>",
                 inst.condition,
-                list(table.attacks(inst)),
+                lambda: table.attacks(inst),
                 lambda: engine_attack(inst, table) or "no move available",
                 lambda attack: _validate_attack(inst, attack, table),
             )
@@ -370,7 +361,7 @@ def interactive_play(l1, l2, start: GameInstance, human_side: int = 1, input_lin
                 "P2 reply> ",
                 "<left|right> <action> -> <state>",
                 move.upgrade,
-                [_reply(move, t).step for t in targets],
+                lambda: (_reply(move, t).step for t in targets),
                 lambda: player2_reply(inst, move, table),
                 lambda answer: _validate_reply(inst, move, answer, table),
             )

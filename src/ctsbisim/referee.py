@@ -5,11 +5,11 @@ of the transfer operator, which ``engine`` computes, and per condition on
 the instantiated systems, which ``brute_force_oracle`` computes without the
 kernel or lattice ops.  ``is_bisimulation``, ``boolean_vs_lattice`` and
 ``fitting_check`` test a relation against the operator.  All take their
-models through ``engine._explicit_pair``, so they refuse what a check
+models through ``engine._check_pair``, so they refuse what a check
 refuses, in its words.  ``engine`` resolves these names on first read.
 """
 
-from .engine import ConditionalRelation, _descend, _explicit_pair, build_problem, transpose
+from .engine import ConditionalRelation, _check_pair, _descend, _explicit_pair, build_problem, transpose
 from .engine import apply_F_boolean_ops, apply_G_ops
 from .errors import ModelMismatch, PreconditionViolation
 from .models import Lats
@@ -89,7 +89,7 @@ def brute_force_oracle(c1, c2, precedence: bool = False, cap: int = 250_000) -> 
     ``fts_to_lats`` over one poset, so its guards are closed downward if it
     was built with ``close`` and rejected if they are not downward-closed.
     """
-    c1, c2 = _explicit_pair(c1, c2, precedence, cap)
+    c1, c2 = _explicit_pair(c1, c2, *_check_pair(c1, c2, precedence), cap)
     poset = c1.poset
     conds = poset.elements
     instantiate = (lambda m, c: m.instantiate_prec(c)) if precedence else (lambda m, c: m.instantiate(c))

@@ -291,7 +291,7 @@ def test_criterion_6_game_coherence():
         for x in l1.states:
             for y in l2.states:
                 for cond in l1.poset.elements:
-                    play = self_play(l1, l2, x, y, cond, result=result)
+                    play = self_play(result, x, y, cond)
                     assert (play.winner == 2) == result.holds(x, y, cond)
                     plays += 1
 
@@ -302,7 +302,7 @@ def test_criterion_6_game_coherence():
         for x in l1.states:
             for y in l2.states:
                 for cond in l1.poset.elements:
-                    play = self_play(l1, l2, x, y, cond, result=result)
+                    play = self_play(result, x, y, cond)
                     bisimilar = result.holds(x, y, cond)
                     assert (play.winner == 2) == bisimilar
                     assert ((x, y, cond) in wins) == (not bisimilar)

@@ -293,6 +293,19 @@ class TestCheck:
         assert err.startswith("error: ")
         assert "variable order ['enc', 'ssl'] is not a permutation" in err
 
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    @pytest.mark.parametrize(
+        "stem, universe", [("routing", "['a', 'b']"), ("routing_fts", "['enc']")], ids=["cts", "fts"]
+    )
+    def test_var_order_is_checked_on_every_backend(self, models_dir, tmp_path, capsys, backend, stem, universe):
+        # the explicit backend builds no BDD, yet refuses the order as the BDD backend does
+        pair = models_dir / (stem + "_basic.json"), models_dir / (stem + "_modified.json")
+        out = tmp_path / "r.json"
+        assert run("check", *pair, "--backend", backend, "--var-order", "nosuch", "--out", out) == 2
+        assert not out.exists()
+        err = "error: variable order ['nosuch'] is not a permutation of the universe %s\n" % universe
+        assert capsys.readouterr().err == err
+
 
 @pytest.fixture
 def two_feature_files(tmp_path):

@@ -1422,14 +1422,14 @@ class TestCloseDecidedAtLoad:
         assert len(reports) == 1
         assert json.loads(reports.pop())["pairs"][0]["conditions"] == ["{enc}", "{}"]
         lats = convert_model(f, "lats")
-        play = self_play(f, f, "p", "p", "{}")
+        play = self_play(greatest_bisimulation(f, f), "p", "p", "{}")
         assert play.winner == 2
-        assert play.transcript == self_play(lats, lats, "p", "p", "{}").transcript
+        assert play.transcript == self_play(greatest_bisimulation(lats, lats), "p", "p", "{}").transcript
 
     @pytest.mark.parametrize("path", [*PATHS, "game"])
     def test_every_path_refuses_a_model_loaded_without_close(self, path):
         f = model_from_dict(NOT_ENC_FTS)
-        solve = self.PATHS.get(path, lambda f: self_play(f, f, "p", "p", "{}"))
+        solve = self.PATHS.get(path, lambda f: self_play(greatest_bisimulation(f, f), "p", "p", "{}"))
         with pytest.raises(GuardNotDownwardClosed):
             solve(f)
 

@@ -84,8 +84,8 @@ class TestSeparationTable:
         want = greatest_bisimulation(basic, modified)
         result = greatest_bisimulation(basic, modified, **options)
         for cond in ("a", "b"):
-            play = self_play(basic, modified, "ready", "ready", cond, result=result)
-            assert play == self_play(basic, modified, "ready", "ready", cond, result=want)
+            play = self_play(result, "ready", "ready", cond)
+            assert play == self_play(want, "ready", "ready", cond)
 
 
 class TestPlayer1:
@@ -183,7 +183,7 @@ class TestPlayer2:
     def test_membership_preserving_reply(self, routing_game):
         basic, modified, result, table = routing_game
         inst = GameInstance("ready", "ready", "a")
-        move = Move(upgrade="a", side="left", action="receive", target="received")
+        move = Move("a", "left", "receive", "received")
         reply = player2_reply(inst, move, table)
         assert reply is not CONCEDE
         assert reply.side == "right" and reply.action == "receive"
@@ -192,46 +192,46 @@ class TestPlayer2:
     def test_illegal_upgrade_rejected(self, routing_game):
         _, _, _, table = routing_game
         inst = GameInstance("ready", "ready", "a")
-        move = Move(upgrade="b", side="left", action="receive", target="received")
+        move = Move("b", "left", "receive", "received")
         with pytest.raises(IllegalMove):
             player2_reply(inst, move, table)
 
     def test_unknown_transition_rejected(self, routing_game):
         _, _, _, table = routing_game
         inst = GameInstance("ready", "ready", "b")
-        move = Move(upgrade="b", side="left", action="e", target="ready")
+        move = Move("b", "left", "e", "ready")
         with pytest.raises(IllegalMove):
             player2_reply(inst, move, table)
 
     def test_concede_when_no_reply_exists(self, routing_game):
         _, _, _, table = routing_game
         inst = GameInstance("unsafe", "safe", "a")
-        move = Move(upgrade="a", side="left", action="e", target="ready")
+        move = Move("a", "left", "e", "ready")
         assert player2_reply(inst, move, table) is CONCEDE
 
 
 class TestSelfPlay:
     def test_routing_verdicts(self, routing_pair):
         basic, modified = routing_pair
-        assert self_play(basic, modified, "ready", "ready", "a").winner == 2
-        assert self_play(basic, modified, "ready", "ready", "b").winner == 1
+        assert self_play(greatest_bisimulation(basic, modified), "ready", "ready", "a").winner == 2
+        assert self_play(greatest_bisimulation(basic, modified), "ready", "ready", "b").winner == 1
 
     def test_attacker_win_is_quick(self, routing_pair):
         basic, modified = routing_pair
-        play = self_play(basic, modified, "ready", "ready", "b")
+        play = self_play(greatest_bisimulation(basic, modified), "ready", "ready", "b")
         assert play.rounds <= len(basic.states)
 
     def test_self_pair_defender_wins(self, routing_pair):
         basic, _ = routing_pair
         for x in basic.states:
             for c in basic.poset.elements:
-                assert self_play(basic, basic, x, x, c).winner == 2
+                assert self_play(greatest_bisimulation(basic, basic), x, x, c).winner == 2
 
     def test_deadlocked_attacker_loses(self):
         poset = ConditionPoset(["a"], [])
         l1 = Lats(["x"], ["m"], poset, {})
         l2 = Lats(["y"], ["m"], poset, {})
-        play = self_play(l1, l2, "x", "y", "a")
+        play = self_play(greatest_bisimulation(l1, l2), "x", "y", "a")
         assert play.winner == 2 and "no move" in play.reason
 
     def test_verdict_matches_fixpoint_on_random_models(self):
@@ -242,7 +242,7 @@ class TestSelfPlay:
             for x in l1.states:
                 for y in l2.states:
                     for c in l1.poset.elements:
-                        play = self_play(l1, l2, x, y, c, result=result)
+                        play = self_play(result, x, y, c)
                         assert (play.winner == 2) == result.holds(x, y, c)
 
     def test_verdict_matches_fixpoint_on_raw_fts(self, models_dir):
@@ -256,7 +256,7 @@ class TestSelfPlay:
         for x in l1.states:
             for y in l2.states:
                 for c in result.problem.poset.elements:
-                    play = self_play(l1, l2, x, y, c, result=result)
+                    play = self_play(result, x, y, c)
                     assert (play.winner == 2) == result.holds(x, y, c)
 
 
@@ -272,7 +272,7 @@ class TestExhaustiveSolver:
                     for c in l1.poset.elements:
                         p1_wins = (x, y, c) in wins
                         assert p1_wins == (not result.holds(x, y, c))
-                        play = self_play(l1, l2, x, y, c, result=result)
+                        play = self_play(result, x, y, c)
                         assert p1_wins == (play.winner == 1)
 
     def test_routing(self, routing_pair):
@@ -308,7 +308,7 @@ class TestPrecedence:
                     for c in l1.poset.elements:
                         p1_wins = (x, y, c) in wins
                         assert p1_wins == (not result.holds(x, y, c))
-                        play = self_play(l1, l2, x, y, c, result=result)
+                        play = self_play(result, x, y, c)
                         assert p1_wins == (play.winner == 1)
         assert changed >= 10
 
@@ -322,8 +322,8 @@ class TestBddResults:
     def check_plays(l1, l2, explicit, symbolic, wins) -> int:
         conditions = explicit.problem.poset.elements
         for x, y, cond in itertools.product(l1.states, l2.states, conditions):
-            play = self_play(l1, l2, x, y, cond, result=symbolic)
-            assert play == self_play(l1, l2, x, y, cond, result=explicit)
+            play = self_play(symbolic, x, y, cond)
+            assert play == self_play(explicit, x, y, cond)
             assert (play.winner == 1) == ((x, y, cond) in wins)
         return len(l1.states) * len(l2.states) * len(conditions)
 
@@ -372,7 +372,7 @@ class TestInteractive:
             "quit",
         ]
         transcript = interactive_play(
-            basic, modified, GameInstance("ready", "ready", "a"), 1, input_lines=script
+            greatest_bisimulation(basic, modified), GameInstance("ready", "ready", "a"), 1, input_lines=script
         )
         assert "concede" not in transcript.lower()
         assert "quit: transcript closed" in transcript
@@ -386,7 +386,7 @@ class TestInteractive:
             "quit",
         ]
         transcript = interactive_play(
-            basic, modified, GameInstance("ready", "ready", "b"), 1, input_lines=script
+            greatest_bisimulation(basic, modified), GameInstance("ready", "ready", "b"), 1, input_lines=script
         )
         assert "illegal move: unknown condition 'zz'" in transcript
         assert "illegal move: no transition" in transcript
@@ -396,7 +396,7 @@ class TestInteractive:
     def test_human_defender_loses_unanswerable_attack(self, routing_pair):
         basic, modified = routing_pair
         transcript = interactive_play(
-            basic, modified, GameInstance("unsafe", "safe", "a"), 2, input_lines=[]
+            greatest_bisimulation(basic, modified), GameInstance("unsafe", "safe", "a"), 2, input_lines=[]
         )
         assert "Player 2 cannot simulate the step: Player 1 wins" in transcript
 
@@ -404,7 +404,7 @@ class TestInteractive:
         basic, _ = routing_pair
         script = ["moves", "hint", "right u -> ready", "quit"]
         transcript = interactive_play(
-            basic, basic, GameInstance("safe", "safe", "b"), 2, input_lines=script
+            greatest_bisimulation(basic, basic), GameInstance("safe", "safe", "b"), 2, input_lines=script
         )
         assert "P2: right u -> ready" in transcript
         assert "hint:" in transcript
@@ -419,15 +419,28 @@ class TestInteractive:
             "right check -> safe",
         ]
         transcript = interactive_play(
-            basic, modified, GameInstance("ready", "ready", "b"), 2, input_lines=script
+            greatest_bisimulation(basic, modified), GameInstance("ready", "ready", "b"), 2, input_lines=script
         )
         assert "Player 1 wins" in transcript
+
+    def test_attacks_are_listed_only_on_moves(self, routing_pair, monkeypatch):
+        calls = []
+        attacks = SeparationTable.attacks
+        monkeypatch.setattr(SeparationTable, "attacks", lambda *args: calls.append(1) or attacks(*args))
+        result = greatest_bisimulation(*routing_pair)
+        script = ["upgrade a; left receive -> received", "quit"]
+        transcript = interactive_play(result, GameInstance("ready", "ready", "a"), 1, input_lines=script)
+        assert "P2: right receive -> received" in transcript and calls == []
+        interactive_play(result, GameInstance("ready", "ready", "a"), 1, input_lines=["moves", "quit"])
+        assert calls == [1]
 
     def test_deadlocked_attacking_engine_loses(self):
         poset = ConditionPoset(["a"], [])
         l1 = Lats(["x"], ["m"], poset, {})
         l2 = Lats(["y"], ["m"], poset, {})
-        transcript = interactive_play(l1, l2, GameInstance("x", "y", "a"), 2, input_lines=[])
+        transcript = interactive_play(
+            greatest_bisimulation(l1, l2), GameInstance("x", "y", "a"), 2, input_lines=[]
+        )
         assert transcript.endswith("Player 1 cannot make another step: Player 2 wins\n")
 
     # tests/data holds these transcripts as the game wrote them before its
@@ -439,6 +452,6 @@ class TestInteractive:
             load_model(models_dir / stem) for stem in ("routing_basic.json", "routing_modified.json")
         )
         transcript = interactive_play(
-            basic, modified, GameInstance(*start), human_side, input_lines=lines
+            greatest_bisimulation(basic, modified), GameInstance(*start), human_side, input_lines=lines
         )
         assert transcript.encode() == (DATA / ("game_%s.txt" % name)).read_bytes()

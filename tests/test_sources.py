@@ -278,6 +278,28 @@ def test_the_game_reads_no_backend():
     assert "PreconditionViolation" not in referenced_names(tree)
 
 
+SOLVER = {"greatest_bisimulation", "build_problem", "_descend", "_transfer"}
+
+
+def test_the_game_calls_no_solver():
+    # the game plays the result it is given; the caller chose its backend and precedence
+    assert referenced_names(ast.parse((PACKAGE / "game.py").read_text())) & SOLVER == set()
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        ("from .engine import BisimResult, greatest_bisimulation\n", {"greatest_bisimulation"}),
+        ("def f(l1, l2):\n    return engine.build_problem(l1, l2)\n", {"build_problem"}),
+        ("matrix = _descend(problem, _transfer)\n", {"_descend", "_transfer"}),
+        ("def f(result):\n    return result.problem.succ_x\n", set()),
+        ('"""greatest_bisimulation solves"""\n', set()),
+    ],
+)
+def test_solver_check_flags_what_it_should(source, reads):
+    assert referenced_names(ast.parse(source)) & SOLVER == reads
+
+
 def keyword_uses(tree: ast.Module, name: str) -> list[int]:
     """Lines of the calls that pass the keyword argument ``name``."""
     return [
@@ -372,8 +394,9 @@ def dataclass_uses(tree: ast.Module) -> list[str]:
 
 def test_a_check_loads_no_dataclass():
     # each dataclass generates and compiles its methods when its module loads,
-    # and ``dataclasses`` imports ``inspect``; records (``features.Record``) do neither
-    trees = {module: ast.parse((PACKAGE / module).read_text()) for module in CHECK_MODULES}
+    # and ``dataclasses`` imports ``inspect``; records (``features.Record``) do
+    # neither.  Every module is scanned, not only the ``CHECK_MODULES``.
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert [(m, name) for m, tree in trees.items() for name in dataclass_uses(tree)] == []
     assert [m for m, tree in trees.items() if "dataclasses" in imported_modules(tree)] == []
 

@@ -16,6 +16,7 @@ import platform
 import time
 
 from .engine import greatest_bisimulation
+from .errors import PreconditionViolation
 from .models import gen_benchmark_fts
 
 
@@ -33,6 +34,8 @@ def run_benchmark(
     repeats: int = 3,
     progress=None,
 ) -> dict:
+    if repeats < 1:
+        raise PreconditionViolation("repeats must be at least 1, got %d" % repeats)
     rows = []
     over_budget = {"explicit": False, "bdd": False}
     for n in range(n_min, n_max + 1):

@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--budget", type=float, default=60.0, help="per-n per-backend budget in seconds")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=int, default=3, help="timed runs per cell after the warm-up, at least 1")
     common(p, models=False)
     p.set_defaults(func=cmd_bench)
 

@@ -426,14 +426,8 @@ def build_problem(
         features = frozenset(left.universe.features)
 
         def config_of(cond: str):
-            # the canonical name of an admissible configuration, e.g. ``{enc,ssl}``
-            inner = cond[1:-1]
-            config = frozenset(inner.split(",")) if inner else frozenset()
-            if not (
-                config <= features
-                and ft.config_name(config) == cond
-                and manager.evaluate(diagram, config)
-            ):
+            config = ft.config_of_name(cond)
+            if config is None or not (config <= features and manager.evaluate(diagram, config)):
                 raise UnknownElement("unknown condition %r" % (cond,))
             return config
 

@@ -89,16 +89,19 @@ class FeatureUniverse(Record):
 
 def upgrade_leq(c: Collection[str], c_prime: Collection[str], universe: FeatureUniverse) -> bool:
     """C <= C': C' with some upgrade features switched on, all else equal."""
-    c, c_prime = frozenset(c), frozenset(c_prime)
-    upgrade = universe.upgrade
-    if not (c_prime & upgrade) <= c:
-        return False
-    return c - upgrade == c_prime - upgrade
+    c, c_prime, upgrade = frozenset(c), frozenset(c_prime), universe.upgrade
+    return (c_prime & upgrade) <= c and c - upgrade == c_prime - upgrade
 
 
 def config_name(config: Collection[str]) -> str:
     """Canonical printable name of a configuration, e.g. ``{enc,ssl}``."""
     return "{%s}" % ",".join(sorted(config))
+
+
+def config_of_name(name: str) -> Config | None:
+    """The configuration whose ``config_name`` is ``name``, or None if none is."""
+    config = frozenset(name[1:-1].split(",")) - {""}
+    return config if config_name(config) == name else None
 
 
 def sort_configs(configs: Iterable[Config]) -> list[Config]:
@@ -165,13 +168,8 @@ def evaluate(expr: FeatureExpr, config: Collection[str]) -> bool:
 
 
 def atoms(expr: FeatureExpr) -> frozenset[str]:
-    if isinstance(expr, Atom):
-        return frozenset((expr.name,))
-    if isinstance(expr, Const):
-        return frozenset()
-    if isinstance(expr, Not):
-        return atoms(expr.arg)
-    return atoms(expr.left) | atoms(expr.right)
+    none = frozenset()
+    return interpret(expr, lambda name: frozenset((name,)), lambda a: a, operator.or_, operator.or_, none, none)
 
 
 def check_atoms(expr: FeatureExpr, universe: FeatureUniverse) -> None:
@@ -196,105 +194,56 @@ def to_text(expr: FeatureExpr) -> str:
 
 
 # --- parser --------------------------------------------------------------------
-#
-# expr := atom | "true" | "false" | "!" expr | expr "&" expr
-#       | expr "|" expr | expr "->" expr | "(" expr ")"
-# precedence ! > & > | > ->, with "->" right-associative.
 
-_SYMBOLS = ("->", "(", ")", "!", "&", "|")
+# a token: "->", a parenthesis or connective, a name, or any other character
+_TOKEN = re.compile(r"\s*(->|[()!&|]|\w[\w.]*|\S)")
 # a name token: a letter, digit or underscore, then those or dots
 _NAME = re.compile(r"\w[\w.]*")
+# each binary connective's binding power, its right operand's least power
+# (equal for the right-associative "->") and its node; "!" binds at 4
+_BINARY = {"->": (1, 1, Imp), "|": (2, 3, Or), "&": (3, 4, And)}
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append("->")
-            i += 2
-            continue
-        if ch in "()!&|":
-            tokens.append(ch)
-            i += 1
-            continue
-        name = _NAME.match(text, i)
-        if name:
-            tokens.append(name.group())
-            i = name.end()
-            continue
-        raise ExprError("unexpected character %r at position %d in %r" % (ch, i, text))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[str], text: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.text = text
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ExprError("unexpected end of expression in %r" % self.text)
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.take()
-        if got != tok:
-            raise ExprError("expected %r but found %r in %r" % (tok, got, self.text))
-
-    def parse_imp(self) -> FeatureExpr:
-        left = self.parse_or()
-        if self.peek() == "->":
-            self.take()
-            return Imp(left, self.parse_imp())
-        return left
-
-    def parse_or(self) -> FeatureExpr:
-        node = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            node = Or(node, self.parse_and())
-        return node
-
-    def parse_and(self) -> FeatureExpr:
-        node = self.parse_unary()
-        while self.peek() == "&":
-            self.take()
-            node = And(node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> FeatureExpr:
-        tok = self.take()
-        if tok == "!":
-            return Not(self.parse_unary())
-        if tok == "(":
-            inner = self.parse_imp()
-            self.expect(")")
-            return inner
-        if tok == "true":
-            return TRUE
-        if tok == "false":
-            return FALSE
-        if tok in _SYMBOLS:
-            raise ExprError("unexpected token %r in %r" % (tok, self.text))
-        return Atom(tok)
+def _climb(tokens: list[str], pos: int, least: int, text: str) -> tuple[FeatureExpr, int]:
+    """Parse the expression at ``tokens[pos]`` whose connectives bind at least
+    ``least``, up to the final ``""``; return it and the next position."""
+    tok = tokens[pos]
+    if tok == "!":
+        arg, pos = _climb(tokens, pos + 1, 4, text)
+        left = Not(arg)
+    elif tok == "(":
+        left, pos = _climb(tokens, pos + 1, 1, text)
+        if tokens[pos] != ")":
+            raise ExprError("expected ')' but found %r in %r" % (tokens[pos], text))
+        pos += 1
+    elif _NAME.match(tok):
+        left = TRUE if tok == "true" else FALSE if tok == "false" else Atom(tok)
+        pos += 1
+    else:
+        raise ExprError("unexpected %s in %r" % ("token %r" % tok if tok else "end", text))
+    while True:
+        power, right_least, node = _BINARY.get(tokens[pos], (0, 0, None))
+        if power < least:
+            return left, pos
+        right, pos = _climb(tokens, pos + 1, right_least, text)
+        left = node(left, right)
 
 
 def parse_expr(text: str) -> FeatureExpr:
-    parser = _Parser(_tokenize(text), text)
-    expr = parser.parse_imp()
-    if parser.peek() is not None:
-        raise ExprError("trailing input %r in %r" % (parser.peek(), text))
+    """Parse a feature expression.
+
+    expr := atom | "true" | "false" | "!" expr | expr "&" expr
+          | expr "|" expr | expr "->" expr | "(" expr ")"
+
+    Precedence is ! > & > | > ->; "&" and "|" associate left, "->" right.
+    Malformed or too deeply nested input raises ``ExprError``."""
+    tokens = _TOKEN.findall(text) + [""]
+    try:
+        expr, pos = _climb(tokens, 0, 1, text)
+    except RecursionError:
+        raise ExprError("expression nested too deeply: %r" % text[:40]) from None
+    if tokens[pos]:
+        raise ExprError("trailing input %r in %r" % (tokens[pos], text))
     return expr
 
 

@@ -90,14 +90,7 @@ class Lats:
                 raise ModelError("transition (%r, %r, %r) references unknown states" % (x, a, y))
             if a not in self.alphabet:
                 raise ModelError("unknown action %r" % (a,))
-            if isinstance(guard, LatticeElement):
-                if guard.poset != poset:
-                    raise ModelError("guard of (%s, %s, %s) uses a different poset" % (x, a, y))
-                bits = guard.bits
-            elif isinstance(guard, int):
-                bits = guard
-            else:
-                bits = poset.bits_of_names(guard)
+            bits = guard if isinstance(guard, int) else poset.bits_of_names(guard)
             if not bits:
                 continue
             closed = closures.get(bits)

@@ -260,9 +260,6 @@ class BoolElement:
         self._check(other)
         return type(self)(self.poset, self.bits & other.bits)
 
-    join = __or__
-    meet = __and__
-
     def complement(self) -> "BoolElement":
         """Boolean negation; the result is in general not downward-closed."""
         return BoolElement(self.poset, self.poset.full_mask & ~self.bits)

@@ -544,6 +544,21 @@ class TestBench:
         table = capsys.readouterr().out
         assert "ratio" in table
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, repeats):
+        from ctsbisim import bench
+
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench, "_timed_run", no_run)
+        out = tmp_path / "bench.json"
+        assert run("bench", "--n-min", 1, "--n-max", 1, "--repeats", repeats, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: repeats must be at least 1, got %d\n" % repeats
+        assert not out.exists()
+
 
 def test_module_entry_point_prints_the_usage():
     src = Path(ctsbisim.__file__).resolve().parent.parent

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ctsbisim import features as ft
 from ctsbisim.errors import ExprError, UnknownFeature
-from ctsbisim.features import FeatureUniverse, config_name, parse_expr, upgrade_leq
+from ctsbisim.features import FeatureUniverse, config_name, config_of_name, parse_expr, upgrade_leq
 from ctsbisim.models import Fts
 
 from oracles import brute_config_leq, powerset
@@ -69,6 +70,55 @@ class TestParser:
 
     def test_atoms_collection(self):
         assert ft.atoms(parse_expr("a & (b -> !c)")) == frozenset({"a", "b", "c"})
+
+
+def random_expr(rng, depth):
+    """A random guard AST of at most ``depth`` levels over all six node kinds."""
+    kind = rng.randrange(6 if depth > 1 else 2)
+    if kind == 0:
+        return ft.Atom(rng.choice(["a", "b2", "f.x", "_", "ö", "true_"]))
+    if kind == 1:
+        return ft.Const(rng.random() < 0.5)
+    if kind == 2:
+        return ft.Not(random_expr(rng, depth - 1))
+    node = (ft.And, ft.Or, ft.Imp)[kind - 3]
+    return node(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+
+
+class TestParserTrees:
+    def test_to_text_parses_back_to_the_same_tree(self):
+        rng = random.Random(25)
+        kinds = set()
+        for _ in range(5000):
+            e = random_expr(rng, 6)
+            assert parse_expr(ft.to_text(e)) == e
+            kinds.add(type(e))
+        assert kinds == {ft.Atom, ft.Const, ft.Not, ft.And, ft.Or, ft.Imp}
+
+    def test_left_and_right_association(self):
+        a, b, c = ft.Atom("a"), ft.Atom("b"), ft.Atom("c")
+        assert parse_expr("a & b & c") == ft.And(ft.And(a, b), c)
+        assert parse_expr("a | b | c") == ft.Or(ft.Or(a, b), c)
+        assert parse_expr("a | b & c -> a & b | c") == ft.Imp(ft.Or(a, ft.And(b, c)), ft.Or(ft.And(a, b), c))
+        assert parse_expr("!!a & !(b -> c)") == ft.And(ft.Not(ft.Not(a)), ft.Not(ft.Imp(b, c)))
+
+    @pytest.mark.parametrize("bad", ["a -", "a > b", "-> a", "()", "a)", "(a))", "!", "a !b", ".a", "{a}", "a,b", "a & true b"])
+    def test_more_syntax_errors(self, bad):
+        with pytest.raises(ExprError):
+            parse_expr(bad)
+
+    def test_nesting_too_deep_raises_expr_error(self):
+        assert parse_expr("(" * 250 + "a" + ")" * 250) == ft.Atom("a")
+        for text in ("(" * 1000 + "a" + ")" * 1000, "!" * 1000 + "a", "a -> " * 1000 + "a"):
+            with pytest.raises(ExprError):
+                parse_expr(text)
+
+    def test_atoms_is_every_feature_named(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            e = random_expr(rng, 5)
+            names = set(re.findall(r"\w[\w.]*", ft.to_text(e))) - {"true", "false"}
+            assert ft.atoms(e) == names
 
 
 class TestRecords:
@@ -162,6 +212,17 @@ class TestUniverse:
     def test_config_name(self):
         assert config_name(set()) == "{}"
         assert config_name({"ssl", "enc"}) == "{enc,ssl}"
+
+
+class TestConfigNames:
+    def test_every_configuration_name_parses_back(self):
+        for names in ((), ("enc",), ("ssl", "enc", "a.b", "f_1")):
+            for config in FeatureUniverse(names).configurations():
+                assert config_of_name(config_name(config)) == config
+
+    @pytest.mark.parametrize("name", ["{b,a}", "{a,,b}", "a", "{a", "a}", "", "{", "{a,a}", " {a}"])
+    def test_names_no_configuration_prints_are_none(self, name):
+        assert config_of_name(name) is None
 
 
 class TestUpgradeOrder:

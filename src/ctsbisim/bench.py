@@ -15,9 +15,40 @@ import os
 import platform
 import time
 
+from . import features as ft
 from .engine import greatest_bisimulation
-from .errors import PreconditionViolation
-from .models import gen_benchmark_fts
+from .errors import ModelError, PreconditionViolation
+from .features import FeatureExpr, FeatureUniverse
+from .models import Fts, Lats, fts_to_lats
+
+
+def gen_benchmark_fts(n: int) -> tuple[Fts, Fts]:
+    """The scaling family: per feature one disconnected three-state component;
+    the two systems differ only in the guard of the 0 -> 2 transition."""
+    if n < 1:
+        raise ModelError("benchmark size must be >= 1, got %r" % (n,))
+    feature_names = tuple("f%d" % i for i in range(1, n + 1))
+    universe = FeatureUniverse(feature_names, frozenset(feature_names))
+    states = tuple("s%d_%d" % (i, k) for i in range(1, n + 1) for k in range(3))
+    alphabet = ("b", "c")
+    left: dict[tuple[str, str, str], FeatureExpr] = {}
+    right: dict[tuple[str, str, str], FeatureExpr] = {}
+    for i, fname in enumerate(feature_names, start=1):
+        s0, s1, s2 = ("s%d_0" % i, "s%d_1" % i, "s%d_2" % i)
+        atom = ft.Atom(fname)
+        for tr in (left, right):
+            tr[(s0, "b", s1)] = atom
+            tr[(s0, "b", s0)] = atom
+            tr[(s2, "c", s0)] = atom
+        left[(s0, "b", s2)] = ft.TRUE
+        right[(s0, "b", s2)] = atom
+    make = lambda tr: Fts(universe, states, alphabet, tr, ft.TRUE)
+    return make(left), make(right)
+
+
+def gen_benchmark(n: int) -> tuple[Lats, Lats]:
+    f1, f2 = gen_benchmark_fts(n)
+    return fts_to_lats(f1), fts_to_lats(f2)
 
 
 def _timed_run(fts_pair, backend):

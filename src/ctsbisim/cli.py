@@ -1,7 +1,8 @@
 """Command-line interface: check, oracle, convert, approx, game, bench.
 
-The oracle, game and bench handlers import their modules (``referee``,
-``game``, ``bench``) when called, so ``check`` loads none of them."""
+The oracle, convert, approx, game and bench handlers import their modules
+(``referee``, ``convert``, ``game``, ``bench``) when called, so ``check``
+loads none of them."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 from .bdd import BddManager
 from .engine import greatest_bisimulation, report_bytes
 from .errors import CtsBisimError, ModelError
-from .modelio import convert_model, load_approx_input, load_model, model_to_dict
+from .modelio import load_model
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -70,12 +71,16 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from .convert import convert_model, model_to_dict
+
     converted = convert_model(load_model(args.input, close=args.close), args.to)
     _write_output(json.dumps(model_to_dict(converted), indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 def cmd_approx(args) -> int:
+    from .convert import load_approx_input
+
     universe, expr = load_approx_input(args.input)
     manager = BddManager(universe, _var_order(args.var_order))
     b = manager.from_expr(expr)

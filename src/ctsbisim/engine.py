@@ -45,6 +45,9 @@ lives on a per-problem object or within one call; none outlives a check.
 
 The definitions the kernel is checked against are in ``referee``, which a
 check neither loads nor compiles; ``__getattr__`` resolves their names here.
+Likewise the model writer (``convert``), the lattice-element values
+(``elements``) and the benchmark family (``bench``) live outside the modules
+a check loads, so each process compiles only the code a check runs.
 """
 
 from __future__ import annotations

@@ -178,21 +178,6 @@ def check_atoms(expr: FeatureExpr, universe: FeatureUniverse) -> None:
         raise UnknownFeature("undeclared features in expression: %s" % sorted(stray))
 
 
-def to_text(expr: FeatureExpr) -> str:
-    """Render back to the input grammar (parenthesized binary operators)."""
-    if isinstance(expr, Atom):
-        return expr.name
-    if isinstance(expr, Const):
-        return "true" if expr.value else "false"
-    if isinstance(expr, Not):
-        arg = to_text(expr.arg)
-        if isinstance(expr.arg, (Atom, Const, Not)):
-            return "!" + arg
-        return "!(%s)" % arg
-    op = {And: "&", Or: "|", Imp: "->"}[type(expr)]
-    return "(%s %s %s)" % (to_text(expr.left), op, to_text(expr.right))
-
-
 # --- parser --------------------------------------------------------------------
 
 # a token: "->", a parenthesis or connective, a name, or any other character

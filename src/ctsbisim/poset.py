@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CycleError, NotDownwardClosed, PosetMismatch, UnknownElement
+from .errors import CycleError, UnknownElement
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -177,9 +177,11 @@ class ConditionPoset:
             bits |= 1 << self.element_index(name)
         return bits
 
-    # --- element construction ---------------------------------------------
+    # --- element construction (the lattice-view API, in ``elements``) ------
 
     def bool_element(self, names: Iterable[str] = ()) -> "BoolElement":
+        from .elements import BoolElement
+
         return BoolElement(self, self.bits_of_names(names))
 
     def element(self, names: Iterable[str] = (), close: bool = False) -> "LatticeElement":
@@ -188,6 +190,8 @@ class ConditionPoset:
         Rejects non-closed inputs unless ``close`` asks for the closure; a
         silent closure can mask modelling errors.
         """
+        from .elements import LatticeElement
+
         bits = self.bits_of_names(names)
         if close:
             bits = self.close_down_bits(bits)
@@ -195,100 +199,32 @@ class ConditionPoset:
 
     def downset(self, name: str) -> "LatticeElement":
         """The principal downset of one condition; a join-irreducible."""
+        from .elements import LatticeElement
+
         return LatticeElement(self, self.down[self.element_index(name)])
 
     def irreducibles(self) -> list["LatticeElement"]:
         """All join-irreducibles of the downset lattice, in element order."""
+        from .elements import LatticeElement
+
         return [LatticeElement(self, mask) for mask in self.down]
 
     @property
     def bottom(self) -> "LatticeElement":
+        from .elements import LatticeElement
+
         return LatticeElement(self, 0)
 
     @property
     def top(self) -> "LatticeElement":
+        from .elements import LatticeElement
+
         return LatticeElement(self, self.full_mask)
 
     def downsets(self) -> Iterator["LatticeElement"]:
         """Every element of the downset lattice (exponential; test-sized posets only)."""
+        from .elements import LatticeElement
+
         for bits in range(self.full_mask + 1):
             if self.is_down_closed_bits(bits):
                 yield LatticeElement(self, bits)
-
-
-class BoolElement:
-    """An arbitrary subset of the conditions: an element of the Boolean algebra."""
-
-    __slots__ = ("poset", "bits")
-
-    def __init__(self, poset: ConditionPoset, bits: int):
-        if bits & ~poset.full_mask:
-            raise UnknownElement("bitmask out of range for poset")
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("elements are immutable")
-
-    def _check(self, other: "BoolElement") -> None:
-        if self.poset is not other.poset and self.poset != other.poset:
-            raise PosetMismatch("operands belong to different posets")
-
-    def members(self) -> tuple[str, ...]:
-        return self.poset.names_of_bits(self.bits)
-
-    def __contains__(self, name: str) -> bool:
-        return bool(self.bits & (1 << self.poset.element_index(name)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BoolElement):
-            return NotImplemented
-        return self.bits == other.bits and self.poset == other.poset
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.poset))
-
-    def __le__(self, other: "BoolElement") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    def __or__(self, other: "BoolElement") -> "BoolElement":
-        self._check(other)
-        return type(self)(self.poset, self.bits | other.bits)
-
-    def __and__(self, other: "BoolElement") -> "BoolElement":
-        self._check(other)
-        return type(self)(self.poset, self.bits & other.bits)
-
-    def complement(self) -> "BoolElement":
-        """Boolean negation; the result is in general not downward-closed."""
-        return BoolElement(self.poset, self.poset.full_mask & ~self.bits)
-
-    def approximate(self) -> "LatticeElement":
-        """Largest downward-closed subset (the lattice approximation)."""
-        return LatticeElement(self.poset, self.poset.approx_bits(self.bits))
-
-    def __repr__(self) -> str:
-        return "%s({%s})" % (type(self).__name__, ", ".join(self.members()))
-
-
-class LatticeElement(BoolElement):
-    """A downward-closed subset: an element of the lattice O(Phi, <=)."""
-
-    __slots__ = ()
-
-    def __init__(self, poset: ConditionPoset, bits: int):
-        super().__init__(poset, bits)
-        if not poset.is_down_closed_bits(bits):
-            raise NotDownwardClosed(
-                "set {%s} is not downward-closed" % ", ".join(poset.names_of_bits(bits))
-            )
-
-    def residuum(self, other: "LatticeElement") -> "LatticeElement":
-        """self -> other: the greatest l' with self meet l' below other."""
-        self._check(other)
-        return LatticeElement(self.poset, self.poset.residuum_bits(self.bits, other.bits))
-
-    def is_irreducible(self) -> bool:
-        return self.bits != 0 and any(self.bits == d for d in self.poset.down)
-

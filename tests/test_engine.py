@@ -9,6 +9,8 @@ import pytest
 from ctsbisim import engine, models
 from ctsbisim import features as ft
 from ctsbisim.bdd import BddManager
+from ctsbisim.bench import gen_benchmark_fts
+from ctsbisim.convert import convert_model
 from ctsbisim.engine import (
     ConditionalRelation,
     ExplicitOps,
@@ -39,8 +41,8 @@ from ctsbisim.errors import (
 )
 from ctsbisim.features import FeatureUniverse, parse_expr
 from ctsbisim.game import self_play
-from ctsbisim.modelio import convert_model, load_model, model_from_dict
-from ctsbisim.models import Fts, Lats, fts_to_lats, gen_benchmark_fts, lats_to_cts
+from ctsbisim.modelio import load_model, model_from_dict
+from ctsbisim.models import Fts, Lats, fts_to_lats, lats_to_cts
 from ctsbisim.poset import ConditionPoset, iter_bits
 from ctsbisim.referee import _classical_gfp, mats_leq
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctsbisim import features as ft
+from ctsbisim.convert import to_text
 from ctsbisim.errors import ExprError, UnknownFeature
 from ctsbisim.features import FeatureUniverse, config_name, config_of_name, parse_expr, upgrade_leq
 from ctsbisim.models import Fts
@@ -64,7 +65,7 @@ class TestParser:
     def test_to_text_roundtrip(self):
         for text in ("a & !b | c", "a -> b -> !c", "!(a | b)", "true | false & x"):
             e = parse_expr(text)
-            again = parse_expr(ft.to_text(e))
+            again = parse_expr(to_text(e))
             for config in powerset(["a", "b", "c", "x"]):
                 assert ft.evaluate(e, set(config)) == ft.evaluate(again, set(config))
 
@@ -91,9 +92,16 @@ class TestParserTrees:
         kinds = set()
         for _ in range(5000):
             e = random_expr(rng, 6)
-            assert parse_expr(ft.to_text(e)) == e
+            assert parse_expr(to_text(e)) == e
             kinds.add(type(e))
         assert kinds == {ft.Atom, ft.Const, ft.Not, ft.And, ft.Or, ft.Imp}
+
+    @pytest.mark.parametrize(
+        "text, written",
+        [("!(a & b)", "!(a & b)"), ("!!a", "!!a"), ("!(a -> !b) | c", "(!(a -> !b) | c)")],
+    )
+    def test_to_text_adds_one_pair_of_parentheses_per_binary_node(self, text, written):
+        assert to_text(parse_expr(text)) == written
 
     def test_left_and_right_association(self):
         a, b, c = ft.Atom("a"), ft.Atom("b"), ft.Atom("c")
@@ -117,7 +125,7 @@ class TestParserTrees:
         rng = random.Random(7)
         for _ in range(500):
             e = random_expr(rng, 5)
-            names = set(re.findall(r"\w[\w.]*", ft.to_text(e))) - {"true", "false"}
+            names = set(re.findall(r"\w[\w.]*", to_text(e))) - {"true", "false"}
             assert ft.atoms(e) == names
 
 

@@ -126,3 +126,64 @@ def test_an_unknown_name_raises():
     with pytest.raises(ImportError):
         from ctsbisim import no_such_name  # noqa: F401
     assert not hasattr(ctsbisim, "check_transfer")
+
+
+def run_python(script: str, *args) -> dict:
+    """Run ``script`` in a fresh interpreter on the package sources; it prints one JSON object."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+LOADED = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "ctsbisim" or m.startswith("ctsbisim."))
+"""
+
+
+def test_importing_the_cli_loads_the_check_modules():
+    seen = run_python(LOADED + "import ctsbisim.cli\nprint(json.dumps(loaded()))")
+    assert seen == sorted(map(module_name, CHECK_MODULES))
+
+
+WRITER_SCRIPT = LOADED + """
+from ctsbisim import cli
+left, right, report, command, *args = sys.argv[1:]
+codes = [cli.main(["check", left, right, "--out", report])]
+after_check = loaded()
+codes.append(cli.main([command, *args]))
+print(json.dumps({"codes": codes, "after_check": after_check, "after": loaded()}))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [("convert", ["routing_fts_basic.json", "--to", "lats"]), ("approx", ["fig_bdd_approx.json"])],
+)
+def test_only_convert_and_approx_load_the_writer(tmp_path, command, args):
+    seen = run_python(
+        WRITER_SCRIPT,
+        MODELS / "routing_basic.json", MODELS / "routing_modified.json", tmp_path / "report.json",
+        command, MODELS / args[0], *args[1:], "--out", tmp_path / "out.json",
+    )
+    assert seen["codes"] == [0, 0]
+    assert seen["after_check"] == sorted(map(module_name, CHECK_MODULES))
+    assert seen["after"] == sorted([*seen["after_check"], "ctsbisim.convert"])
+
+
+def test_the_benchmark_family_resolves_at_its_old_path():
+    # ``perfbench`` reads ``models.gen_benchmark_fts``; the family lives in ``bench``
+    from ctsbisim import bench, models
+
+    assert models.gen_benchmark_fts is bench.gen_benchmark_fts
+    assert models.gen_benchmark_fts(2) == bench.gen_benchmark_fts(2)
+    with pytest.raises(AttributeError, match="has no attribute 'gen_benchmark'"):
+        models.gen_benchmark

@@ -8,19 +8,15 @@ from hypothesis import strategies as st
 
 from ctsbisim import features as ft
 from ctsbisim import models
+from ctsbisim.bench import gen_benchmark, gen_benchmark_fts
+from ctsbisim.convert import approx_input_from_dict, convert_model, model_to_dict
 from ctsbisim.errors import (
     GuardNotDownwardClosed,
     ModelError,
     UnknownElement,
 )
 from ctsbisim.features import FeatureUniverse, parse_expr
-from ctsbisim.modelio import (
-    approx_input_from_dict,
-    convert_model,
-    load_model,
-    model_from_dict,
-    model_to_dict,
-)
+from ctsbisim.modelio import load_model, model_from_dict
 from ctsbisim.models import (
     Cts,
     Fts,
@@ -28,8 +24,6 @@ from ctsbisim.models import (
     close_precedence,
     cts_to_lats,
     fts_to_lats,
-    gen_benchmark,
-    gen_benchmark_fts,
     lats_to_cts,
 )
 from ctsbisim.poset import ConditionPoset, iter_bits

@@ -7,7 +7,8 @@ from ctsbisim.errors import (
     PosetMismatch,
     UnknownElement,
 )
-from ctsbisim.poset import BoolElement, ConditionPoset, LatticeElement
+from ctsbisim.elements import BoolElement, LatticeElement
+from ctsbisim.poset import ConditionPoset
 
 from oracles import all_downset_masks, brute_approximate, brute_residuum
 

@@ -10,7 +10,7 @@ import ctsbisim
 from ctsbisim.bdd import BddManager
 from ctsbisim.engine import BddOps, ExplicitOps, build_problem, greatest_bisimulation
 from ctsbisim.features import FeatureUniverse
-from ctsbisim.modelio import convert_model
+from ctsbisim.convert import convert_model
 from ctsbisim.models import fts_to_lats
 from ctsbisim.poset import ConditionPoset
 
@@ -399,6 +399,17 @@ def test_a_check_loads_no_dataclass():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert [(m, name) for m, tree in trees.items() for name in dataclass_uses(tree)] == []
     assert [m for m, tree in trees.items() if "dataclasses" in imported_modules(tree)] == []
+
+
+# Physical lines of the modules a library check loads (``CHECK_MODULES`` but
+# ``cli.py``).  Without ``__pycache__`` every process compiles all of them, so
+# each line costs the benchmark's ``setup_s``; raising this is a deliberate edit.
+CHECK_PATH_LINES = 2243
+
+
+def test_the_check_path_stays_within_its_line_budget():
+    lines = sum(len((PACKAGE / m).read_text().splitlines()) for m in CHECK_MODULES if m != "cli.py")
+    assert lines <= CHECK_PATH_LINES
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ reading a name below imports only its home module and what that imports
 ``engine``, ``modelio``, ``models``, ``features``, ``poset``, ``bdd`` and
 ``errors``, and only code a check runs lives there.  The definitions it is
 checked against (``referee``, read through ``engine``), the model writer and
-conversions (``convert``), the lattice-element values (``elements``), the
-game (``game``) and the scaling benchmark (``bench``) load only when used.
+conversions (``convert``), the game (``game``) and the scaling benchmark
+(``bench``) load only when used.
 """
 
 from importlib import import_module
@@ -20,7 +20,6 @@ _EXPORTS = {
     "bdd": ("BddManager",),
     "bench": ("gen_benchmark", "gen_benchmark_fts"),
     "convert": ("convert_model", "model_to_dict"),
-    "elements": ("BoolElement", "LatticeElement"),
     "engine": (
         "BisimResult", "ConditionalRelation", "boolean_vs_lattice", "brute_force_oracle",
         "fitting_check", "greatest_bisimulation", "is_bisimulation",

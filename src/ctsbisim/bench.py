@@ -67,6 +67,8 @@ def run_benchmark(
 ) -> dict:
     if repeats < 1:
         raise PreconditionViolation("repeats must be at least 1, got %d" % repeats)
+    if n_min > n_max:
+        raise PreconditionViolation("n_min %d is above n_max %d" % (n_min, n_max))
     rows = []
     over_budget = {"explicit": False, "bdd": False}
     for n in range(n_min, n_max + 1):

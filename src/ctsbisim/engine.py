@@ -45,9 +45,9 @@ lives on a per-problem object or within one call; none outlives a check.
 
 The definitions the kernel is checked against are in ``referee``, which a
 check neither loads nor compiles; ``__getattr__`` resolves their names here.
-Likewise the model writer (``convert``), the lattice-element values
-(``elements``) and the benchmark family (``bench``) live outside the modules
-a check loads, so each process compiles only the code a check runs.
+Likewise the model writer (``convert``) and the benchmark family (``bench``)
+live outside the modules a check loads, so each process compiles only the
+code a check runs.
 """
 
 from __future__ import annotations
@@ -186,9 +186,10 @@ class ConditionalRelation:
     or ROBDD handles (``poset`` is None).  ``entry_names`` decodes an entry
     to its condition names and ``entry_holds`` tests one condition in an
     entry, so every read of a relation, on both backends, is a method of
-    this class.  The constructor takes distinct state names and bitsets
-    over ``poset`` and validates both; ``BisimResult`` binds a computed
-    matrix to its problem's decoders without validating it again.
+    this class.  The constructor, the one way to build a relation, takes
+    distinct state names and rows of downward-closed bitmasks over ``poset``
+    and validates both; ``BisimResult`` binds a computed matrix to its
+    problem's decoders without validating it again.
     """
 
     def __init__(self, poset, states_x, states_y, matrix):
@@ -199,6 +200,8 @@ class ConditionalRelation:
             raise DimensionMismatch("relation matrix does not match the state sets")
         for row in matrix:
             for bits in row:
+                if not isinstance(bits, int):
+                    raise UnknownElement("relation entry %r is not a bitmask" % (bits,))
                 if bits & ~poset.full_mask:
                     raise UnknownElement("bitmask out of range for poset")
                 if not poset.is_down_closed_bits(bits):
@@ -216,22 +219,6 @@ class ConditionalRelation:
         self.entry_holds = entry_holds
         self._ix = {x: i for i, x in enumerate(self.states_x)}
         self._iy = {y: i for i, y in enumerate(self.states_y)}
-
-    @classmethod
-    def top(cls, poset, states_x, states_y):
-        states_x, states_y = tuple(states_x), tuple(states_y)
-        return cls(poset, states_x, states_y, [[poset.full_mask] * len(states_y) for _ in states_x])
-
-    @classmethod
-    def from_mapping(cls, poset, states_x, states_y, mapping):
-        """Entry (x, y) holds the conditions ``mapping[(x, y)]`` names; a key
-        naming another state is refused."""
-        top = cls.top(poset, states_x, states_y)  # checks the state names
-        rows = [[0] * len(top.states_y) for _ in top.states_x]
-        for (x, y), names in mapping.items():
-            xi, yi = top.state_index("left", x), top.state_index("right", y)
-            rows[xi][yi] = poset.bits_of_names(names)
-        return cls(poset, top.states_x, top.states_y, rows)
 
     def state_index(self, side: str, state: str) -> int:
         """The index of ``state`` among the ``side`` ("left" or "right") states."""

@@ -16,14 +16,6 @@ class CycleError(CtsBisimError):
     """The reflexive-transitive closure of the input pairs is not antisymmetric."""
 
 
-class PosetMismatch(CtsBisimError):
-    """Operands belong to different condition posets."""
-
-
-class NotDownwardClosed(CtsBisimError):
-    """A set of conditions violates the downward-closure invariant."""
-
-
 # --- feature expressions / BDDs ----------------------------------------------
 
 class ExprError(CtsBisimError):

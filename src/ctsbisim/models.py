@@ -116,11 +116,6 @@ class Lats:
     def guard_bits(self, x: str, a: str, y: str) -> int:
         return self.alpha.get((x, a, y), 0)
 
-    def guard(self, x: str, a: str, y: str) -> "LatticeElement":
-        from .elements import LatticeElement
-
-        return LatticeElement(self.poset, self.guard_bits(x, a, y))
-
     def instantiate(self, cond: str) -> Lts:
         """The labelled transition system active under one condition."""
         bit = 1 << self.poset.element_index(cond)

@@ -2,11 +2,11 @@
 
 A ``ConditionPoset`` is the ordered set of conditions a conditional
 transition system is guarded by.  Its downward-closed subsets form a finite
-distributive lattice whose join-irreducible elements are exactly the
-principal downsets; arbitrary subsets form the Boolean algebra the lattice
-embeds into.  Subsets are stored as bitmasks over the element indices, so
-join and meet are single integer operations and residuum/approximation are
-linear sweeps over precomputed closure masks.
+distributive lattice whose join-irreducibles are the principal downsets
+``down[i]``; arbitrary subsets form the Boolean algebra it embeds into.
+Every subset is a bitmask over the element indices, and only that: join and
+meet are integer operations, residuum/approximation are sweeps over closure
+masks, and ``bits_of_names``/``names_of_bits`` translate condition names.
 """
 
 from __future__ import annotations
@@ -176,55 +176,3 @@ class ConditionPoset:
         for name in names:
             bits |= 1 << self.element_index(name)
         return bits
-
-    # --- element construction (the lattice-view API, in ``elements``) ------
-
-    def bool_element(self, names: Iterable[str] = ()) -> "BoolElement":
-        from .elements import BoolElement
-
-        return BoolElement(self, self.bits_of_names(names))
-
-    def element(self, names: Iterable[str] = (), close: bool = False) -> "LatticeElement":
-        """A downward-closed set from its member names.
-
-        Rejects non-closed inputs unless ``close`` asks for the closure; a
-        silent closure can mask modelling errors.
-        """
-        from .elements import LatticeElement
-
-        bits = self.bits_of_names(names)
-        if close:
-            bits = self.close_down_bits(bits)
-        return LatticeElement(self, bits)
-
-    def downset(self, name: str) -> "LatticeElement":
-        """The principal downset of one condition; a join-irreducible."""
-        from .elements import LatticeElement
-
-        return LatticeElement(self, self.down[self.element_index(name)])
-
-    def irreducibles(self) -> list["LatticeElement"]:
-        """All join-irreducibles of the downset lattice, in element order."""
-        from .elements import LatticeElement
-
-        return [LatticeElement(self, mask) for mask in self.down]
-
-    @property
-    def bottom(self) -> "LatticeElement":
-        from .elements import LatticeElement
-
-        return LatticeElement(self, 0)
-
-    @property
-    def top(self) -> "LatticeElement":
-        from .elements import LatticeElement
-
-        return LatticeElement(self, self.full_mask)
-
-    def downsets(self) -> Iterator["LatticeElement"]:
-        """Every element of the downset lattice (exponential; test-sized posets only)."""
-        from .elements import LatticeElement
-
-        for bits in range(self.full_mask + 1):
-            if self.is_down_closed_bits(bits):
-                yield LatticeElement(self, bits)

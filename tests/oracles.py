@@ -24,7 +24,14 @@ from ctsbisim.poset import ConditionPoset, iter_bits
 
 
 def all_downset_masks(poset: ConditionPoset) -> list[int]:
-    return [bits for bits in range(poset.full_mask + 1) if poset.is_down_closed_bits(bits)]
+    """Every set that holds, with each member, all conditions below it; the
+    order is read pairwise from ``poset.up``, not through the closure kernel."""
+    n = len(poset)
+    below = [(j, i) for i in range(n) for j in range(n) if poset.up[j] >> i & 1]
+    return [
+        bits for bits in range(poset.full_mask + 1)
+        if all(bits >> j & 1 for j, i in below if bits >> i & 1)
+    ]
 
 
 def brute_approximate(poset: ConditionPoset, bits: int) -> int:

@@ -128,10 +128,10 @@ def test_criterion_3_lattice_algebra_suite(fig1_poset):
                     assert ((l & nn) & ~m == 0) == (nn & ~r == 0)
 
     # the published non-distributivity witness, exactly
-    l = fig1_poset.bool_element(["a", "e"])
-    m = fig1_poset.bool_element(["b", "f"])
-    assert (l | m).approximate().members() == ("a", "b", "e", "f")
-    assert (l.approximate() | m.approximate()).members() == ("a", "b")
+    p = fig1_poset
+    l, m = p.bits_of_names(["a", "e"]), p.bits_of_names(["b", "f"])
+    assert p.names_of_bits(p.approx_bits(l | m)) == ("a", "b", "e", "f")
+    assert p.names_of_bits(p.approx_bits(l) | p.approx_bits(m)) == ("a", "b")
     _passed(3, "lattice algebra suite")
 
 

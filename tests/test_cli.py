@@ -559,6 +559,20 @@ class TestBench:
         assert captured.err == "error: repeats must be at least 1, got %d\n" % repeats
         assert not out.exists()
 
+    def test_n_min_above_n_max_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        from ctsbisim import bench
+
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(bench, "_timed_run", no_run)
+        out = tmp_path / "bench.json"
+        assert run("bench", "--n-min", 3, "--n-max", 1, "--repeats", 1, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: n_min 3 is above n_max 1\n"
+        assert not out.exists()
+
 
 def test_module_entry_point_prints_the_usage():
     src = Path(ctsbisim.__file__).resolve().parent.parent

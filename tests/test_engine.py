@@ -76,6 +76,11 @@ def random_relation_bits(rng, poset, nx, ny):
     return [[random_downset_bits(rng, poset) for _ in range(ny)] for _ in range(nx)]
 
 
+def constant_relation(poset, states_x, states_y, entry):
+    """The relation that holds ``entry`` at every pair."""
+    return ConditionalRelation(poset, states_x, states_y, [[entry] * len(states_y) for _ in states_x])
+
+
 class TestMatrixOps:
     def test_identity_absorbs_otimes(self, fig1_poset):
         p = fig1_poset
@@ -89,9 +94,9 @@ class TestMatrixOps:
 
     def test_one_by_one_collapses_to_residuum(self, fig1_poset):
         p = fig1_poset
-        l = p.element(["b", "e"], close=True)
-        m = p.element(["a"])
-        assert otimes_mul_ops(ExplicitOps(p), [[l.bits]], [[m.bits]]) == [[l.residuum(m).bits]]
+        l = p.close_down_bits(p.bits_of_names(["e"]))
+        m = p.bits_of_names(["a"])
+        assert otimes_mul_ops(ExplicitOps(p), [[l]], [[m]]) == [[p.residuum_bits(l, m)]]
 
     def test_boolean_otimes_is_negated_product(self):
         # on a discrete order: U (x) V == not(U . not V), checked by enumeration
@@ -514,7 +519,7 @@ class TestBisimulationChecks:
 
     def test_top_relation_violation_located(self, routing_pair):
         basic, modified = routing_pair
-        top = ConditionalRelation.top(basic.poset, basic.states, modified.states)
+        top = constant_relation(basic.poset, basic.states, modified.states, basic.poset.full_mask)
         assert not is_bisimulation(top, basic, modified)
         violations = check_transfer(top, basic, modified)
         assert violations
@@ -525,9 +530,7 @@ class TestBisimulationChecks:
 
     def test_empty_relation_is_vacuously_bisimulation(self, routing_pair):
         basic, modified = routing_pair
-        zero = ConditionalRelation.from_mapping(
-            basic.poset, basic.states, modified.states, {}
-        )
+        zero = constant_relation(basic.poset, basic.states, modified.states, 0)
         assert is_bisimulation(zero, basic, modified)
         assert check_transfer(zero, basic, modified) == []
 
@@ -608,13 +611,13 @@ class TestFitting:
 
     def test_preconditions(self, routing_pair):
         basic, _ = routing_pair
-        rel = ConditionalRelation.top(basic.poset, basic.states, basic.states)
+        rel = constant_relation(basic.poset, basic.states, basic.states, basic.poset.full_mask)
         with pytest.raises(PreconditionViolation):
             fitting_check(basic, rel)  # four labels, ordered conditions
         poset = ConditionPoset(["a", "b"], [("a", "b")])
         l = Lats(["x"], ["m"], poset, {})
         with pytest.raises(PreconditionViolation):
-            fitting_check(l, ConditionalRelation.top(poset, ["x"], ["x"]))
+            fitting_check(l, constant_relation(poset, ["x"], ["x"], poset.full_mask))
 
 
 class TestBackendAgreement:
@@ -1232,10 +1235,10 @@ class TestRelationArguments:
     def test_state_sets_may_be_one_shot_iterables(self, routing_pair):
         basic, modified = routing_pair
         poset, xs, ys = basic.poset, basic.states, modified.states
-        mapping = {("ready", "ready"): ["a", "b"], ("unsafe", "safe"): ["a"]}
-        for build, args in ((ConditionalRelation.top, ()), (ConditionalRelation.from_mapping, (mapping,))):
-            once = build(poset, (x for x in xs), (y for y in ys), *args)
-            assert once.report() == build(poset, xs, ys, *args).report()
+        rows = [[poset.full_mask] * len(ys) for _ in xs]
+        rows[xs.index("unsafe")][ys.index("safe")] = poset.bits_of_names(["a"])
+        once = ConditionalRelation(poset, (x for x in xs), (y for y in ys), rows)
+        assert once.report() == ConditionalRelation(poset, xs, ys, rows).report()
 
 
 class TestChecksRefuseBddRelations:
@@ -1483,7 +1486,7 @@ class TestErrorPaths:
 
     def test_relation_over_other_states(self, routing_pair):
         basic, modified = routing_pair
-        rel = ConditionalRelation.top(basic.poset, ("p",), modified.states)
+        rel = constant_relation(basic.poset, ("p",), modified.states, basic.poset.full_mask)
         with pytest.raises(ModelMismatch, match="relation states do not match the models"):
             is_bisimulation(rel, basic, modified)
 
@@ -1499,13 +1502,14 @@ class TestErrorPaths:
             (("x",), ("u",), [[0b10]], GuardNotDownwardClosed, r"relation entry \{b\} is not downward-closed"),
             (("x",), ("u",), [[0b100]], UnknownElement, "bitmask out of range for poset"),
             (("x",), ("u",), [[-1]], UnknownElement, "bitmask out of range for poset"),
+            (("x",), ("u",), [["a"]], UnknownElement, "relation entry 'a' is not a bitmask"),
             (("x", "x"), ("u",), [[0], [0b11]], ModelError, r"duplicate left states: \('x', 'x'\)"),
             (("x",), ("u", "u"), [[0, 0]], ModelError, r"duplicate right states: \('u', 'u'\)"),
             (("",), ("u",), [[0]], ModelError, "left states must be non-empty strings"),
             (("x",), (None,), [[0]], ModelError, r"right states must be non-empty strings: \(None,\)"),
         ],
         ids=[
-            "shape", "not-closed", "above-range", "negative",
+            "shape", "not-closed", "above-range", "negative", "not-an-int",
             "repeated-left", "repeated-right", "empty-left", "not-a-name-right",
         ],
     )
@@ -1519,7 +1523,10 @@ class TestErrorPaths:
         [(("x", "v"), "unknown right state 'v'"), (("w", "u"), "unknown left state 'w'")],
         ids=["right", "left"],
     )
-    def test_mapping_key_outside_the_relation(self, key, message):
+    def test_read_at_a_state_outside_the_relation(self, key, message):
         poset = ConditionPoset(["a", "b"], [("a", "b")])
+        rel = constant_relation(poset, ("x",), ("u",), poset.full_mask)
         with pytest.raises(UnknownState, match=message):
-            ConditionalRelation.from_mapping(poset, ("x",), ("u",), {key: ["a"]})
+            rel.conditions(*key)
+        with pytest.raises(UnknownState, match=message):
+            rel.holds(*key, "a")

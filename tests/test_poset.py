@@ -1,13 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctsbisim.errors import (
-    CycleError,
-    NotDownwardClosed,
-    PosetMismatch,
-    UnknownElement,
-)
-from ctsbisim.elements import BoolElement, LatticeElement
+from ctsbisim.engine import ConditionalRelation, ExplicitOps
+from ctsbisim.errors import CycleError, GuardNotDownwardClosed, UnknownElement
+from ctsbisim.models import Lats
 from ctsbisim.poset import ConditionPoset
 
 from oracles import all_downset_masks, brute_approximate, brute_residuum
@@ -60,21 +56,33 @@ class TestValidatePoset:
         assert p.leq("a", "c")
 
 
+def is_join_irreducible(p, bits):
+    """Non-empty and not the union of the downsets strictly below it."""
+    below = [d for d in all_downset_masks(p) if d != bits and d & ~bits == 0]
+    union = 0
+    for d in below:
+        union |= d
+    return bits != 0 and union != bits
+
+
 class TestDownsetsAndIrreducibles:
     def test_fig1_downsets(self, fig1_poset):
-        assert fig1_poset.downset("f").members() == ("a", "b", "f")
-        assert fig1_poset.downset("a").members() == ("a",)
+        p = fig1_poset
+        assert p.names_of_bits(p.down[p.element_index("f")]) == ("a", "b", "f")
+        assert p.names_of_bits(p.down[p.element_index("a")]) == ("a",)
 
     def test_one_point_downset(self):
         p = ConditionPoset(["x"])
-        assert p.downset("x").members() == ("x",)
+        assert p.names_of_bits(p.down[p.element_index("x")]) == ("x",)
 
     def test_unknown_element(self, fig1_poset):
         with pytest.raises(UnknownElement):
-            fig1_poset.downset("z")
+            fig1_poset.element_index("z")
+        with pytest.raises(UnknownElement):
+            fig1_poset.bits_of_names(["a", "z"])
 
     def test_fig1_irreducibles(self, fig1_poset):
-        assert [e.members() for e in fig1_poset.irreducibles()] == [
+        assert [fig1_poset.names_of_bits(d) for d in fig1_poset.down] == [
             ("a",),
             ("b",),
             ("b", "e"),
@@ -83,12 +91,12 @@ class TestDownsetsAndIrreducibles:
 
     def test_discrete_irreducibles(self):
         p = ConditionPoset(["a", "b"])
-        assert [e.members() for e in p.irreducibles()] == [("a",), ("b",)]
+        assert [p.names_of_bits(d) for d in p.down] == [("a",), ("b",)]
 
     def test_empty_poset(self):
         p = ConditionPoset([])
-        assert p.irreducibles() == []
-        assert list(p.downsets()) == [p.bottom]
+        assert p.down == ()
+        assert all_downset_masks(p) == [0]  # the bottom alone
 
     @settings(deadline=None)
     @given(posets(max_n=8))
@@ -102,43 +110,63 @@ class TestDownsetsAndIrreducibles:
                     union |= p.down[i]
             assert union == mask
 
+    @settings(deadline=None)
+    @given(posets(max_n=6))
+    def test_principal_downsets_are_the_join_irreducibles(self, p):
+        irreducible = [d for d in all_downset_masks(p) if is_join_irreducible(p, d)]
+        assert sorted(p.down) == sorted(irreducible)
+        assert all(p.down[i] >> i & 1 for i in range(len(p)))
+
+
+class TestClosure:
+    @settings(deadline=None)
+    @given(poset_with_masks(k=1))
+    def test_close_down_is_the_least_downset_above(self, pm):
+        p, b = pm
+        above = [d for d in all_downset_masks(p) if b & ~d == 0]
+        least = min(above, key=int.bit_count)
+        assert all(least & ~d == 0 for d in above)
+        assert p.close_down_bits(b) == least
+
+    @settings(deadline=None)
+    @given(poset_with_masks(k=1))
+    def test_down_closed_iff_a_downset(self, pm):
+        p, b = pm
+        assert p.is_down_closed_bits(b) == (b in all_downset_masks(p))
+
 
 class TestJoinMeet:
     def test_fig1_join(self, fig1_poset):
-        a = fig1_poset.element(["a"])
-        be = fig1_poset.element(["b", "e"])
-        assert (a | be).members() == ("a", "b", "e")
+        p, ops = fig1_poset, ExplicitOps(fig1_poset)
+        a, be = p.bits_of_names(["a"]), p.bits_of_names(["b", "e"])
+        assert p.names_of_bits(ops.join(a, be)) == ("a", "b", "e")
 
     def test_fig1_meet(self, fig1_poset):
-        abf = fig1_poset.element(["a", "b", "f"])
-        abe = fig1_poset.element(["a", "b", "e"])
-        assert (abf & abe).members() == ("a", "b")
+        p, ops = fig1_poset, ExplicitOps(fig1_poset)
+        abf, abe = p.bits_of_names(["a", "b", "f"]), p.bits_of_names(["a", "b", "e"])
+        assert p.names_of_bits(ops.meet(abf, abe)) == ("a", "b")
 
     def test_bottom_is_neutral(self, fig1_poset):
-        l = fig1_poset.element(["b", "e"])
-        assert (l | fig1_poset.bottom) == l
-
-    def test_poset_mismatch(self, fig1_poset):
-        other = ConditionPoset(["a", "b", "e", "f"])
-        with pytest.raises(PosetMismatch):
-            fig1_poset.element(["a"]) | other.element(["a"])
+        ops = ExplicitOps(fig1_poset)
+        l = fig1_poset.bits_of_names(["b", "e"])
+        assert ops.join(l, ops.bottom) == l
+        assert ops.meet(l, ops.top) == l
 
 
 class TestApproximation:
     def test_fig1_example(self, fig1_poset):
-        aef = fig1_poset.bool_element(["a", "e", "f"])
-        assert aef.approximate().members() == ("a",)
+        aef = fig1_poset.bits_of_names(["a", "e", "f"])
+        assert fig1_poset.names_of_bits(fig1_poset.approx_bits(aef)) == ("a",)
 
     def test_fixpoint_on_lattice(self, fig1_poset):
-        l = fig1_poset.element(["a", "b", "e"])
-        assert l.approximate() == l
+        l = fig1_poset.bits_of_names(["a", "b", "e"])
+        assert fig1_poset.approx_bits(l) == l
 
     def test_singleton_missing_support(self, fig1_poset):
         # independent oracle: supremum of all downward-closed subsets
-        expected = brute_approximate(fig1_poset, fig1_poset.bits_of_names(["e"]))
-        assert expected == 0
-        assert fig1_poset.bool_element(["e"]).approximate().members() == ()
-
+        e = fig1_poset.bits_of_names(["e"])
+        assert brute_approximate(fig1_poset, e) == 0
+        assert fig1_poset.approx_bits(e) == 0
     @settings(deadline=None)
     @given(poset_with_masks(k=1))
     def test_matches_bruteforce(self, pm):
@@ -159,46 +187,58 @@ class TestApproximation:
         assert p.approx_bits(small) & ~p.approx_bits(b) == 0
 
     def test_nondistributive_over_join_witness(self, fig1_poset):
-        l = fig1_poset.bool_element(["a", "e"])
-        m = fig1_poset.bool_element(["b", "f"])
-        joined = (l | m).approximate()
-        pointwise = l.approximate() | m.approximate()
-        assert joined.members() == ("a", "b", "e", "f")
-        assert pointwise.members() == ("a", "b")
+        p = fig1_poset
+        l, m = p.bits_of_names(["a", "e"]), p.bits_of_names(["b", "f"])
+        joined = p.approx_bits(l | m)
+        pointwise = p.approx_bits(l) | p.approx_bits(m)
+        assert p.names_of_bits(joined) == ("a", "b", "e", "f")
+        assert p.names_of_bits(pointwise) == ("a", "b")
         assert joined != pointwise
 
 
 class TestComplement:
+    # the Boolean complement within the poset, as ``residuum_bits`` forms it
     def test_example(self, fig1_poset):
-        assert fig1_poset.bool_element(["b", "e"]).complement().members() == ("a", "f")
+        p = fig1_poset
+        be = p.bits_of_names(["b", "e"])
+        assert p.names_of_bits(p.full_mask & ~be) == ("a", "f")
+        assert p.names_of_bits(p.residuum_bits(be, 0)) == ("a",)  # its approximation
 
     def test_empty(self, fig1_poset):
-        assert fig1_poset.bool_element([]).complement().members() == ("a", "b", "e", "f")
+        assert fig1_poset.names_of_bits(fig1_poset.full_mask & ~0) == ("a", "b", "e", "f")
+        assert fig1_poset.residuum_bits(0, 0) == fig1_poset.full_mask
 
     @settings(deadline=None)
     @given(poset_with_masks(k=1))
     def test_involution(self, pm):
         p, b = pm
-        e = BoolElement(p, b)
-        assert e.complement().complement() == e
+        # an involution on the discrete order; a pseudo-complement on p
+        discrete = ConditionPoset(p.elements)
+        assert discrete.residuum_bits(discrete.residuum_bits(b, 0), 0) == b
+        l = p.close_down_bits(b)
+        neg = p.residuum_bits(l, 0)
+        assert p.residuum_bits(p.residuum_bits(neg, 0), 0) == neg
+        assert l & ~p.residuum_bits(neg, 0) == 0
 
 
 class TestResiduum:
     def test_fig1_example(self, fig1_poset):
-        be = fig1_poset.element(["b", "e"])
-        a = fig1_poset.element(["a"])
-        expected = brute_residuum(fig1_poset, be.bits, a.bits)
-        assert be.residuum(a).bits == expected
-        assert be.residuum(a).members() == ("a",)
+        p = fig1_poset
+        be, a = p.bits_of_names(["b", "e"]), p.bits_of_names(["a"])
+        expected = brute_residuum(p, be, a)
+        assert p.residuum_bits(be, a) == expected
+        assert p.names_of_bits(ExplicitOps(p).residuum(be, a)) == ("a",)
 
     @settings(deadline=None)
     @given(poset_with_masks(k=1))
     def test_identities(self, pm):
         p, raw = pm
-        m = LatticeElement(p, p.close_down_bits(raw))
-        assert p.top.residuum(m) == m
-        assert p.bottom.residuum(m) == p.top
-        assert m.residuum(m) == p.top
+        ops = ExplicitOps(p)
+        m = p.close_down_bits(raw)
+        assert ops.residuum(ops.top, m) == m
+        assert ops.residuum(ops.bottom, m) == ops.top
+        assert ops.residuum(m, m) == ops.top
+
 
     @settings(deadline=None)
     @given(poset_with_masks(k=2))
@@ -234,17 +274,30 @@ class TestResiduum:
 
 class TestElements:
     def test_lattice_element_requires_downclosed(self, fig1_poset):
-        with pytest.raises(NotDownwardClosed):
-            fig1_poset.element(["e"])
+        p = fig1_poset
+        e = p.bits_of_names(["e"])
+        assert not p.is_down_closed_bits(e)
+        with pytest.raises(GuardNotDownwardClosed):
+            ConditionalRelation(p, ["x"], ["y"], [[e]])
+        with pytest.raises(GuardNotDownwardClosed):
+            Lats(["x"], ["m"], p, {("x", "m", "x"): e})
 
     def test_close_flag(self, fig1_poset):
-        assert fig1_poset.element(["e"], close=True).members() == ("b", "e")
+        p = fig1_poset
+        e = p.bits_of_names(["e"])
+        assert p.names_of_bits(p.close_down_bits(e)) == ("b", "e")
+        lats = Lats(["x"], ["m"], p, {("x", "m", "x"): e}, close=True)
+        assert p.names_of_bits(lats.guard_bits("x", "m", "x")) == ("b", "e")
 
     def test_membership_and_repr(self, fig1_poset):
-        l = fig1_poset.element(["b", "e"])
-        assert "b" in l and "a" not in l
-        assert "LatticeElement" in repr(l)
+        p = fig1_poset
+        be = p.bits_of_names(["b", "e"])
+        assert p.has_bits(be, "b") and not p.has_bits(be, "a")
+        with pytest.raises(UnknownElement):
+            p.has_bits(be, "z")
+        assert repr(p) == "ConditionPoset(['a', 'b', 'e', 'f'], {a<f, b<e, b<f})"
 
     def test_irreducible_flag(self, fig1_poset):
-        assert fig1_poset.downset("e").is_irreducible()
-        assert not fig1_poset.element(["a", "b"], close=True).is_irreducible()
+        p = fig1_poset
+        assert is_join_irreducible(p, p.down[p.element_index("e")])
+        assert not is_join_irreducible(p, p.bits_of_names(["a", "b"]))

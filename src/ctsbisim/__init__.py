@@ -27,8 +27,7 @@ _EXPORTS = {
     "errors": ("CtsBisimError",),
     "features": ("FeatureUniverse", "parse_expr", "upgrade_leq"),
     "game": (
-        "GameInstance", "Move", "SeparationTable", "interactive_play", "player1_move",
-        "player2_reply", "self_play",
+        "GameInstance", "Move", "interactive_play", "player1_move", "player2_reply", "self_play",
     ),
     "modelio": ("load_model",),
     "models": ("Cts", "Fts", "Lats", "cts_to_lats", "fts_to_lats", "lats_to_cts"),

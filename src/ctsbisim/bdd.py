@@ -8,10 +8,10 @@ its largest downward-closed part, the downward-closure test (a function is
 downward-closed exactly when it equals its approximation), and the
 residuum inside the lattice carved out by a feature diagram.
 
-A manager is a single-writer object: constructing operations must be
-serialized externally; read-only queries on an unchanging manager may run
-concurrently.  Handles are plain ints that mean something only to the
-manager that made them.
+A manager is not safe to share between threads: connectives and
+``first_config`` build nodes, and ``sat_minterms`` fills ``_minterm_memo``,
+so calls on one manager must be serialized externally.  Handles are plain
+ints that mean something only to the manager that made them.
 """
 
 from __future__ import annotations

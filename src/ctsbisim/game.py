@@ -17,12 +17,12 @@ successor lists and upgrade within its ``down_of``, read through its
 action precedence a move is unavailable at the conditions where its escape
 holds, i.e. where a higher action is enabled at its source.
 
-Legal moves come from one place: ``SeparationTable.attacks`` yields the
+Legal moves come from one place: ``attacks(result, inst)`` yields the
 attacker's moves in (condition, side, action, target) order and
-``SeparationTable.replies`` lists the answers to one; strategies,
-validators and listings all read them.  Interactive play asks both
-players through one prompt loop, reading lines from one iterator
-(scripted lines or stdin).
+``replies(result, inst, move)`` lists the answers to one; strategies,
+validators and listings all read them.  A concession is a reply of None.
+Interactive play asks both players through one prompt loop, reading lines
+from one iterator (scripted lines or stdin).
 """
 
 from __future__ import annotations
@@ -54,13 +54,6 @@ class Move(Record):
         return "upgrade %s; %s" % (self.upgrade, self.step)
 
 
-class Concede:
-    def __repr__(self) -> str:
-        return "Concede"
-
-
-CONCEDE = Concede()
-
 _OTHER = {"left": "right", "right": "left"}
 
 
@@ -69,59 +62,44 @@ def _require(holds: bool, what: str) -> None:
         raise InvariantViolation("%s (engine bug)" % what)
 
 
-class SeparationTable:
-    """The game on one fixpoint of either backend: both systems' moves, per
-    state and condition, read off the result's problem, and per (pair,
-    condition) the separation index from ``BisimResult.separation``."""
+def moves(result: BisimResult, side: str, state: str, cond: str) -> list[tuple[str, str]]:
+    """The sorted (action, target) moves of ``state`` on ``side`` under
+    ``cond``: those whose guard holds and whose escape does not (a move is
+    disabled where a higher action is enabled)."""
+    p = result.problem
+    i = result.state_index(side, state)
+    if side == "left":
+        states, succ, esc = p.states_x, p.succ_x, p.esc_x
+    else:
+        states, succ, esc = p.states_y, p.succ_y, p.esc_y
+    return sorted(
+        (a, states[j])
+        for a in p.alphabet
+        if not p.entry_holds(esc[a][i], cond)
+        for j, guard in succ[a][i]
+        if p.entry_holds(guard, cond)
+    )
 
-    def __init__(self, result: BisimResult):
-        self.result = result
 
-    def moves(self, side: str, state: str, cond: str) -> list[tuple[str, str]]:
-        """The sorted (action, target) moves of ``state`` on ``side`` under
-        ``cond``: those whose guard holds and whose escape does not (a move
-        is disabled where a higher action is enabled)."""
-        p = self.result.problem
-        i = self.result.state_index(side, state)
-        if side == "left":
-            states, succ, esc = p.states_x, p.succ_x, p.esc_x
-        else:
-            states, succ, esc = p.states_y, p.succ_y, p.esc_y
-        return sorted(
-            (a, states[j])
-            for a in p.alphabet
-            if not p.entry_holds(esc[a][i], cond)
-            for j, guard in succ[a][i]
-            if p.entry_holds(guard, cond)
-        )
+def _state(inst: GameInstance, side: str) -> str:
+    return inst.x if side == "left" else inst.y
 
-    def upgrades(self, cond: str) -> list[str]:
-        """Conditions reachable by upgrading (including staying), by name."""
-        p = self.result.problem
-        return sorted(p.entry_names(p.down_of(cond)))
 
-    def state_of(self, inst: GameInstance, side: str) -> str:
-        return inst.x if side == "left" else inst.y
+def attacks(result: BisimResult, inst: GameInstance) -> Iterator[Move]:
+    """Every legal attack, in (condition, side, action, target) order: each
+    upgrade of the condition (staying included), then each move under it."""
+    p = result.problem
+    for cond in sorted(p.entry_names(p.down_of(inst.condition))):
+        for side in ("left", "right"):
+            for action, target in moves(result, side, _state(inst, side), cond):
+                yield Move(cond, side, action, target)
 
-    def attacks(self, inst: GameInstance) -> Iterator[Move]:
-        """Every legal attack, in (condition, side, action, target) order."""
-        for cond in self.upgrades(inst.condition):
-            for side in ("left", "right"):
-                for action, target in self.moves(side, self.state_of(inst, side), cond):
-                    yield Move(cond, side, action, target)
 
-    def replies(self, inst: GameInstance, move: Move) -> list[str]:
-        """The targets of the other side's moves with the attack's action,
-        under its condition."""
-        side = _OTHER[move.side]
-        moves = self.moves(side, self.state_of(inst, side), move.upgrade)
-        return [t for a, t in moves if a == move.action]
-
-    def m(self, x: str, y: str, cond: str) -> float:
-        return self.result.separation(x, y, cond)
-
-    def m_of(self, inst: GameInstance) -> float:
-        return self.m(inst.x, inst.y, inst.condition)
+def replies(result: BisimResult, inst: GameInstance, move: Move) -> list[str]:
+    """The targets of the other side's moves with the attack's action, under
+    its condition."""
+    side = _OTHER[move.side]
+    return [t for a, t in moves(result, side, _state(inst, side), move.upgrade) if a == move.action]
 
 
 def _pair_after(move: Move, reply_target: str) -> tuple[str, str]:
@@ -134,36 +112,36 @@ def _reply(move: Move, target: str) -> Move:
     return Move(move.upgrade, _OTHER[move.side], move.action, target)
 
 
-def player1_move(inst: GameInstance, table: SeparationTable) -> Move:
-    """Optimal attack: the first attack, in ``SeparationTable.attacks`` order,
-    minimizing the worst reply's separation index.  The minimum is strictly
-    below the current index, so the attack terminates; an empty reply set
-    wins on the spot."""
-    current = table.m_of(inst)
+def player1_move(inst: GameInstance, result: BisimResult) -> Move:
+    """Optimal attack: the first attack, in ``attacks`` order, minimizing the
+    worst reply's separation index.  The minimum is strictly below the
+    current index, so the attack terminates; an empty reply set wins on the
+    spot."""
+    current = result.separation(inst.x, inst.y, inst.condition)
     if current == INF:
         raise NotWinnable("instance (%s, %s, %s) is bisimilar" % (inst.x, inst.y, inst.condition))
 
     def worst(move: Move) -> float:
-        replies = table.replies(inst, move)
-        return max((table.m(*_pair_after(move, t), move.upgrade) for t in replies), default=-1)
+        targets = replies(result, inst, move)
+        return max((result.separation(*_pair_after(move, t), move.upgrade) for t in targets), default=-1)
 
-    best = min(table.attacks(inst), key=worst, default=None)
+    best = min(attacks(result, inst), key=worst, default=None)
     if best is None:
         raise NotWinnable("no move available from (%s, %s, %s)" % (inst.x, inst.y, inst.condition))
     _require(worst(best) < current, "attack does not descend")
     return best
 
 
-def engine_attack(inst: GameInstance, table: SeparationTable) -> Move | None:
+def engine_attack(inst: GameInstance, result: BisimResult) -> Move | None:
     """The engine's attack: the optimal one on a separated instance, else
     the first legal one; None when there is no move."""
-    if table.m_of(inst) != INF:
-        return player1_move(inst, table)
-    return next(table.attacks(inst), None)
+    if result.separation(inst.x, inst.y, inst.condition) != INF:
+        return player1_move(inst, result)
+    return next(attacks(result, inst), None)
 
 
-def _validate_attack(inst: GameInstance, move: Move, table: SeparationTable) -> None:
-    p = table.result.problem
+def _validate_attack(inst: GameInstance, move: Move, result: BisimResult) -> None:
+    p = result.problem
     below = p.down_of(inst.condition)
     try:
         is_upgrade = p.entry_holds(below, move.upgrade)
@@ -175,15 +153,15 @@ def _validate_attack(inst: GameInstance, move: Move, table: SeparationTable) -> 
         )
     if move.side not in _OTHER:
         raise IllegalMove("side must be left or right, got %r" % (move.side,))
-    state = table.state_of(inst, move.side)
-    if (move.action, move.target) not in table.moves(move.side, state, move.upgrade):
+    state = _state(inst, move.side)
+    if (move.action, move.target) not in moves(result, move.side, state, move.upgrade):
         raise IllegalMove(
             "no transition %s -[%s]-> %s on the %s side under %s"
             % (state, move.action, move.target, move.side, move.upgrade)
         )
 
 
-def _validate_reply(inst: GameInstance, move: Move, reply: Move, table: SeparationTable) -> None:
+def _validate_reply(inst: GameInstance, move: Move, reply: Move, result: BisimResult) -> None:
     side = _OTHER[move.side]
     if reply.upgrade != move.upgrade:
         raise IllegalMove("the defender keeps the condition %s" % move.upgrade)
@@ -191,23 +169,23 @@ def _validate_reply(inst: GameInstance, move: Move, reply: Move, table: Separati
         raise IllegalMove("the reply must be on the %s side" % side)
     if reply.action != move.action:
         raise IllegalMove("the reply must use action %s" % move.action)
-    if reply.target not in table.replies(inst, move):
+    if reply.target not in replies(result, inst, move):
         raise IllegalMove(
             "no transition %s -[%s]-> %s under %s"
-            % (table.state_of(inst, side), move.action, reply.target, move.upgrade)
+            % (_state(inst, side), move.action, reply.target, move.upgrade)
         )
 
 
-def player2_reply(inst: GameInstance, move: Move, table: SeparationTable):
+def player2_reply(inst: GameInstance, move: Move, result: BisimResult) -> Move | None:
     """Defence from the greatest bisimulation: while the pair's entry still
     contains the played condition, answer with a move that keeps it inside
-    (the transfer property guarantees one); otherwise answer arbitrarily or
-    concede when no same-action move exists."""
-    _validate_attack(inst, move, table)
-    candidates = table.replies(inst, move)
+    (the transfer property guarantees one); otherwise answer arbitrarily, or
+    concede (None) when no same-action move exists."""
+    _validate_attack(inst, move, result)
+    candidates = replies(result, inst, move)
     if not candidates:
-        return CONCEDE
-    holds = table.result.holds
+        return None
+    holds = result.holds
     if holds(inst.x, inst.y, move.upgrade):
         candidates = [t for t in candidates if holds(*_pair_after(move, t), move.upgrade)]
         _require(bool(candidates), "transfer property violated")
@@ -228,7 +206,6 @@ def self_play(result: BisimResult, x: str, y: str, cond: str) -> PlayResult:
     proves the play is infinite).  Descent and membership preservation are
     checked every round; a violation raises ``InvariantViolation``.
     """
-    table = SeparationTable(result)
     inst = GameInstance(x, y, cond)
     lines = []
     visited = set()
@@ -238,14 +215,14 @@ def self_play(result: BisimResult, x: str, y: str, cond: str) -> PlayResult:
         if inst in visited:
             return PlayResult(2, rounds, "instance repeated: play is infinite", lines)
         visited.add(inst)
-        m0 = table.m_of(inst)
+        m0 = result.separation(inst.x, inst.y, inst.condition)
         lines.append("instance: (%s | %s | %s)  M=%s" % (inst.x, inst.y, inst.condition, m0))
-        move = engine_attack(inst, table)
+        move = engine_attack(inst, result)
         if move is None:
             return PlayResult(2, rounds, "attacker has no move", lines)
         lines.append("P1: %s" % (move,))
-        reply = player2_reply(inst, move, table)
-        if reply is CONCEDE:
+        reply = player2_reply(inst, move, result)
+        if reply is None:
             _require(m0 != INF, "defender conceded a bisimilar instance")
             lines.append("P2: concede")
             return PlayResult(1, rounds + 1, "defender cannot answer", lines)
@@ -254,7 +231,7 @@ def self_play(result: BisimResult, x: str, y: str, cond: str) -> PlayResult:
         if m0 == INF:
             _require(result.holds(nxt.x, nxt.y, nxt.condition), "membership lost")
         else:
-            _require(table.m_of(nxt) < m0, "separation index did not descend")
+            _require(result.separation(nxt.x, nxt.y, nxt.condition) < m0, "separation index did not descend")
         inst = nxt
         rounds += 1
         _require(rounds <= (limit if m0 == INF else limit + m0), "self-play did not terminate")
@@ -288,7 +265,6 @@ def interactive_play(
     and prompted again.  Lines come from ``input_lines`` or, without them,
     from stdin.
     """
-    table = SeparationTable(result)
     lines = iter(sys.stdin.readline, "") if input_lines is None else iter(input_lines)
     transcript: list[str] = []
 
@@ -333,7 +309,7 @@ def interactive_play(
 
     emit("you play Player %d; Player 2 wins iff the pair is bisimilar" % human_side)
     inst = start
-    table.m_of(inst)  # validates names
+    result.separation(inst.x, inst.y, inst.condition)  # validates names
     while True:
         emit("instance: (%s | %s | %s)" % (inst.x, inst.y, inst.condition))
         if human_side == 1:
@@ -341,20 +317,20 @@ def interactive_play(
                 "P1 move> ",
                 "upgrade <cond>; <left|right> <action> -> <state>",
                 inst.condition,
-                lambda: table.attacks(inst),
-                lambda: engine_attack(inst, table) or "no move available",
-                lambda attack: _validate_attack(inst, attack, table),
+                lambda: attacks(result, inst),
+                lambda: engine_attack(inst, result) or "no move available",
+                lambda attack: _validate_attack(inst, attack, result),
             )
             if move is None:
                 return finish("quit: transcript closed")
         else:
-            move = engine_attack(inst, table)
+            move = engine_attack(inst, result)
             if move is None:
                 return finish("Player 1 cannot make another step: Player 2 wins")
         emit("P1: %s" % (move,))
 
         if human_side == 2:
-            targets = table.replies(inst, move)
+            targets = replies(result, inst, move)
             if not targets:
                 return finish("Player 2 cannot simulate the step: Player 1 wins")
             reply = ask(
@@ -362,14 +338,14 @@ def interactive_play(
                 "<left|right> <action> -> <state>",
                 move.upgrade,
                 lambda: (_reply(move, t).step for t in targets),
-                lambda: player2_reply(inst, move, table),
-                lambda answer: _validate_reply(inst, move, answer, table),
+                lambda: player2_reply(inst, move, result),
+                lambda answer: _validate_reply(inst, move, answer, result),
             )
             if reply is None:
                 return finish("quit: transcript closed")
         else:
-            reply = player2_reply(inst, move, table)
-            if reply is CONCEDE:
+            reply = player2_reply(inst, move, result)
+            if reply is None:
                 return finish("Player 2 concedes: Player 1 wins")
         emit("P2: %s" % reply.step)
         inst = GameInstance(*_pair_after(move, reply.target), move.upgrade)

@@ -1,13 +1,13 @@
 """Transition-system models: conditional, lattice, and featured variants.
 
-All three classes are immutable after validation.  A monotone
-per-condition transition function is the same thing as a map from
-transitions to downward-closed guard sets, so a conditional system is a
-lattice system that is built from, and presented as, its successor sets:
-``Cts`` subclasses ``Lats`` and both store only the guards.  Featured
-systems carry a feature universe instead; their admissible
-configurations, ordered by upgrades, become the condition poset of the
-derived lattice system.
+A monotone per-condition transition function is the same thing as a map
+from transitions to downward-closed guard sets, so a conditional system is
+a lattice system built from, and presented as, its successor sets: ``Cts``
+subclasses ``Lats`` and both store only the guards.  Featured systems carry
+a feature universe instead; their admissible configurations, ordered by
+upgrades, become the condition poset of the derived lattice system.  No
+code changes a model after validation, but only ``Fts`` refuses assignment:
+``Lats``/``Cts`` attributes can be set, and a conversion shares them.
 
 The explicit build of that system is bit-parallel over the sorted
 admissible configurations: bit i of a mask stands for ``configs[i]``, and
@@ -233,7 +233,7 @@ class Fts(ft.Record):
 
 
 def _recast(model: Lats, cls):
-    # the same guards under the other kind; models are immutable, so they share
+    # the same guards under the other kind, sharing the model's attributes and its ``alpha`` dict
     out = cls.__new__(cls)
     vars(out).update(vars(model))
     return out

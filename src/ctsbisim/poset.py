@@ -36,14 +36,17 @@ class ConditionPoset:
 
     def __init__(self, elements: Sequence[str], pairs: Iterable[tuple[str, str]] = ()):
         elements = tuple(elements)
+        if not all(isinstance(name, str) and name for name in elements):
+            raise UnknownElement("element names must be non-empty strings: %r" % (elements,))
         if len(set(elements)) != len(elements):
             raise CycleError("duplicate element names: %r" % (elements,))
-        if any(not name for name in elements):
-            raise UnknownElement("element names must be non-empty")
         index = {name: i for i, name in enumerate(elements)}
         n = len(elements)
         up = [1 << i for i in range(n)]
-        for lo, hi in pairs:
+        for pair in pairs:
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and all(isinstance(e, str) for e in pair)):
+                raise UnknownElement("a pair must be two element names, got %r" % (pair,))
+            lo, hi = pair
             if lo not in index:
                 raise UnknownElement("unknown element %r in pair (%r, %r)" % (lo, lo, hi))
             if hi not in index:

@@ -136,6 +136,13 @@ class TestCheck:
     def test_unreadable_file_exits_2(self, tmp_path):
         assert run("check", tmp_path / "missing.json", tmp_path / "missing.json") == 2
 
+    def test_unwritable_out_exits_2(self, models_dir, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "r.json"
+        code = run("check", models_dir / "routing_basic.json", models_dir / "routing_modified.json", "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+        assert not out.parent.exists()
+
     def test_backends_produce_identical_reports(self, models_dir, tmp_path):
         pairs = [
             ("routing_basic.json", "routing_modified.json"),
@@ -411,6 +418,12 @@ class TestConvert:
         code = run("check", lats, lats, *BDD, "--pair", "ready,ready,{enc}", "--out", tmp_path / "r.json")
         assert code == 0
 
+    @pytest.mark.parametrize("stem, kind", [("routing_basic", "cts"), ("routing_fts_basic", "fts")])
+    def test_conversion_to_the_own_kind_loads_an_equal_model(self, models_dir, tmp_path, stem, kind):
+        out = tmp_path / "out.json"
+        assert run("convert", models_dir / ("%s.json" % stem), "--to", kind, "--out", out) == 0
+        assert load_model(out) == load_model(models_dir / ("%s.json" % stem))
+
     def test_undefined_conversion_exits_2(self, models_dir, capsys):
         assert run("convert", models_dir / "routing_basic.json", "--to", "fts") == 2
         assert "not defined" in capsys.readouterr().err
@@ -543,6 +556,25 @@ class TestBench:
             assert row["bdd"]["status"] == "ok"
         table = capsys.readouterr().out
         assert "ratio" in table
+
+    def test_budget_marks_the_first_run_and_skips_later_sizes(self, tmp_path, capsys):
+        # every run exceeds a zero budget: n = 1 is marked, n = 2 and 3 are not run
+        out = tmp_path / "bench.json"
+        assert run("bench", "--n-min", 1, "--n-max", 3, "--budget", 0, "--repeats", 1, "--out", out) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [(row["explicit"]["status"], row["bdd"]["status"]) for row in rows] == [
+            ("timeout", "timeout"), ("skipped", "skipped"), ("skipped", "skipped"),
+        ]
+        assert [(row["ratio"] is None, row["checksums_match"]) for row in rows] == [
+            (False, True), (True, None), (True, None),
+        ]
+        table = capsys.readouterr().out.splitlines()
+        first = table[1].split()
+        assert first[0] == "1" and first[1].endswith("*") and first[2].endswith("*") and first[4] == "yes"
+        assert [line.split() for line in table[2:4]] == [
+            [n, "skipped", "skipped", "-", "-"] for n in ("2", "3")
+        ]
+        assert table[4].startswith("(* = exceeded the per-n budget")
 
     @pytest.mark.parametrize("repeats", [0, -1])
     def test_repeats_below_one_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, repeats):

@@ -14,12 +14,11 @@ from ctsbisim.errors import (
     NotWinnable,
     UnknownState,
 )
+from ctsbisim import game
 from ctsbisim.game import (
-    CONCEDE,
     GameInstance,
     INF,
     Move,
-    SeparationTable,
     interactive_play,
     player1_move,
     player2_reply,
@@ -36,34 +35,28 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
-def routing_game(routing_pair):
-    basic, modified = routing_pair
-    result = greatest_bisimulation(basic, modified)
-    return basic, modified, result, SeparationTable(result)
+def result(routing_pair):
+    return greatest_bisimulation(*routing_pair)
 
 
-class TestSeparationTable:
-    def test_bisimilar_entry_is_infinite(self, routing_game):
-        _, _, _, table = routing_game
-        assert table.m("ready", "ready", "a") == INF
+class TestSeparation:
+    def test_bisimilar_entry_is_infinite(self, result):
+        assert result.separation("ready", "ready", "a") == INF
 
-    def test_separated_entry_is_finite(self, routing_game):
-        _, _, _, table = routing_game
-        assert table.m("ready", "ready", "b") < INF
+    def test_separated_entry_is_finite(self, result):
+        assert result.separation("ready", "ready", "b") < INF
 
     def test_self_comparison_diagonal_infinite(self, routing_pair):
         basic, _ = routing_pair
         res = greatest_bisimulation(basic, basic)
-        table = SeparationTable(res)
         for x in basic.states:
             for c in basic.poset.elements:
-                assert table.m(x, x, c) == INF
+                assert res.separation(x, x, c) == INF
 
-    def test_unknown_names_rejected(self, routing_game):
+    def test_unknown_names_rejected(self, result):
         # the error of ``BisimResult.holds`` for the same name
-        _, _, _, table = routing_game
         with pytest.raises(UnknownState, match="^unknown left state 'nope'$"):
-            table.m("nope", "ready", "a")
+            result.separation("nope", "ready", "a")
 
     @pytest.mark.parametrize("backend", ["explicit", "bdd"])
     def test_rounds_equal_the_stored_matrix_scan(self, routing_pair, backend):
@@ -71,7 +64,7 @@ class TestSeparationTable:
         pairs = [routing_pair]
         pairs += [random_lats_pair(rng, max_states=5, max_conds=4) for _ in range(40)]
         for l1, l2 in pairs:
-            rounds = SeparationTable(greatest_bisimulation(l1, l2, backend=backend)).m
+            rounds = greatest_bisimulation(l1, l2, backend=backend).separation
             expected = separation_rounds(l1, l2)
             assert {key: rounds(*key) for key in expected} == expected
 
@@ -89,74 +82,68 @@ class TestSeparationTable:
 
 
 class TestPlayer1:
-    def test_not_winnable_at_infinite_index(self, routing_game):
-        _, _, _, table = routing_game
+    def test_not_winnable_at_infinite_index(self, result):
         with pytest.raises(NotWinnable):
-            player1_move(GameInstance("ready", "ready", "a"), table)
+            player1_move(GameInstance("ready", "ready", "a"), result)
 
-    def test_immediate_win_at_index_zero(self, routing_game):
+    def test_immediate_win_at_index_zero(self, result):
         # the left unsafe state can send encrypted under a; the right safe
         # state has no answer at all, so separation happens at step 0 and
         # the returned move is unanswerable
-        _, _, _, table = routing_game
         inst = GameInstance("unsafe", "safe", "a")
-        assert table.m_of(inst) == 0
-        move = table and player1_move(inst, table)
+        assert result.separation("unsafe", "safe", "a") == 0
+        move = player1_move(inst, result)
         assert (move.side, move.action, move.upgrade) == ("left", "e", "a")
-        replies = table.moves("right", "safe", "a")
+        replies = game.moves(result, "right", "safe", "a")
         assert [t for a, t in replies if a == move.action] == []
 
-    def test_deterministic(self, routing_game):
-        _, _, _, table = routing_game
+    def test_deterministic(self, result):
         inst = GameInstance("ready", "ready", "b")
-        assert player1_move(inst, table) == player1_move(inst, table)
+        assert player1_move(inst, result) == player1_move(inst, result)
 
     def test_condition_tie_breaks_lexicographically(self):
         poset = ConditionPoset(["c0", "c1", "c2"], [("c1", "c0"), ("c2", "c0")])
         l1 = Lats(["x", "d"], ["m"], poset, {("x", "m", "d"): ("c1", "c2")})
         l2 = Lats(["y"], ["m"], poset, {})
         res = greatest_bisimulation(l1, l2)
-        table = SeparationTable(res)
-        move = player1_move(GameInstance("x", "y", "c0"), table)
+        move = player1_move(GameInstance("x", "y", "c0"), res)
         # both upgrades win immediately; the smaller name is chosen
         assert move.upgrade == "c1"
 
-    def test_descent_along_optimal_line(self, routing_game):
-        basic, modified, result, table = routing_game
+    def test_descent_along_optimal_line(self, result):
         inst = GameInstance("ready", "ready", "b")
-        seen = [table.m_of(inst)]
+        seen = [result.separation(inst.x, inst.y, inst.condition)]
         while True:
-            move = player1_move(inst, table)
-            reply = player2_reply(inst, move, table)
-            if reply is CONCEDE:
+            move = player1_move(inst, result)
+            reply = player2_reply(inst, move, result)
+            if reply is None:
                 break
             if move.side == "left":
                 inst = GameInstance(move.target, reply.target, move.upgrade)
             else:
                 inst = GameInstance(reply.target, move.target, move.upgrade)
-            seen.append(table.m_of(inst))
+            seen.append(result.separation(inst.x, inst.y, inst.condition))
         assert all(b < a for a, b in zip(seen, seen[1:]))
 
-    def test_tampered_index_breaks_descent(self, routing_game):
+    def test_tampered_index_breaks_descent(self, result, monkeypatch):
         # every index equal: no attack from (ready, ready, b) can descend
-        _, _, _, table = routing_game
-        table.m = lambda x, y, cond: 1
+        monkeypatch.setattr(result, "separation", lambda x, y, cond: 1)
         with pytest.raises(InvariantViolation):
-            player1_move(GameInstance("ready", "ready", "b"), table)
+            player1_move(GameInstance("ready", "ready", "b"), result)
 
     def test_descent_check_survives_python_O(self, models_dir):
         script = """
 import sys
 from ctsbisim.engine import greatest_bisimulation
 from ctsbisim.errors import InvariantViolation
-from ctsbisim.game import GameInstance, SeparationTable, player1_move
+from ctsbisim.game import GameInstance, player1_move
 from ctsbisim.modelio import load_model
 
 assert False, "assert statements must be stripped under -O"
-table = SeparationTable(greatest_bisimulation(load_model(sys.argv[1]), load_model(sys.argv[2])))
-table.m = lambda x, y, cond: 1
+result = greatest_bisimulation(load_model(sys.argv[1]), load_model(sys.argv[2]))
+result.separation = lambda x, y, cond: 1
 try:
-    player1_move(GameInstance("ready", "ready", "b"), table)
+    player1_move(GameInstance("ready", "ready", "b"), result)
 except InvariantViolation:
     sys.exit(3)
 """
@@ -180,34 +167,36 @@ except InvariantViolation:
 
 
 class TestPlayer2:
-    def test_membership_preserving_reply(self, routing_game):
-        basic, modified, result, table = routing_game
+    def test_membership_preserving_reply(self, result):
         inst = GameInstance("ready", "ready", "a")
         move = Move("a", "left", "receive", "received")
-        reply = player2_reply(inst, move, table)
-        assert reply is not CONCEDE
+        reply = player2_reply(inst, move, result)
+        assert reply is not None
         assert reply.side == "right" and reply.action == "receive"
         assert result.holds(move.target, reply.target, "a")
 
-    def test_illegal_upgrade_rejected(self, routing_game):
-        _, _, _, table = routing_game
+    def test_illegal_upgrade_rejected(self, result):
         inst = GameInstance("ready", "ready", "a")
         move = Move("b", "left", "receive", "received")
         with pytest.raises(IllegalMove):
-            player2_reply(inst, move, table)
+            player2_reply(inst, move, result)
 
-    def test_unknown_transition_rejected(self, routing_game):
-        _, _, _, table = routing_game
+    def test_unknown_transition_rejected(self, result):
         inst = GameInstance("ready", "ready", "b")
         move = Move("b", "left", "e", "ready")
         with pytest.raises(IllegalMove):
-            player2_reply(inst, move, table)
+            player2_reply(inst, move, result)
 
-    def test_concede_when_no_reply_exists(self, routing_game):
-        _, _, _, table = routing_game
+    def test_unknown_side_rejected(self, result):
+        inst = GameInstance("ready", "ready", "a")
+        move = Move("a", "middle", "receive", "received")
+        with pytest.raises(IllegalMove, match="^side must be left or right, got 'middle'$"):
+            player2_reply(inst, move, result)
+
+    def test_concede_when_no_reply_exists(self, result):
         inst = GameInstance("unsafe", "safe", "a")
         move = Move("a", "left", "e", "ready")
-        assert player2_reply(inst, move, table) is CONCEDE
+        assert player2_reply(inst, move, result) is None
 
 
 class TestSelfPlay:
@@ -425,8 +414,8 @@ class TestInteractive:
 
     def test_attacks_are_listed_only_on_moves(self, routing_pair, monkeypatch):
         calls = []
-        attacks = SeparationTable.attacks
-        monkeypatch.setattr(SeparationTable, "attacks", lambda *args: calls.append(1) or attacks(*args))
+        attacks = game.attacks
+        monkeypatch.setattr(game, "attacks", lambda *args: calls.append(1) or attacks(*args))
         result = greatest_bisimulation(*routing_pair)
         script = ["upgrade a; left receive -> received", "quit"]
         transcript = interactive_play(result, GameInstance("ready", "ready", "a"), 1, input_lines=script)

@@ -51,6 +51,23 @@ class TestValidatePoset:
         with pytest.raises(UnknownElement):
             ConditionPoset(["a"], [("a", "z")])
 
+    @pytest.mark.parametrize(
+        "elements, pairs, message",
+        [
+            (["a", 1], [], "element names must be non-empty strings"),
+            (["a", ""], [], "element names must be non-empty strings"),
+            (["a", "b"], [("a", "b", "a")], "a pair must be two element names"),
+            (["a", "b"], [("a",)], "a pair must be two element names"),
+            (["a", "b"], [("a", ["b"])], "a pair must be two element names"),
+            (["a", "b"], ["ab"], "a pair must be two element names"),
+            (["a", "b"], [7], "a pair must be two element names"),
+        ],
+        ids=["int-name", "empty-name", "three-names", "one-name", "list-in-pair", "string-pair", "int-pair"],
+    )
+    def test_malformed_input_raises_unknown_element(self, elements, pairs, message):
+        with pytest.raises(UnknownElement, match="^" + message):
+            ConditionPoset(elements, pairs)
+
     def test_transitivity_through_chain(self):
         p = ConditionPoset(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert p.leq("a", "c")

@@ -203,7 +203,7 @@ class BddManager:
         """Bitset of satisfying configurations.
 
         Configuration index i has the feature at order position k iff bit
-        (n-1-k) of i is set; use ``config_of_index`` to decode.
+        (n-1-k) of i is set; ``sat_configs`` decodes it.
         """
         return self._minterms(u, 0)
 
@@ -246,14 +246,11 @@ class BddManager:
                 u = self.conj(u, self.neg(self.var(name)))
         return frozenset(config)
 
-    def config_of_index(self, i: int) -> ft.Config:
-        n = self.n_levels
-        return frozenset(self.order[k] for k in range(n) if i >> (n - 1 - k) & 1)
-
     def sat_configs(self, u: int) -> list[ft.Config]:
         from .poset import iter_bits
 
-        return [self.config_of_index(i) for i in iter_bits(self.sat_minterms(u))]
+        backwards = self.order[::-1]  # bit k of a minterm index is feature order[n-1-k]
+        return [frozenset(backwards[k] for k in iter_bits(i)) for i in iter_bits(self.sat_minterms(u))]
 
     # --- lattice layer ---------------------------------------------------------
 

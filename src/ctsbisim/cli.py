@@ -24,6 +24,20 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_bytes(data: bytes, out: str | None) -> None:
+    """Write ``data`` unchanged to ``out`` or to standard output, without a
+    round trip through ``str``."""
+    if out:
+        Path(out).write_bytes(data)
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream stands in for stdout
+        sys.stdout.write(data.decode())
+        return
+    sys.stdout.flush()  # text written before goes first
+    buffer.write(data)
+
+
 def _parse_instance(option: str, raw: str) -> tuple[str, str, str]:
     # the condition comes last and may hold commas, as in ``{enc,ssl}``
     parts = raw.split(",", 2)
@@ -41,7 +55,7 @@ def _var_order(raw: str | None):
 def _write_relation(relation, pair, out) -> int:
     """Answer a ``pair`` (x, y, cond) first, then write the report; exit 0 iff it is related."""
     verdict = relation.holds(*pair) if pair else None
-    _write_output(report_bytes(relation.report()).decode(), out)
+    _write_bytes(report_bytes(relation.report()), out)
     if pair is None:
         return 0
     print("%s ~ %s under %s: %s" % (*pair, "bisimilar" if verdict else "not bisimilar"), file=sys.stderr)

@@ -35,13 +35,15 @@ BDD problems on the condition's one configuration, without enumerating the
 entry) and a condition's down-set.  ``BisimResult`` is the fixpoint matrix
 read through these; it replays the descent for the history it is asked for.
 
-Work that depends only on a value is done once per distinct value: the
-explicit ops memoize the residuum by its arguments (as ``BddManager`` does
-for handles), a BDD problem decodes each configuration's name once,
-``relation_report`` sorts each distinct entry's names once and
-``report_bytes`` renders each distinct condition list once.  ROBDDs are
-canonical, so equal entries are equal keys on both backends.  Each memo
-lives on a per-problem object or within one call; none outlives a check.
+Work that depends only on a value is done once per distinct value, and
+reading a result is linear in its output.  The explicit ops memoize the
+residuum (as ``BddManager`` does for handles); an entry decodes in one
+pass over its mask; a BDD problem names each configuration once, from one
+table of feature minterm bits in name order; ``relation_report`` sorts each
+distinct entry once; ``report_bytes`` renders each distinct condition list
+and state name once and joins the pieces once.  ROBDDs are canonical, so
+equal entries are equal keys on both backends.  Each memo lives on a
+per-problem object or within one call; none outlives a check.
 
 The definitions the kernel is checked against are in ``referee``, which a
 check neither loads nor compiles; ``__getattr__`` resolves their names here.
@@ -131,52 +133,58 @@ def top_matrix(ops, nx: int, ny: int):
 # --- conditional relations -----------------------------------------------------------
 
 
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, made on the first read of ``key``."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def relation_report(states_x, states_y, rows, names_of) -> dict:
     """The relation report: one ``{"left", "right", "conditions"}`` record per
     state pair, in row-major order, with the entry's condition names sorted.
 
-    ``names_of`` decodes an entry value to its condition names.  Each
-    distinct value is decoded and sorted once; every pair still gets its
-    own list, so editing one record leaves the others alone.
+    ``names_of`` decodes an entry in one pass; each distinct value is decoded
+    and sorted once (index order is not name order).  Every pair still gets
+    its own list, so editing one record leaves the others alone.
     """
-    sorted_names = {}
-    pairs = []
-    for x, row in zip(states_x, rows):
-        for y, entry in zip(states_y, row):
-            names = sorted_names.get(entry)
-            if names is None:
-                names = sorted_names[entry] = sorted(names_of(entry))
-            pairs.append({"left": x, "right": y, "conditions": list(names)})
-    return {"pairs": pairs}
+    names = _Memo(lambda entry: sorted(names_of(entry)))
+    return {"pairs": [
+        {"left": x, "right": y, "conditions": list(names[entry])}
+        for x, row in zip(states_x, rows) for y, entry in zip(states_y, row)
+    ]}
 
 
 def report_bytes(report: dict) -> bytes:
-    """Render a relation report (see ``relation_report``) as the CLI prints it.
-
-    This writes the one relation-report layout directly and is byte for byte
-    ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``: every string goes
-    through ``json``'s C string encoder, and each distinct ``conditions``
-    list is rendered once.  The layout is the CLI output contract.
+    """Render a relation report (see ``relation_report``) as the CLI prints it:
+    byte for byte ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``,
+    every string through ``json``'s C string encoder.  Each distinct
+    ``conditions`` list is rendered once as a record head in bytes, and each
+    state name once per side; a pair appends those three pieces and one
+    join copies them.  The layout is the CLI output contract.
     """
-    rendered = {}
-    parts = []
+    def head(conditions):  # the record up to its "left" value
+        items = ",\n        ".join(map(encode_basestring_ascii, conditions))
+        block = "[\n        %s\n      ]" % items if items else "[]"
+        return ('    {\n      "conditions": %s,\n      "left": ' % block).encode()
+
+    heads = _Memo(head)
+    lefts = _Memo(lambda s: b'%s,\n      "right": ' % encode_basestring_ascii(s).encode())
+    rights = _Memo(lambda s: b"%s\n    },\n" % encode_basestring_ascii(s).encode())
+    parts = [b'{\n  "pairs": [\n']
+    append = parts.append
     for pair in report["pairs"]:
-        conditions = tuple(pair["conditions"])
-        block = rendered.get(conditions)
-        if block is None:
-            if conditions:
-                items = ",\n        ".join(map(encode_basestring_ascii, conditions))
-                block = "[\n        %s\n      ]" % items
-            else:
-                block = "[]"
-            rendered[conditions] = block
-        parts.append(
-            '    {\n      "conditions": %s,\n      "left": %s,\n      "right": %s\n    }'
-            % (block, encode_basestring_ascii(pair["left"]), encode_basestring_ascii(pair["right"]))
-        )
-    if not parts:
+        append(heads[tuple(pair["conditions"])])
+        append(lefts[pair["left"]])
+        append(rights[pair["right"]])
+    if len(parts) == 1:
         return b'{\n  "pairs": []\n}\n'
-    return ('{\n  "pairs": [\n%s\n  ]\n}\n' % ",\n".join(parts)).encode()
+    parts[-1] = parts[-1][:-2] + b"\n  ]\n}\n"  # the last record takes no comma
+    return b"".join(parts)
 
 
 class ConditionalRelation:
@@ -421,13 +429,12 @@ def build_problem(
                 raise UnknownElement("unknown condition %r" % (cond,))
             return config
 
-        names = {}  # each configuration is named once per problem
+        # one (feature, minterm bit) table in name order names each configuration
+        table = sorted((f, 1 << manager.n_levels - 1 - k) for k, f in enumerate(manager.order))
+        names = _Memo(lambda i: "{%s}" % ",".join([f for f, bit in table if i & bit]))
 
         def entry_names(h):
-            return tuple(
-                names.get(i) or names.setdefault(i, ft.config_name(manager.config_of_index(i)))
-                for i in iter_bits(manager.sat_minterms(h))
-            )
+            return tuple(map(names.__getitem__, iter_bits(manager.sat_minterms(h))))
 
         return _bdd_problem(
             manager, diagram, left, right, guards, precedence, entry_names, config_of

@@ -11,17 +11,22 @@ masks, and ``bits_of_names``/``names_of_bits`` translate condition names.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleError, UnknownElement
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_flags(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest first: 1 where it is set, else 0."""
+    return bin(mask)[:1:-1].encode().translate(_FLAGS)
+
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The set bit positions of ``mask``, lowest first, in one pass over it."""
+    return compress(count(), bit_flags(mask))
 
 
 class ConditionPoset:
@@ -168,7 +173,8 @@ class ConditionPoset:
         return self.approx_bits(self.full_mask & (~l | m))
 
     def names_of_bits(self, bits: int) -> tuple[str, ...]:
-        return tuple(self.elements[i] for i in iter_bits(bits))
+        """The conditions in ``bits`` in index order, in one pass over the mask."""
+        return tuple(compress(self.elements, bit_flags(bits)))
 
     def has_bits(self, bits: int, name: str) -> bool:
         """Whether the condition ``name`` is in the set ``bits``."""

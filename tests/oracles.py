@@ -23,6 +23,17 @@ from ctsbisim.models import Lats
 from ctsbisim.poset import ConditionPoset, iter_bits
 
 
+def set_bits(mask: int) -> list[int]:
+    """The set bit positions of ``mask``, lowest first, isolating the lowest
+    set bit one at a time (the package decodes a mask in one pass instead)."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
 def all_downset_masks(poset: ConditionPoset) -> list[int]:
     """Every set that holds, with each member, all conditions below it; the
     order is read pairwise from ``poset.up``, not through the closure kernel."""

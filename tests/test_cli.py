@@ -274,6 +274,20 @@ class TestCheck:
         assert code == 0
         assert out.read_bytes() == (DATA / ("check_routing_%s.json" % data)).read_bytes()
 
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_stdout_gets_the_recorded_bytes(self, models_dir, capsysbinary, backend):
+        # the report goes to stdout's byte stream as report_bytes made it
+        code = run("check", models_dir / "routing_fts_basic.json", models_dir / "routing_fts_modified.json",
+                   "--backend", backend)
+        assert code == 0
+        assert capsysbinary.readouterr().out == (DATA / "check_routing_fts.json").read_bytes()
+
+    def test_stdout_without_a_byte_stream_gets_the_same_text(self, models_dir, monkeypatch):
+        text = io.StringIO()
+        monkeypatch.setattr("sys.stdout", text)
+        assert run("check", models_dir / "routing_basic.json", models_dir / "routing_modified.json") == 0
+        assert text.getvalue() == (DATA / "check_routing_cts.json").read_text()
+
     def test_var_order_prints_the_same_report(self, models_dir, tmp_path):
         three = tmp_path / "three.json"
         three.write_text(json.dumps(THREE_FEATURE_FTS))

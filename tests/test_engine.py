@@ -64,6 +64,7 @@ from oracles import (
     matrix_transfer,
     otimes_mul_ops,
     per_move_image,
+    set_bits,
     std_mul_ops,
 )
 from test_cli import NOT_ENC_FTS
@@ -732,9 +733,9 @@ class TestExplicitFtsBuild:
 
 class TestBenchChecksums:
     def test_gen_benchmark_fts_checksums_are_pinned(self):
-        # checksum() of every bench cell up to n = 8, recorded on both backends
+        # checksum() of every bench cell up to n = 10 (1024 conditions), recorded on both backends
         pinned = json.loads((DATA / "bench_checksums.json").read_text())
-        assert sorted(pinned, key=int) == [str(n) for n in range(1, 9)]
+        assert sorted(pinned, key=int) == [str(n) for n in range(1, 11)]
         for n, want in pinned.items():
             left, right = gen_benchmark_fts(int(n))
             for backend in ("explicit", "bdd"):
@@ -1180,6 +1181,13 @@ class TestReportBytes:
             for report in reports:
                 assert report_bytes(report) == reference_bytes(report)
 
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("backend", ["explicit", "bdd"])
+    def test_bench_family_with_wide_entries(self, n, backend):
+        # 512 and 1024 conditions: the widest masks the decoders meet in the suite
+        report = greatest_bisimulation(*gen_benchmark_fts(n), backend=backend).report()
+        assert report_bytes(report) == reference_bytes(report)
+
     def test_no_pairs(self):
         poset = ConditionPoset(["c"])
         report = ConditionalRelation(poset, (), (), []).report()
@@ -1229,6 +1237,47 @@ class TestReportRecordsAreIndependent:
 
     def test_conditional_relation(self, routing_pair):
         self.assert_independent(brute_force_oracle(*routing_pair))
+
+    def test_bdd_fts_result(self, models_dir):
+        # configuration names come from the problem's memo, shared by every report
+        pair = [load_model(models_dir / ("routing_fts_%s.json" % side)) for side in ("basic", "modified")]
+        self.assert_independent(greatest_bisimulation(*pair, backend="bdd"))
+
+
+class TestBddEntryNames:
+    """A BDD FTS problem decodes a handle's minterm set in one pass and names
+    each configuration from its (feature, minterm bit) table; the reference
+    reads one set bit at a time and names each configuration by sorting it."""
+
+    @staticmethod
+    def reference_names(manager, handle):
+        n, order = manager.n_levels, manager.order
+        return tuple(
+            ft.config_name([order[k] for k in range(n) if i >> (n - 1 - k) & 1])
+            for i in set_bits(manager.sat_minterms(handle))
+        )
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["order", "reversed"])
+    def test_masks_of_every_width_up_to_1024(self, reverse):
+        rng = random.Random(2912)
+        for n in range(1, 11):  # minterm masks of 2 to 1024 bits
+            left, right = gen_benchmark_fts(n)  # at n = 10, f10 sorts between f1 and f2
+            order = list(left.universe.features)[::-1] if reverse else None
+            problem = build_problem(left, right, backend="bdd", var_order=order)
+            m = problem.manager
+            handles = [0, 1, m.cube(()), m.cube(left.universe.features)]
+            for density in (0.5, 0.1):
+                handle = 0
+                for i in range(1 << n):
+                    if rng.random() < density:
+                        config = [f for k, f in enumerate(m.order) if i >> (n - 1 - k) & 1]
+                        handle = m.disj(handle, m.cube(config))
+                handles.append(handle)
+            for handle in handles:
+                want = self.reference_names(m, handle)
+                assert problem.entry_names(handle) == want
+                assert problem.entry_names(handle) == want  # named from the memo the second time
+            assert len(problem.entry_names(1)) == 1 << n
 
 
 class TestRelationArguments:

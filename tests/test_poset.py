@@ -1,12 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctsbisim.engine import ConditionalRelation, ExplicitOps
 from ctsbisim.errors import CycleError, GuardNotDownwardClosed, UnknownElement
 from ctsbisim.models import Lats
-from ctsbisim.poset import ConditionPoset
+from ctsbisim.poset import ConditionPoset, iter_bits
 
-from oracles import all_downset_masks, brute_approximate, brute_residuum
+from oracles import all_downset_masks, brute_approximate, brute_residuum, set_bits
 
 
 @st.composite
@@ -318,3 +320,22 @@ class TestElements:
         p = fig1_poset
         assert is_join_irreducible(p, p.down[p.element_index("e")])
         assert not is_join_irreducible(p, p.bits_of_names(["a", "b"]))
+
+
+
+class TestDecode:
+    """``iter_bits`` and ``names_of_bits`` read a mask in one pass; the
+    reference isolates one set bit at a time."""
+
+    def test_iter_bits_and_names_of_bits_at_every_width_up_to_1100(self):
+        rng = random.Random(2911)
+        for width in range(1, 1101):
+            names = ["c%d" % i for i in range(width)]
+            rows = [1 << i for i in range(width)]
+            poset = ConditionPoset._from_rows(names, rows, rows)  # discrete: any mask is a set
+            full = (1 << width) - 1
+            sparse = rng.getrandbits(width) & rng.getrandbits(width)
+            for mask in (0, full, 1 << width - 1, rng.getrandbits(width), sparse):
+                want = set_bits(mask)
+                assert list(iter_bits(mask)) == want
+                assert poset.names_of_bits(mask) == tuple(names[i] for i in want)

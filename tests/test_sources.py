@@ -405,7 +405,7 @@ def test_a_check_loads_no_dataclass():
 # Physical lines of the modules a library check loads (``CHECK_MODULES`` but
 # ``cli.py``).  Without ``__pycache__`` every process compiles all of them, so
 # each line costs the benchmark's ``setup_s``; raising this is a deliberate edit.
-CHECK_PATH_LINES = 2166
+CHECK_PATH_LINES = 2176
 
 
 def test_the_check_path_stays_within_its_line_budget():

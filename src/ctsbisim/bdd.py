@@ -89,7 +89,6 @@ class BddManager:
         return u
 
     def from_expr(self, expr: FeatureExpr) -> int:
-        ft.check_atoms(expr, self.universe)
         return ft.interpret(expr, self.var, self.neg, self.conj, self.disj, TRUE, FALSE)
 
     # --- connectives --------------------------------------------------------

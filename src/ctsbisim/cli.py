@@ -17,13 +17,6 @@ from .errors import CtsBisimError, ModelError
 from .modelio import load_model
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _write_bytes(data: bytes, out: str | None) -> None:
     """Write ``data`` unchanged to ``out`` or to standard output, without a
     round trip through ``str``."""
@@ -88,7 +81,7 @@ def cmd_convert(args) -> int:
     from .convert import convert_model, model_to_dict
 
     converted = convert_model(load_model(args.input, close=args.close), args.to)
-    _write_output(json.dumps(model_to_dict(converted), indent=2, sort_keys=True) + "\n", args.out)
+    _write_bytes((json.dumps(model_to_dict(converted), indent=2, sort_keys=True) + "\n").encode(), args.out)
     return 0
 
 
@@ -112,7 +105,7 @@ def cmd_approx(args) -> int:
         },
         "changed": approx != b,
     }
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write_bytes((json.dumps(report, indent=2, sort_keys=True) + "\n").encode(), args.out)
     if args.out:
         # DOT siblings next to the report, for piping straight into graphviz
         stem = Path(args.out)
@@ -131,7 +124,7 @@ def cmd_game(args) -> int:
         play = self_play(result, x, y, cond)
         transcript = "\n".join(play.transcript) + "\n"
         transcript += "winner: Player %d (%s)\n" % (play.winner, play.reason)
-        _write_output(transcript, args.out)
+        _write_bytes(transcript.encode(), args.out)
         return 0
     transcript = interactive_play(result, GameInstance(x, y, cond), human_side=args.human, out=sys.stdout)
     if args.out:
@@ -223,10 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CtsBisimError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CtsBisimError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

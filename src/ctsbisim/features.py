@@ -187,31 +187,37 @@ _NAME = re.compile(r"\w[\w.]*")
 # each binary connective's binding power, its right operand's least power
 # (equal for the right-associative "->") and its node; "!" binds at 4
 _BINARY = {"->": (1, 1, Imp), "|": (2, 3, Or), "&": (3, 4, And)}
+# the most levels ``parse_expr`` recurses through and returns: each walker of a
+# guard recurses once per level, and this leaves half of Python's 1000 frames free
+MAX_DEPTH = 500
 
 
-def _climb(tokens: list[str], pos: int, least: int, text: str) -> tuple[FeatureExpr, int]:
+def _climb(tokens: list[str], pos: int, least: int, text: str, depth: int) -> tuple[FeatureExpr, int, int]:
     """Parse the expression at ``tokens[pos]`` whose connectives bind at least
-    ``least``, up to the final ``""``; return it and the next position."""
+    ``least``, up to the final ``""``, nested ``depth`` calls below the first;
+    return it, its height and the next position."""
+    if depth > MAX_DEPTH:
+        raise ExprError("expression nested too deeply: %r" % text[:40])
     tok = tokens[pos]
     if tok == "!":
-        arg, pos = _climb(tokens, pos + 1, 4, text)
-        left = Not(arg)
+        arg, height, pos = _climb(tokens, pos + 1, 4, text, depth + 1)
+        left, height = Not(arg), height + 1
     elif tok == "(":
-        left, pos = _climb(tokens, pos + 1, 1, text)
+        left, height, pos = _climb(tokens, pos + 1, 1, text, depth + 1)
         if tokens[pos] != ")":
             raise ExprError("expected ')' but found %r in %r" % (tokens[pos], text))
         pos += 1
     elif _NAME.match(tok):
-        left = TRUE if tok == "true" else FALSE if tok == "false" else Atom(tok)
+        left, height = TRUE if tok == "true" else FALSE if tok == "false" else Atom(tok), 1
         pos += 1
     else:
         raise ExprError("unexpected %s in %r" % ("token %r" % tok if tok else "end", text))
     while True:
         power, right_least, node = _BINARY.get(tokens[pos], (0, 0, None))
         if power < least:
-            return left, pos
-        right, pos = _climb(tokens, pos + 1, right_least, text)
-        left = node(left, right)
+            return left, height, pos
+        right, right_height, pos = _climb(tokens, pos + 1, right_least, text, depth + 1)
+        left, height = node(left, right), 1 + max(height, right_height)
 
 
 def parse_expr(text: str) -> FeatureExpr:
@@ -221,12 +227,12 @@ def parse_expr(text: str) -> FeatureExpr:
           | expr "|" expr | expr "->" expr | "(" expr ")"
 
     Precedence is ! > & > | > ->; "&" and "|" associate left, "->" right.
-    Malformed or too deeply nested input raises ``ExprError``."""
+    Malformed input, or input nested or chained deeper than ``MAX_DEPTH``,
+    raises ``ExprError``."""
     tokens = _TOKEN.findall(text) + [""]
-    try:
-        expr, pos = _climb(tokens, 0, 1, text)
-    except RecursionError:
-        raise ExprError("expression nested too deeply: %r" % text[:40]) from None
+    expr, height, pos = _climb(tokens, 0, 1, text, 0)
+    if height > MAX_DEPTH:
+        raise ExprError("expression nested too deeply: %r" % text[:40])
     if tokens[pos]:
         raise ExprError("trailing input %r in %r" % (tokens[pos], text))
     return expr

@@ -133,14 +133,9 @@ def model_from_dict(raw: dict, close: bool = False) -> Model:
             raise ModelError("%s.guard: %s" % (where, exc)) from exc
         guards[(x, a, y)] = guards.get((x, a, y), 0) | bits
 
-    try:
-        # CTS guards list maximal conditions; monotonicity supplies the rest
-        lats = Lats(states, alphabet, poset, guards, precedence=precedence, close=close or kind == "cts")
-        return lats_to_cts(lats) if kind == "cts" else lats
-    except ModelError:
-        raise
-    except Exception as exc:
-        raise ModelError("model: %s" % exc) from exc
+    # CTS guards list maximal conditions; monotonicity supplies the rest
+    lats = Lats(states, alphabet, poset, guards, precedence=precedence, close=close or kind == "cts")
+    return lats_to_cts(lats) if kind == "cts" else lats
 
 
 def _load(path: str | Path, read):

@@ -5,9 +5,9 @@ from transitions to downward-closed guard sets, so a conditional system is
 a lattice system built from, and presented as, its successor sets: ``Cts``
 subclasses ``Lats`` and both store only the guards.  Featured systems carry
 a feature universe instead; their admissible configurations, ordered by
-upgrades, become the condition poset of the derived lattice system.  No
-code changes a model after validation, but only ``Fts`` refuses assignment:
-``Lats``/``Cts`` attributes can be set, and a conversion shares them.
+upgrades, become the condition poset of the derived lattice system.  Every
+kind is a ``features.Record``, validated through ``check_system``: it compares,
+prints, copies and pickles by its fields and refuses assignment.
 
 The explicit build of that system is bit-parallel over the sorted
 admissible configurations: bit i of a mask stands for ``configs[i]``, and
@@ -61,35 +61,44 @@ def close_precedence(pairs: Iterable[tuple[str, str]], alphabet: Iterable[str]) 
     return frozenset(closed)
 
 
-class Lts:
+def check_system(states, alphabet, precedence, transitions) -> tuple[tuple, tuple, frozenset]:
+    """States and alphabet as tuples of distinct names and the closed
+    precedence, after checking every (source, action, target) key of
+    ``transitions`` against them; ``ModelError`` names the first fault."""
+    states = check_names("states", states)
+    alphabet = check_names("alphabet", alphabet)
+    precedence = close_precedence(precedence, alphabet)
+    state_set, action_set = set(states), set(alphabet)
+    for x, a, y in transitions:
+        if x not in state_set or y not in state_set:
+            raise ModelError("transition (%r, %r, %r) references unknown states" % (x, a, y))
+        if a not in action_set:
+            raise ModelError("unknown action %r" % (a,))
+    return states, alphabet, precedence
+
+
+class Lts(ft.Record):
     """A plain labelled transition system (one instantiated condition):
     ``moves`` maps ``(state, action)`` to the frozenset of its targets."""
 
-    def __init__(self, states, alphabet, moves: Mapping[tuple[str, str], frozenset]):
-        self.states = states
-        self.alphabet = alphabet
-        self.moves = moves
+    __slots__ = ("states", "alphabet", "moves")
 
     def successors(self, x: str, a: str) -> frozenset:
         return self.moves.get((x, a), frozenset())
 
 
-class Lats:
-    """Lattice transition system: guards are downward-closed condition sets."""
+class Lats(ft.Record):
+    """Lattice transition system: ``alpha`` maps each (source, action, target)
+    to its guard, a non-empty downward-closed bitmask over ``poset``, and
+    ``precedence`` holds the closed (higher, lower) action pairs."""
+
+    __slots__ = ("states", "alphabet", "poset", "alpha", "precedence")
 
     def __init__(self, states, alphabet, poset: ConditionPoset, alpha, precedence=(), close=False):
-        self.states = check_names("states", states)
-        self.alphabet = check_names("alphabet", alphabet)
-        self.poset = poset
-        self.precedence = close_precedence(precedence, self.alphabet)
-        state_set = set(self.states)
+        states, alphabet, precedence = check_system(states, alphabet, precedence, alpha)
         guards: dict[tuple[str, str, str], int] = {}
         closures: dict[int, int] = {}
         for (x, a, y), guard in alpha.items():
-            if x not in state_set or y not in state_set:
-                raise ModelError("transition (%r, %r, %r) references unknown states" % (x, a, y))
-            if a not in self.alphabet:
-                raise ModelError("unknown action %r" % (a,))
             bits = guard if isinstance(guard, int) else poset.bits_of_names(guard)
             if not bits:
                 continue
@@ -111,7 +120,7 @@ class Lats:
                     % (x, a, y, poset.elements[i], poset.elements[j])
                 )
             guards[(x, a, y)] = closed
-        self.alpha = guards
+        super().__init__(states, alphabet, poset, guards, precedence)
 
     def guard_bits(self, x: str, a: str, y: str) -> int:
         return self.alpha.get((x, a, y), 0)
@@ -141,18 +150,6 @@ class Lats:
                 moves[(x, a)] = targets
         return Lts(self.states, self.alphabet, moves)
 
-    def __eq__(self, other):
-        # kind-exact: a conditional system never equals its lattice rendition
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.states == other.states
-            and self.alphabet == other.alphabet
-            and self.poset == other.poset
-            and self.alpha == other.alpha
-            and self.precedence == other.precedence
-        )
-
 
 class Cts(Lats):
     """Conditional transition system: per-condition successor sets.
@@ -164,6 +161,7 @@ class Cts(Lats):
     and differs from one only in how it is built and presented.
     """
 
+    # no ``__slots__ = ()``: ``Record`` reads the fields off the class, so a CTS keeps the LaTS's five
     def __init__(self, states, alphabet, poset: ConditionPoset, trans, precedence=()):
         guards: dict[tuple[str, str, str], int] = {}
         for (x, a, cond), targets in trans.items():
@@ -177,6 +175,10 @@ class Cts(Lats):
         # an empty successor set adds no guard, so only its key can be wrong
         if any(x not in self.states or a not in self.alphabet for x, a, _ in trans):
             raise ModelError("successor sets keyed by unknown states or actions")
+
+    def __reduce__(self):
+        # the constructor takes successor sets; rebuild from the guards instead
+        return lats_to_cts, (cts_to_lats(self),)
 
     @property
     def trans(self) -> dict[tuple[str, str, str], frozenset]:
@@ -207,20 +209,12 @@ class Fts(ft.Record):
         trans: Mapping[tuple[str, str, str], FeatureExpr], diagram: FeatureExpr = ft.TRUE, precedence=(),
         close=False,
     ):
-        states = check_names("states", states)
-        alphabet = check_names("alphabet", alphabet)
         trans = dict(trans)
-        precedence = close_precedence(precedence, alphabet)
+        states, alphabet, precedence = check_system(states, alphabet, precedence, trans)
         for name in universe.features:
             if not ft.is_atom_name(name):
                 raise ModelError("%r is not a feature name (a guard atom)" % (name,))
-        state_set = set(states)
-        ft.check_atoms(diagram, universe)
-        for (x, a, y), expr in trans.items():
-            if x not in state_set or y not in state_set:
-                raise ModelError("transition (%r, %r, %r) references unknown states" % (x, a, y))
-            if a not in alphabet:
-                raise ModelError("unknown action %r" % (a,))
+        for expr in (diagram, *trans.values()):
             ft.check_atoms(expr, universe)
         super().__init__(universe, states, alphabet, trans, diagram, precedence, bool(close))
 
@@ -233,9 +227,9 @@ class Fts(ft.Record):
 
 
 def _recast(model: Lats, cls):
-    # the same guards under the other kind, sharing the model's attributes and its ``alpha`` dict
+    # the same guards under the other kind, sharing the model's fields and its ``alpha`` dict
     out = cls.__new__(cls)
-    vars(out).update(vars(model))
+    ft.Record.__init__(out, *model._fields())
     return out
 
 

@@ -33,8 +33,8 @@ class ConditionPoset:
     """The finite ordered condition set, with bitmask rows for order queries.
 
     ``up[i]`` is the bitmask of elements >= i, ``down[i]`` of elements <= i;
-    both are reflexive.  Instances are immutable after construction and safe
-    to share between workers.
+    both are reflexive.  Instances are immutable after construction; they
+    copy and pickle as their rows, so they are safe to share between workers.
     """
 
     __slots__ = ("elements", "index", "up", "down", "full_mask", "_hash")
@@ -97,6 +97,9 @@ class ConditionPoset:
 
     def __setattr__(self, name, value):
         raise AttributeError("ConditionPoset is immutable")
+
+    def __reduce__(self):
+        return type(self)._from_rows, (self.elements, self.up, self.down)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -535,6 +535,51 @@ class TestGame:
             assert not out.exists()
 
 
+def chain_fts(op: str, operands: int) -> dict:
+    """One transition guarded by a flat ``a op a op ... op a`` chain."""
+    guard = (" %s " % op).join(["a"] * operands)
+    return {
+        "kind": "fts", "states": ["s", "t"], "alphabet": ["x"], "features": ["a", "b"],
+        "transitions": [{"from": "s", "action": "x", "to": "t", "guard": guard}],
+    }
+
+
+class TestDeepGuards:
+    """A flat chain is as deep a tree as a nested expression, so a long one
+    is refused like deep nesting, naming its field, and never overflows the
+    stack of a walker."""
+
+    @pytest.mark.parametrize("command", [("check",), ("check", *BDD), ("oracle",), ("convert",)])
+    def test_a_3000_operand_guard_exits_2_naming_the_field(self, tmp_path, capsys, command):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(chain_fts("|", 3000)))
+        rest = ("--to", "lats") if command == ("convert",) else (model,)
+        assert run(command[0], model, *rest, *command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "transitions[0].guard: expression nested too deeply" in err
+
+    def test_a_3000_operand_approx_input_exits_2_naming_the_field(self, tmp_path, capsys):
+        path = tmp_path / "approx.json"
+        path.write_text(json.dumps({"features": ["a", "b"], "upgrade": ["a"], "expr": " & ".join(["a"] * 3000)}))
+        assert run("approx", path) == 2
+        assert "input.expr: expression nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_a_500_operand_guard_checks_and_converts(self, tmp_path, op):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(chain_fts(op, 500)))
+        reports = []
+        for backend in ("explicit", "bdd"):
+            out = tmp_path / ("%s.json" % backend)
+            assert run("check", model, model, "--backend", backend, "--pair", "s,s,{a}", "--out", out) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        for kind in ("lats", "cts", "fts"):
+            out = tmp_path / ("%s.json" % kind)
+            assert run("convert", model, "--to", kind, "--out", out) == 0
+            load_model(out)  # the written model reads back
+
+
 class TestClose:
     @pytest.mark.parametrize(
         "argv",

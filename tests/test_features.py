@@ -116,9 +116,27 @@ class TestParserTrees:
             parse_expr(bad)
 
     def test_nesting_too_deep_raises_expr_error(self):
+        depth = ft.MAX_DEPTH
         assert parse_expr("(" * 250 + "a" + ")" * 250) == ft.Atom("a")
-        for text in ("(" * 1000 + "a" + ")" * 1000, "!" * 1000 + "a", "a -> " * 1000 + "a"):
-            with pytest.raises(ExprError):
+        assert parse_expr("(" * depth + "a" + ")" * depth) == ft.Atom("a")
+        assert isinstance(parse_expr("!" * (depth - 1) + "a"), ft.Not)
+        for text in (
+            "(" * 1000 + "a" + ")" * 1000, "!" * 1000 + "a", "a -> " * 1000 + "a",
+            "(" * (depth + 1) + "a" + ")" * (depth + 1), "(" * 3000 + "a", "!" * depth + "a",
+        ):
+            with pytest.raises(ExprError, match="nested too deeply"):
+                parse_expr(text)
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_chains_are_bounded_like_nesting(self, op):
+        # a left-deep "&"/"|" chain parses without recursing, but its tree is
+        # as deep as a nested one; both stop at the same bound, and the
+        # parenthesized text of the deepest chain parses back
+        depth = ft.MAX_DEPTH
+        expr = parse_expr((" %s " % op).join(["a"] * depth))
+        assert to_text(parse_expr(to_text(expr))) == to_text(expr)
+        for text in ((" %s " % op).join(["a"] * (depth + 1)), (" %s " % op).join(["a"] * 3000)):
+            with pytest.raises(ExprError, match="nested too deeply"):
                 parse_expr(text)
 
     def test_atoms_is_every_feature_named(self):

@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -117,6 +118,52 @@ class TestConversions:
         c = Cts(["x"], ["act"], poset, {})
         assert cts_to_lats(c).alpha == {}
         assert lats_to_cts(cts_to_lats(c)).trans == {}
+
+
+def contract_value(models_dir, kind):
+    """A poset, a LaTS, a CTS or an FTS, as the bundled routing files load."""
+    if kind == "fts":
+        return load_model(models_dir / "routing_fts_modified.json")
+    cts = load_model(models_dir / "routing_basic.json")
+    return {"poset": cts.poset, "lats": cts_to_lats(cts), "cts": cts}[kind]
+
+
+class TestModelContract:
+    """Every model kind, and the condition poset under a LaTS or CTS, is an
+    immutable value: copies and pickles are equal objects of the same class."""
+
+    @pytest.mark.parametrize("kind", ["poset", "lats", "cts", "fts"])
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles_are_equal(self, models_dir, kind, duplicate):
+        value = contract_value(models_dir, kind)
+        again = duplicate(value)
+        assert type(again) is type(value)
+        assert again == value
+
+    @pytest.mark.parametrize("kind", ["poset", "lats", "cts", "fts"])
+    def test_no_field_can_be_assigned(self, models_dir, kind):
+        value = contract_value(models_dir, kind)
+        for field in value.__slots__:  # a CTS has the five of a LaTS
+            with pytest.raises(AttributeError):
+                setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_lts_compares_by_its_fields(self, routing_pair):
+        basic, modified = routing_pair
+        assert basic.instantiate("a") == modified.instantiate("a")
+        assert basic.instantiate("b") != modified.instantiate("b")
+        assert basic.instantiate("a") == models.Lts(basic.states, basic.alphabet, basic.instantiate("a").moves)
+        assert repr(basic.instantiate("b")).startswith("Lts(states=")
+
+    def test_repr_names_the_kind_and_its_fields(self, models_dir):
+        cts = load_model(models_dir / "routing_basic.json")
+        assert repr(cts).startswith("Cts(states=('ready', ")
+        assert repr(cts_to_lats(cts)).startswith("Lats(states=")
 
 
 class TestInstantiate:
